@@ -20,7 +20,7 @@ from .diagnostics import (ConeWeight, DecayFit, FscReport, check_fsc,
                           dispersion_check, fit_decay, jacobian_bound,
                           measure_K, measure_L, momentum_support,
                           momentum_spread, max_momentum_spread,
-                          semilag_profile, sup_mu, sup_mu_semilag)
+                          semilag_profile, sup_mu)
 from .cli import SimConfig, parse_config, run_scenario, sweep, main
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,6 +188,18 @@ def _validate(cfg: SimConfig):
     steps = cfg.record_interval / cfg.dt
     if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
         raise ConfigError("record_interval must be a positive multiple of dt")
+    if cfg.history_stride < 1:
+        raise ConfigError("history_stride must be >= 1")
+    if cfg.coupling and cfg.semilag and cfg.keep_history:
+        # the *_sl columns trace back from each record time through the
+        # stored levels, which exist only every history_stride steps
+        level_dt = cfg.history_stride * cfg.dt
+        for name in ("record_interval", "t_end"):
+            k = getattr(cfg, name) / level_dt
+            if abs(k - round(k)) > 1e-9:
+                raise ConfigError(
+                    f"{name} must be a multiple of history_stride * dt = {level_dt:g} "
+                    "when coupling, semilag and keep_history are on")
     if cfg.checkpoint_interval > 0:
         cs = cfg.checkpoint_interval / cfg.dt
         if abs(cs - round(cs)) > 1e-9 or round(cs) < 1:
@@ -218,12 +230,6 @@ def build_initial_data(cfg: SimConfig) -> InitialData:
 # ---------------------------------------------------------------------------
 # Per-record diagnostics
 # ---------------------------------------------------------------------------
-
-def _fsc_weights(cfg: SimConfig, t, r):
-    wk = (1.0 + cfg.R + t + r) ** cfg.beta * (1.0 + cfg.R + t - r) ** cfg.beta
-    wl = wk * (1.0 + cfg.R + t - r)
-    return wk, wl
-
 
 def _record_row(state: CoupledState, cfg: SimConfig) -> dict:
     t = state.t
@@ -256,7 +262,8 @@ def _record_row(state: CoupledState, cfg: SimConfig) -> dict:
         K, L, r = diag.grid_derivative_maps(state.grid, max_radius=cfg.R + t)
         if K.size:
             row["k_cone"] = float(K.max())
-            wk, wl = _fsc_weights(cfg, t, r)
+            wk = diag.ConeWeight(cfg.R, cfg.beta, cfg.beta)(t, r)
+            wl = wk * (1.0 + cfg.R + t - r)
             row["fsc_k_raw"] = float((K * wk).max())
             row["fsc_l_raw"] = float((L * wl).max())
     return row
@@ -311,8 +318,7 @@ def load_checkpoint(path: str):
     hist.append(grid.t, grid.phi_0, grid.h, grid.n_half)
     hist.append(grid.t + grid.dt, grid.phi_p, grid.h, grid.n_half)
     state = CoupledState(ensemble=ens, grid=grid, hist=hist, hist_full=None,
-                         source_hist=None, data=data, t=t,
-                         coupling=cfg.coupling, pad=cfg.pad)
+                         data=data, t=t, coupling=cfg.coupling, pad=cfg.pad)
     return cfg, state, rows
 
 
@@ -429,11 +435,12 @@ def run_scenario(cfg: SimConfig, state: CoupledState | None = None,
 def sweep(cfg: SimConfig, deltas) -> list:
     """run_scenario per amplitude multiplier; returns table rows
     (delta, exit, fsc_satisfied, p_max, p_bound_ok)."""
+    base = [line for line in cfg.config_text.splitlines()
+            if line.partition("=")[0].strip() not in ("delta", "output", "summary")]
     table = []
     for d in deltas:
-        sub = replace(cfg, delta=float(d),
-                      output=f"{cfg.output}.delta{d:g}.csv", summary="")
-        sub = replace(sub, config_text=cfg.config_text + f"delta = {d:g}\n")
+        sub = parse_config("\n".join(
+            base + [f"delta = {float(d)!r}", f"output = {cfg.output}.delta{d:g}.csv"]))
         code = run_scenario(sub)
         summary = {}
         with open(sub.summary_path) as fh:

@@ -19,15 +19,15 @@ import numpy as np
 from .characteristics import FieldView, rel_velocity, flow_jacobian, backward_trace
 from .profiles import InitialData
 from .vlasov_pic import ParticleEnsemble, evaluate_f
-from .wavefield import FieldGrid, field_derivatives
+from .wavefield import (GRAD, HESS, NOW, TIME_D1, TIME_D2, VALUE, FieldGrid,
+                        difference, field_derivatives)
 
 __all__ = [
     "ConeWeight", "DecayFit", "FscReport", "measure_K", "measure_L",
     "sup_mu", "momentum_support", "momentum_spread", "max_momentum_spread",
     "check_fsc", "fit_decay", "dispersion_check", "free_flow_dispersion_ratio",
     "jacobian_bound", "JacobianBoundReport", "grid_derivative_maps",
-    "mu_pointwise", "semilag_profile", "sup_mu_semilag",
-    "momentum_spread_semilag", "max_momentum_spread_semilag",
+    "mu_pointwise", "semilag_profile",
 ]
 
 
@@ -103,44 +103,40 @@ def grid_derivative_maps(grid: FieldGrid, max_radius: float | None = None):
     Returns (K, L, r) flat arrays; used for grid-wide sup norms and FSC
     margins.
     """
-    h, dt = grid.h, grid.dt
-    pm, p0, pp = grid.phi_m, grid.phi_0, grid.phi_p
-    s = np.s_[2:-2, 2:-2, 2:-2]
+    n = grid.n_nodes
+    levels = (grid.phi_m, grid.phi_0, grid.phi_p)
 
-    def sh(arr, dx, dy, dz):
-        n = arr.shape[0]
-        return arr[2 + dx:n - 2 + dx, 2 + dy:n - 2 + dy, 2 + dz:n - 2 + dz]
+    def on_nodes(k, space):
+        """`space` combined on the interior nodes of the level at time offset k."""
+        def shifted(off):
+            i, j, l = off
+            return levels[k + 1][2 + i:n - 2 + i, 2 + j:n - 2 + j, 2 + l:n - 2 + l]
+        return space.combine(shifted)
 
-    dt_phi = (pp[s] - pm[s]) / (2 * dt)
-    dt2 = (pp[s] - 2 * p0[s] + pm[s]) / dt**2
-    grad2 = np.zeros_like(dt_phi)
-    dtg2 = np.zeros_like(dt_phi)
-    hmax = np.zeros_like(dt_phi)
-    offs = np.eye(3, dtype=int)
-    for k in range(3):
-        dx, dy, dz = offs[k]
-        gk = (sh(p0, dx, dy, dz) - sh(p0, -dx, -dy, -dz)) / (2 * h)
-        grad2 += gk**2
-        tg = ((sh(pp, dx, dy, dz) - sh(pp, -dx, -dy, -dz))
-              - (sh(pm, dx, dy, dz) - sh(pm, -dx, -dy, -dz))) / (4 * h * dt)
-        dtg2 += tg**2
-        hkk = (sh(p0, dx, dy, dz) - 2 * p0[s] + sh(p0, -dx, -dy, -dz)) / h**2
-        hmax = np.maximum(hmax, np.abs(hkk))
-        for j in range(k + 1, 3):
-            ox, oy, oz = offs[k] + offs[j]
-            mx, my, mz = offs[k] - offs[j]
-            hkj = (sh(p0, ox, oy, oz) - sh(p0, mx, my, mz)
-                   - sh(p0, -mx, -my, -mz) + sh(p0, -ox, -oy, -oz)) / (4 * h**2)
-            hmax = np.maximum(hmax, np.abs(hkj))
-    K = np.abs(dt_phi) + np.sqrt(grad2)
-    L = np.abs(dt2) + np.sqrt(dtg2) + hmax
+    def d(time, space=VALUE):
+        return difference(time, space, on_nodes, grid.dt, grid.h)
+
+    # one running accumulator for |grad|^2, |dt grad|^2 and max |hess|: on
+    # fine grids each interior-sized array is tens of MiB
+    acc = np.zeros((n - 4,) * 3)
+    for g in GRAD:
+        acc += d(NOW, g) ** 2
+    K = np.abs(d(TIME_D1)) + np.sqrt(acc)
+    acc[...] = 0.0
+    for g in GRAD:
+        acc += d(TIME_D1, g) ** 2
+    L = np.abs(d(TIME_D2)) + np.sqrt(acc)
+    acc[...] = 0.0
+    for st in HESS.values():
+        np.maximum(acc, np.abs(d(NOW, st)), out=acc)
+    L += acc
     ax = grid.node_axis()[2:-2]
     xx, yy, zz = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
-    r = np.sqrt(xx**2 + yy**2 + zz**2)
+    r = np.broadcast_to(np.sqrt(xx**2 + yy**2 + zz**2), K.shape)
     if max_radius is not None:
         sel = r <= max_radius
-        return K[sel], L[sel], (r * np.ones_like(K))[sel]
-    return K.ravel(), L.ravel(), (r * np.ones_like(K)).ravel()
+        return K[sel], L[sel], r[sel]
+    return K.ravel(), L.ravel(), r.ravel()
 
 
 def sup_mu(grid: FieldGrid) -> float:
@@ -380,32 +376,3 @@ def semilag_profile(t: float, field: FieldView, data: InitialData, dt: float,
             spread[i] = np.prod(ext)
     radii = np.linalg.norm(probes, axis=-1)
     return radii, mu, spread
-
-
-def sup_mu_semilag(t: float, field: FieldView, data: InitialData, dt: float,
-                   n_radii: int = 24, n_p: int = 10) -> float:
-    """Sup of mu(t, .) over radial probes (radial data gives a spherically
-    symmetric solution), via the semi-Lagrangian route."""
-    _, mu, _ = semilag_profile(t, field, data, dt, n_radii, n_p)
-    return float(mu.max())
-
-
-def momentum_spread_semilag(t: float, x, field: FieldView, data: InitialData,
-                            dt: float, n_p: int = 16) -> float:
-    """Bounding-box volume of {p : f(t,x,p) > 0} sampled on the adaptive box."""
-    x = np.asarray(x, dtype=float)
-    lo, hi = _p_box(t, x, data)
-    pg, _ = _p_grid(lo, hi, n_p)
-    f = evaluate_f(t, np.broadcast_to(x, pg.shape), pg, field, data, dt)
-    pts = pg[f > 0.0]
-    if pts.shape[0] < 2:
-        return 0.0
-    step = (hi - lo) / n_p
-    ext = pts.max(axis=0) - pts.min(axis=0) + step  # one cell width per face
-    return float(np.prod(ext))
-
-
-def max_momentum_spread_semilag(t: float, field: FieldView, data: InitialData,
-                                dt: float, n_radii: int = 24, n_p: int = 16) -> float:
-    _, _, spread = semilag_profile(t, field, data, dt, n_radii, n_p)
-    return float(spread.max())

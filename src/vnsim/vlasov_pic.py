@@ -16,8 +16,7 @@ from . import characteristics as chars
 from .characteristics import FieldView, PhaseState, ZeroField
 from .errors import DomainTooSmallError
 from .profiles import InitialData
-from .wavefield import (FieldGrid, GridFieldHistory, SourceHistory, fdtd_step,
-                        make_field_grid)
+from .wavefield import FieldGrid, GridFieldHistory, fdtd_step, make_field_grid
 
 __all__ = [
     "ParticleEnsemble", "CoupledState", "sample_particles", "deposit_mu",
@@ -142,7 +141,6 @@ class CoupledState:
     grid: FieldGrid
     hist: GridFieldHistory          # recent levels, used for pushes
     hist_full: GridFieldHistory | None  # optional full history for diagnostics
-    source_hist: SourceHistory | None
     data: InitialData
     t: float
     coupling: bool = True
@@ -156,10 +154,9 @@ class CoupledState:
 def init_coupled_state(data: InitialData, n_per_dim: int, h: float, dt: float,
                        pad: float = 2.0, coupling: bool = True,
                        keep_history: bool = True, history_stride: int = 1,
-                       history_dtype=np.float64,
-                       keep_source: bool = False) -> CoupledState:
+                       history_dtype=np.float64) -> CoupledState:
     ens = sample_particles(data, n_per_dim)
-    # the t=0 deposit feeds both the Taylor start and the source history
+    # the t=0 deposit feeds the Taylor start
     probe = make_field_grid(data, h, dt, pad=pad, check_cfl=coupling)
     mu0 = deposit_mu(ens, probe)
     grid = make_field_grid(data, h, dt, pad=pad, mu0=mu0, check_cfl=coupling)
@@ -171,13 +168,8 @@ def init_coupled_state(data: InitialData, n_per_dim: int, h: float, dt: float,
         hist_full = GridFieldHistory(dtype=history_dtype)
         hist_full.stride = history_stride
         hist_full.append(0.0, grid.phi_0, h, grid.n_half)
-    src = None
-    if keep_source:
-        src = SourceHistory()
-        src.append(0.0, mu0, h, grid.n_half)
     return CoupledState(ensemble=ens, grid=grid, hist=hist, hist_full=hist_full,
-                        source_hist=src, data=data, t=0.0, coupling=coupling,
-                        pad=pad)
+                        data=data, t=0.0, coupling=coupling, pad=pad)
 
 
 def step(state: CoupledState, deposit: bool = True) -> CoupledState:
@@ -212,8 +204,6 @@ def step(state: CoupledState, deposit: bool = True) -> CoupledState:
     else:
         grid.mu = mu
         grid.t = t_new
-    if state.source_hist is not None:
-        state.source_hist.append(t_new, mu, grid.h, grid.n_half)
     state.t = t_new
     return state
 

@@ -9,7 +9,8 @@ tracks R + t + pad, which finite propagation speed guarantees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,104 +175,121 @@ def discrete_energy(grid: FieldGrid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Derivatives at probe points
+# Centered differences and the trilinear sampler
 # ---------------------------------------------------------------------------
 
-def _gather(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return arr[idx[..., 0], idx[..., 1], idx[..., 2]]
+@dataclass(frozen=True, eq=False)
+class Stencil:
+    """Centered difference sum(coef * f[offset]) / step**order.
+
+    Spatial offsets are node vectors (step h); time offsets -1, 0, +1 index
+    the levels at t - dt, t, t + dt (step dt).
+    """
+
+    order: int
+    terms: tuple  # ((offset, coef), ...)
+
+    def combine(self, take):
+        """sum(coef * take(offset)): the difference before the step scaling."""
+        (off, coef), *rest = self.terms
+        acc = coef * take(off)
+        for off, coef in rest:
+            acc += coef * take(off)
+        return acc
 
 
-def _corner_indices(grid_h: float, n_half: int, n_nodes: int, x: np.ndarray,
-                    margin: int):
-    u = x / grid_h + n_half
-    i0 = np.floor(u).astype(int)
+_E = np.eye(3, dtype=int)
+_O = np.zeros(3, dtype=int)
+
+VALUE = Stencil(0, ((_O, 1.0),))
+GRAD = tuple(Stencil(1, ((e, 0.5), (-e, -0.5))) for e in _E)
+# upper triangle of the Hessian, keyed by (k, j)
+HESS = {
+    (k, j): Stencil(2, (
+        ((_E[k], 1.0), (_O, -2.0), (-_E[k], 1.0)) if k == j
+        else ((_E[k] + _E[j], 0.25), (_E[k] - _E[j], -0.25),
+              (_E[j] - _E[k], -0.25), (-_E[k] - _E[j], 0.25))))
+    for k in range(3) for j in range(k, 3)
+}
+NOW = Stencil(0, ((0, 1.0),))
+TIME_D1 = Stencil(1, ((1, 0.5), (-1, -0.5)))
+TIME_D2 = Stencil(2, ((1, 1.0), (0, -2.0), (-1, 1.0)))
+
+
+def difference(time: Stencil, space: Stencil, take, dt: float, h: float):
+    """`time` applied to `space`, where take(k, space) is `space` combined on
+    the level at time offset k; the steps are divided out once, at the end."""
+    return time.combine(lambda k: take(k, space)) / (dt**time.order * h**space.order)
+
+
+def sample_levels(levels, h: float, n_half: int, x, stencils) -> np.ndarray:
+    """Trilinear samples of node stencils on levels that share one geometry.
+
+    Returns shape (len(levels), len(stencils)) + x.shape[:-1]: each stencil
+    combined on the nodes of each level, interpolated to x, not scaled by
+    the step.  A point is sampled when its cell and the cell's +-1
+    neighbours lie on the grid, and is 0 otherwise.  The 8 cell corners are
+    visited once each; every gather is a flat index into the raveled level,
+    offset by the strides n**2, n, 1.
+    """
+    x = np.asarray(x, dtype=float)
+    n = levels[0].shape[0]
+    u = x.reshape(-1, 3) / h + n_half
+    i0 = np.floor(u).astype(np.intp)
     frac = u - i0
-    if np.any(i0 < margin) or np.any(i0 + 1 > n_nodes - 1 - margin):
-        raise ValueError("probe point too close to (or outside) the grid boundary")
-    offs = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)])
-    corners = i0[..., None, :] + offs  # (..., 8, 3)
-    w = np.ones(x.shape[:-1] + (8,))
-    for c, off in enumerate(offs):
-        for ax in range(3):
-            w[..., c] *= frac[..., ax] if off[ax] else 1.0 - frac[..., ax]
-    return corners, w
+    valid = np.all((i0 >= 1) & (i0 <= n - 3), axis=-1)
+    i0[~valid] = 1  # any cell with neighbours keeps the gathers in range
+    # flat index of the cell's (-1, -1, -1) neighbour: every shift is >= 0
+    low = ((i0[:, 0] - 1) * n + i0[:, 1] - 1) * n + i0[:, 2] - 1
+    weights = [(1.0 - frac[:, ax], frac[:, ax]) for ax in range(3)]
+    strides = np.array([n * n, n, 1])
+    flats = [np.ravel(level) for level in levels]
+    out = np.zeros((len(levels), len(stencils), low.size))
+    for corner in itertools.product((0, 1), repeat=3):
+        w = weights[0][corner[0]] * weights[1][corner[1]] * weights[2][corner[2]]
+        start = np.add(corner, 1) @ strides  # from `low` to this corner
+        for flat, acc in zip(flats, out):
+            for stencil, a in zip(stencils, acc):
+                a += w * stencil.combine(
+                    lambda off: flat[start + off @ strides:].take(low))
+    out[..., ~valid] = 0.0
+    return out.reshape(out.shape[:2] + x.shape[:-1])
 
 
 def field_derivatives(grid: FieldGrid, x) -> tuple:
     """(dt_phi, grad, dt2_phi, dt_grad, hess) at points x, 2nd-order centered.
 
-    Trilinear interpolation of node-stencil values; probes must be at least
-    two cells inside the boundary.
+    Trilinear interpolation of node stencils; probes must be at least two
+    cells inside the boundary.
     """
     x = np.asarray(x, dtype=float)
-    corners, w = _corner_indices(grid.h, grid.n_half, grid.n_nodes, x, margin=2)
-    h, dt = grid.h, grid.dt
-    pm, p0, pp = grid.phi_m, grid.phi_0, grid.phi_p
-    e = np.eye(3, dtype=int)
+    i0 = np.floor(x / grid.h + grid.n_half)
+    if np.any(i0 < 2) or np.any(i0 > grid.n_nodes - 4):
+        raise ValueError("probe point too close to (or outside) the grid boundary")
+    stencils = (VALUE, *GRAD, *HESS.values())
+    samples = sample_levels((grid.phi_m, grid.phi_0, grid.phi_p), grid.h,
+                            grid.n_half, x, stencils)
+    column = {st: j for j, st in enumerate(stencils)}
 
-    def interp(node_vals):
-        return np.sum(w * node_vals, axis=-1)
+    def d(time, space=VALUE):
+        return difference(time, space, lambda k, st: samples[k + 1, column[st]],
+                          grid.dt, grid.h)
 
-    dt_phi = interp((_gather(pp, corners) - _gather(pm, corners)) / (2 * dt))
-    dt2 = interp((_gather(pp, corners) - 2 * _gather(p0, corners)
-                  + _gather(pm, corners)) / dt**2)
-    grad = np.zeros(x.shape)
-    dt_grad = np.zeros(x.shape)
-    hess = np.zeros(x.shape + (3,))
-    for k in range(3):
-        cp, cm = corners + e[k], corners - e[k]
-        grad[..., k] = interp((_gather(p0, cp) - _gather(p0, cm)) / (2 * h))
-        dt_grad[..., k] = interp(
-            ((_gather(pp, cp) - _gather(pp, cm))
-             - (_gather(pm, cp) - _gather(pm, cm))) / (4 * h * dt))
-        hess[..., k, k] = interp(
-            (_gather(p0, cp) - 2 * _gather(p0, corners) + _gather(p0, cm)) / h**2)
-        for j in range(k + 1, 3):
-            val = interp((_gather(p0, corners + e[k] + e[j])
-                          - _gather(p0, corners + e[k] - e[j])
-                          - _gather(p0, corners - e[k] + e[j])
-                          + _gather(p0, corners - e[k] - e[j])) / (4 * h**2))
-            hess[..., k, j] = val
-            hess[..., j, k] = val
-    return dt_phi, grad, dt2, dt_grad, hess
+    grad = np.stack([d(NOW, g) for g in GRAD], axis=-1)
+    dt_grad = np.stack([d(TIME_D1, g) for g in GRAD], axis=-1)
+    hess = np.empty(x.shape + (3,))
+    for (k, j), st in HESS.items():
+        hess[..., k, j] = hess[..., j, k] = d(NOW, st)
+    return d(TIME_D1), grad, d(TIME_D2), dt_grad, hess
 
 
 # ---------------------------------------------------------------------------
-# Stored level history: field view for particle pushes and backward traces
+# Stored levels: field view for particle pushes and backward traces, and the
+# source store of the retarded integral
 # ---------------------------------------------------------------------------
-
-def _sample_level(phi: np.ndarray, h: float, n_half: int, pts: np.ndarray,
-                  stencil=None) -> np.ndarray:
-    """Trilinear sample of a level (or a stencil of it) with zero outside.
-
-    `stencil` is a list of (offset_vector, coefficient) applied at the nodes
-    before interpolation; None means the plain value.
-    """
-    n = phi.shape[0]
-    u = pts / h + n_half
-    i0 = np.floor(u).astype(int)
-    frac = u - i0
-    # clip: contributions involving out-of-range nodes are zero
-    pad = 2
-    valid = np.all((i0 >= pad - 1) & (i0 <= n - pad - 1), axis=-1)
-    i0c = np.clip(i0, pad, n - 1 - pad)
-    offs = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)])
-    out = np.zeros(pts.shape[:-1])
-    for c, off in enumerate(offs):
-        wc = np.ones(pts.shape[:-1])
-        for ax in range(3):
-            wc *= frac[..., ax] if off[ax] else 1.0 - frac[..., ax]
-        idx = i0c + off
-        if stencil is None:
-            vals = _gather(phi, idx)
-        else:
-            vals = sum(coef * _gather(phi, idx + np.asarray(o)) for o, coef in stencil)
-        out += wc * vals
-    return np.where(valid, out, 0.0)
-
 
 class GridFieldHistory(FieldView):
-    """FieldView backed by stored phi levels; linear in t, trilinear in x.
+    """Time-bracketed store of levels; linear in t, trilinear in x.
 
     dt phi is the forward difference of the bracketing levels.  A ring window
     (`max_levels`) bounds memory when full history is not needed.
@@ -298,120 +316,77 @@ class GridFieldHistory(FieldView):
     def t_max(self) -> float:
         return self._times[-1]
 
+    def covers(self, t: float) -> bool:
+        return bool(self._times) and self.t_min - 1e-9 <= t <= self.t_max + 1e-9
+
     def _bracket(self, t: float):
         if not self._times:
             raise OutOfHistoryError("no field levels stored")
-        tol = 1e-9
-        if t < self._times[0] - tol or t > self._times[-1] + tol:
+        if not self.covers(t):
             raise OutOfHistoryError(
-                f"t={t} outside stored history [{self._times[0]}, {self._times[-1]}]")
-        t = min(max(t, self._times[0]), self._times[-1])
-        k = int(np.searchsorted(self._times, t, side="right")) - 1
-        k = min(max(k, 0), len(self._times) - 2) if len(self._times) > 1 else 0
+                f"t={t} outside stored history [{self.t_min}, {self.t_max}]")
         if len(self._times) == 1:
-            return k, k, 0.0
+            return 0, 0, 0.0
+        t = min(max(t, self.t_min), self.t_max)
+        k = int(np.searchsorted(self._times, t, side="right")) - 1
+        k = min(max(k, 0), len(self._times) - 2)
         t0, t1 = self._times[k], self._times[k + 1]
         return k, k + 1, (t - t0) / (t1 - t0)
 
-    def _lerp(self, t: float, pts: np.ndarray, stencil_fn) -> np.ndarray:
+    def _at_bracket(self, t: float, x, stencils):
+        """Stencils at x on the two levels bracketing t, each divided by its
+        level's h**order: (earlier, later, weight of later, their t spacing).
+
+        Levels of one geometry share the corner weights; after a domain
+        growth the two levels differ in n_half and are sampled apart.
+        """
+        def sample(levels, h, n_half):
+            out = sample_levels(levels, h, n_half, x, stencils)
+            for j, st in enumerate(stencils):
+                out[:, j] /= h**st.order
+            return out
+
         k0, k1, a = self._bracket(t)
-        phi0, h0, nh0 = self._levels[k0]
-        v0 = stencil_fn(phi0, h0, nh0, pts)
-        if k1 == k0 or a == 0.0:
-            return v0
-        phi1, h1, nh1 = self._levels[k1]
-        return (1.0 - a) * v0 + a * stencil_fn(phi1, h1, nh1, pts)
+        (f0, h0, n0), (f1, h1, n1) = self._levels[k0], self._levels[k1]
+        if k1 == k0:
+            v0 = v1 = sample((f0,), h0, n0)[0]
+        elif (h0, n0, f0.shape) == (h1, n1, f1.shape):
+            v0, v1 = sample((f0, f1), h0, n0)
+        else:
+            v0, v1 = sample((f0,), h0, n0)[0], sample((f1,), h1, n1)[0]
+        return v0, v1, a, self._times[k1] - self._times[k0]
 
     def phi(self, t, x):
-        x = np.asarray(x, dtype=float)
-        return self._lerp(t, x, lambda f, h, nh, p: _sample_level(f, h, nh, p))
+        (v0,), (v1,), a, _ = self._at_bracket(t, x, (VALUE,))
+        return (1.0 - a) * v0 + a * v1
 
     def first_derivs(self, t, x):
-        x = np.asarray(x, dtype=float)
-        k0, k1, _ = self._bracket(t)
-        phi0, h0, nh0 = self._levels[k0]
-        if k1 == k0:
-            dt_phi = np.zeros(x.shape[:-1])
-        else:
-            phi1, h1, nh1 = self._levels[k1]
-            dtv = self._times[k1] - self._times[k0]
-            dt_phi = (_sample_level(phi1, h1, nh1, x)
-                      - _sample_level(phi0, h0, nh0, x)) / dtv
-        grad = np.zeros(x.shape)
-        e = np.eye(3, dtype=int)
-        for k in range(3):
-            stencil = [(e[k], 0.5), (-e[k], -0.5)]
-            grad[..., k] = self._lerp(
-                t, x, lambda f, h, nh, p, s=stencil: _sample_level(f, h, nh, p, s) / h)
+        v0, v1, a, tau = self._at_bracket(t, x, (VALUE, *GRAD))
+        dt_phi = (v1[0] - v0[0]) / tau if tau else np.zeros_like(v0[0])
+        grad = np.stack([(1.0 - a) * g0 + a * g1 for g0, g1 in zip(v0[1:], v1[1:])],
+                        axis=-1)
         return dt_phi, grad
 
     def second_derivs(self, t, x):
         x = np.asarray(x, dtype=float)
-        k0, k1, _ = self._bracket(t)
-        e = np.eye(3, dtype=int)
-
-        def grad_of(level, pts):
-            phi, h, nh = level
-            g = np.zeros(pts.shape)
-            for k in range(3):
-                g[..., k] = _sample_level(phi, h, nh, pts,
-                                          [(e[k], 0.5), (-e[k], -0.5)]) / h
-            return g
-
-        if k1 == k0:
-            dt_grad = np.zeros(x.shape)
+        v0, v1, a, tau = self._at_bracket(t, x, (*GRAD, *HESS.values()))
+        if tau:
+            dt_grad = np.stack([(g1 - g0) / tau for g0, g1 in zip(v0[:3], v1[:3])],
+                               axis=-1)
         else:
-            dtv = self._times[k1] - self._times[k0]
-            dt_grad = (grad_of(self._levels[k1], x) - grad_of(self._levels[k0], x)) / dtv
-        hess = np.zeros(x.shape + (3,))
-        for k in range(3):
-            stencil = [(e[k], 1.0), (np.zeros(3, int), -2.0), (-e[k], 1.0)]
-            hess[..., k, k] = self._lerp(
-                t, x, lambda f, h, nh, p, s=stencil: _sample_level(f, h, nh, p, s) / h**2)
-            for j in range(k + 1, 3):
-                stencil = [(e[k] + e[j], 0.25), (e[k] - e[j], -0.25),
-                           (-e[k] + e[j], -0.25), (-e[k] - e[j], 0.25)]
-                val = self._lerp(
-                    t, x, lambda f, h, nh, p, s=stencil: _sample_level(f, h, nh, p, s) / h**2)
-                hess[..., k, j] = val
-                hess[..., j, k] = val
+            dt_grad = np.zeros(x.shape)
+        hess = np.empty(x.shape + (3,))
+        for (k, j), h0, h1 in zip(HESS, v0[3:], v1[3:]):
+            hess[..., k, j] = hess[..., j, k] = (1.0 - a) * h0 + a * h1
         return dt_grad, hess
 
 
-# ---------------------------------------------------------------------------
-# Source histories for the retarded integral
-# ---------------------------------------------------------------------------
+class SourceHistory(GridFieldHistory):
+    """Deposited source levels for the retarded integral: the level store
+    read as a density, linear in time and trilinear in space."""
 
-class SourceHistory:
-    """Ring of deposited source levels; linear in time, trilinear in space."""
-
-    def __init__(self, dtype=np.float64):
-        self._times: list[float] = []
-        self._levels: list[tuple[np.ndarray, float, int]] = []
-        self.dtype = dtype
-
-    def append(self, t: float, mu: np.ndarray, h: float, n_half: int):
-        self._times.append(t)
-        self._levels.append((np.asarray(mu, dtype=self.dtype), h, n_half))
-
-    def covers(self, t: float) -> bool:
-        return bool(self._times) and self._times[0] - 1e-9 <= t <= self._times[-1] + 1e-9
-
-    def density(self, s: float, y: np.ndarray) -> np.ndarray:
-        if not self.covers(s):
-            raise OutOfHistoryError(
-                f"source history does not cover retarded time {s}")
-        s = min(max(s, self._times[0]), self._times[-1])
-        k = int(np.searchsorted(self._times, s, side="right")) - 1
-        k = min(max(k, 0), max(len(self._times) - 2, 0))
-        mu0, h0, nh0 = self._levels[k]
-        v0 = _sample_level(mu0, h0, nh0, y)
-        if len(self._times) == 1 or k + 1 >= len(self._times):
-            return v0
-        t0, t1 = self._times[k], self._times[k + 1]
-        a = (s - t0) / (t1 - t0)
-        mu1, h1, nh1 = self._levels[k + 1]
-        return (1.0 - a) * v0 + a * _sample_level(mu1, h1, nh1, y)
+    def density(self, s: float, y) -> np.ndarray:
+        return self.phi(s, y)
 
 
 class CallableSource:

@@ -168,6 +168,21 @@ class TestSweep:
         assert table[1]["p_max"] > 0
 
 
+class TestSweepResume:
+    def test_member_checkpoint_resumes_to_member_csv(self, tmp_path):
+        out = tmp_path / "base.csv"
+        conf = write_conf(tmp_path, BASE + f"delta = 0.5\noutput = {out}\n"
+                          "checkpoint_interval = 0.75\n")
+        assert main(["sweep", conf, "--delta", "1"]) == 0
+        member = tmp_path / "base.csv.delta1.csv"
+        ref = member.read_bytes()
+        member.unlink()
+        # the last checkpoint is at t = 1.5, so the resume runs two steps
+        assert main(["resume", str(member) + ".ckpt.npz"]) == 0
+        assert member.read_bytes() == ref
+        assert not out.exists()
+
+
 class TestMain:
     def test_run_exit_zero(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -177,6 +192,20 @@ class TestMain:
     def test_config_error_exit_two(self, tmp_path):
         conf = write_conf(tmp_path, "beta = 0.9\n")
         assert main(["run", conf]) == 2
+
+    @pytest.mark.parametrize("extra, code", [
+        ("record_interval = 0.5\nt_end = 2\n", 2),
+        ("record_interval = 1\nt_end = 2.5\n", 2),
+        ("record_interval = 1\nt_end = 2\n", 0),
+    ])
+    def test_semilag_record_times_on_stored_levels(self, tmp_path, extra, code):
+        # levels are kept every history_stride * dt = 1; a record between
+        # them cannot be traced back
+        out = tmp_path / "sl.csv"
+        conf = write_conf(tmp_path, "h = 0.5\ndt = 0.25\nn_per_dim = 4\npad = 5\n"
+                          "coupling = 1\nsemilag = 1\nkeep_history = 1\n"
+                          f"{extra}output = {out}\n")
+        assert main(["run", conf]) == code
 
     def test_missing_file_exit_two(self):
         assert main(["run", "/nonexistent/x.conf"]) == 2

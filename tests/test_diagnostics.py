@@ -102,6 +102,19 @@ class TestMeasureKL:
         assert np.isclose(K[sel], k_probe).any()
         assert np.isclose(L[sel], l_probe).any()
 
+    def test_grid_maps_equal_pointwise_at_every_node(self):
+        rng = np.random.default_rng(5)
+        g = grid_from_function(lambda t, x: rng.standard_normal(x.shape[:-1]))
+        K, L, _ = grid_derivative_maps(g)
+        n = g.n_nodes
+        # maps cover nodes 2 .. n-3; probes must keep a further cell inside
+        K = K.reshape((n - 4,) * 3)[:-1, :-1, :-1]
+        L = L.reshape((n - 4,) * 3)[:-1, :-1, :-1]
+        ax = g.node_axis()[2:-3]
+        nodes = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
+        np.testing.assert_allclose(K, measure_K(g, nodes), rtol=1e-12)
+        np.testing.assert_allclose(L, measure_L(g, nodes), rtol=1e-12)
+
     def test_sup_mu(self):
         g = grid_from_function(lambda t, x: np.zeros(x.shape[:-1]))
         g.mu = np.zeros_like(g.phi_0)

@@ -251,3 +251,118 @@ class TestGridFieldHistory:
         _, hess = hist.second_derivs(1.0, x)
         np.testing.assert_allclose(hess, [[2, 0, 0], [0, 0, 0.3], [0, 0.3, 0]],
                                    atol=1e-12)
+
+
+def gather(arr, idx):
+    return arr[idx[..., 0], idx[..., 1], idx[..., 2]]
+
+
+def reference_sample(phi, h, n_half, pts, stencil=None):
+    """The stencil-then-interpolate sampler the level store replaced.
+
+    Kept as the reference for the one-pass sampler.  It clips cells with
+    lower corner index 1 to 2, so compare only two cells inside the grid.
+    `stencil` is a list of (offset_vector, coefficient) applied at the nodes
+    before interpolation; None means the plain value.
+    """
+    n = phi.shape[0]
+    u = pts / h + n_half
+    i0 = np.floor(u).astype(int)
+    frac = u - i0
+    pad = 2
+    valid = np.all((i0 >= pad - 1) & (i0 <= n - pad - 1), axis=-1)
+    i0c = np.clip(i0, pad, n - 1 - pad)
+    offs = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)])
+    out = np.zeros(pts.shape[:-1])
+    for off in offs:
+        wc = np.ones(pts.shape[:-1])
+        for ax in range(3):
+            wc *= frac[..., ax] if off[ax] else 1.0 - frac[..., ax]
+        idx = i0c + off
+        if stencil is None:
+            vals = gather(phi, idx)
+        else:
+            vals = sum(coef * gather(phi, idx + np.asarray(o)) for o, coef in stencil)
+        out += wc * vals
+    return np.where(valid, out, 0.0)
+
+
+E3 = np.eye(3, dtype=int)
+REF_GRAD = [[(E3[k], 0.5), (-E3[k], -0.5)] for k in range(3)]
+
+
+def ref_hess_stencil(k, j):
+    if k == j:
+        return [(E3[k], 1.0), (np.zeros(3, int), -2.0), (-E3[k], 1.0)]
+    return [(E3[k] + E3[j], 0.25), (E3[k] - E3[j], -0.25),
+            (-E3[k] + E3[j], -0.25), (-E3[k] - E3[j], 0.25)]
+
+
+class TestLevelStoreAgainstReference:
+    # levels at t = 0, 0.5 share a geometry; the grid grows before t = 1
+    TIMES = (0.0, 0.5, 1.0)
+    N_HALF = (8, 8, 10)
+    H = 0.5
+
+    def make_levels(self, dtype):
+        rng = np.random.default_rng(7)
+        return [rng.standard_normal((2 * nh + 1,) * 3).astype(dtype)
+                for nh in self.N_HALF]
+
+    def reference(self, levels, t, x, stencil=None, order=0):
+        """Lerp in t of the reference sampler on the bracketing levels."""
+        k = min(int(np.searchsorted(self.TIMES, t, side="right")) - 1, 1)
+        a = (t - self.TIMES[k]) / (self.TIMES[k + 1] - self.TIMES[k])
+        v0, v1 = (reference_sample(levels[i], self.H, self.N_HALF[i], x, stencil)
+                  / self.H**order for i in (k, k + 1))
+        return (1.0 - a) * v0 + a * v1, (v1 - v0) / (self.TIMES[k + 1] - self.TIMES[k])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("t", [0.0, 0.2, 0.5, 0.7, 1.0])
+    def test_phi_and_derivatives(self, dtype, t):
+        levels = self.make_levels(dtype)
+        hist, src = GridFieldHistory(dtype=dtype), SourceHistory(dtype=dtype)
+        for store in (hist, src):
+            for tk, lv, nh in zip(self.TIMES, levels, self.N_HALF):
+                store.append(tk, lv, self.H, nh)
+        # two cells inside the smaller level, where the reference is exact
+        x = np.random.default_rng(3).uniform(-2.5, 2.5, (400, 3))
+        # values of order 1 combine at most 4 terms per node, then divide by h^2
+        atol = 64 * np.finfo(dtype).eps / self.H**2
+
+        phi, dt_phi = self.reference(levels, t, x)
+        np.testing.assert_allclose(hist.phi(t, x), phi, rtol=0, atol=atol)
+        np.testing.assert_allclose(src.density(t, x), phi, rtol=0, atol=atol)
+        got_dt, got_grad = hist.first_derivs(t, x)
+        np.testing.assert_allclose(got_dt, dt_phi, rtol=0, atol=atol / self.H**2)
+        got_dt_grad, got_hess = hist.second_derivs(t, x)
+        for k in range(3):
+            grad, dt_grad = self.reference(levels, t, x, REF_GRAD[k], order=1)
+            np.testing.assert_allclose(got_grad[:, k], grad, rtol=0, atol=atol)
+            np.testing.assert_allclose(got_dt_grad[:, k], dt_grad, rtol=0,
+                                       atol=atol / self.H**2)
+            for j in range(3):
+                hess, _ = self.reference(levels, t, x, ref_hess_stencil(k, j), order=2)
+                np.testing.assert_allclose(got_hess[:, k, j], hess, rtol=0, atol=atol)
+
+
+class TestSamplerEdges:
+    def test_linear_field_exact_in_edge_cells_zero_outside(self):
+        # phi = 1 + x + 2y - 3z on n = 21 nodes; the valid cells are those
+        # whose +-1 neighbours exist: lower corner index 1 .. n - 3
+        h, n_half = 0.5, 10
+        ax = (np.arange(21) - n_half) * h
+        xx, yy, zz = np.meshgrid(ax, ax, ax, indexing="ij")
+        hist = GridFieldHistory()
+        hist.append(0.0, 1.0 + xx + 2.0 * yy - 3.0 * zz, h, n_half)
+        for axis in range(3):
+            u = np.full((6, 3), 10.25)
+            u[:, axis] = [1.0, 1.5, 18.5, 18.99, 0.5, 19.5]
+            x = (u - n_half) * h
+            exact = 1.0 + x[:, 0] + 2.0 * x[:, 1] - 3.0 * x[:, 2]
+            np.testing.assert_allclose(hist.phi(0.0, x[:4]), exact[:4],
+                                       rtol=0, atol=1e-12)
+            _, grad = hist.first_derivs(0.0, x[:4])
+            np.testing.assert_allclose(grad, np.tile([1.0, 2.0, -3.0], (4, 1)),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(hist.phi(0.0, x[4:]), 0.0)
