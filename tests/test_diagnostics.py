@@ -10,6 +10,7 @@ from vnsim.diagnostics import (ConeWeight, check_fsc, dispersion_check,
                                semilag_profile, sup_mu)
 from vnsim.profiles import InitialData, make_bump
 from vnsim.vlasov_pic import ParticleEnsemble
+from vnsim.wavefield import GRAD, HESS, NOW, TIME_D1, TIME_D2, VALUE, difference
 from tests.test_wavefield import grid_from_function
 
 
@@ -121,6 +122,58 @@ class TestMeasureKL:
         assert sup_mu(g) == 0.0
         g.mu[3, 4, 5] = 2.5
         assert sup_mu(g) == 2.5
+
+
+def reference_maps(grid, max_radius=None):
+    """The full-interior maps that the ball-bounded ones replaced."""
+    n = grid.n_nodes
+    levels = (grid.phi_m, grid.phi_0, grid.phi_p)
+
+    def on_nodes(k, space):
+        def shifted(off):
+            i, j, l = off
+            return levels[k + 1][2 + i:n - 2 + i, 2 + j:n - 2 + j, 2 + l:n - 2 + l]
+        return space.combine(shifted)
+
+    def d(time, space=VALUE):
+        return difference(time, space, on_nodes, grid.dt, grid.h)
+
+    acc = np.zeros((n - 4,) * 3)
+    for g in GRAD:
+        acc += d(NOW, g) ** 2
+    K = np.abs(d(TIME_D1)) + np.sqrt(acc)
+    acc[...] = 0.0
+    for g in GRAD:
+        acc += d(TIME_D1, g) ** 2
+    L = np.abs(d(TIME_D2)) + np.sqrt(acc)
+    acc[...] = 0.0
+    for st in HESS.values():
+        np.maximum(acc, np.abs(d(NOW, st)), out=acc)
+    L += acc
+    ax = grid.node_axis()[2:-2]
+    xx, yy, zz = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
+    r = np.broadcast_to(np.sqrt(xx**2 + yy**2 + zz**2), K.shape)
+    if max_radius is not None:
+        sel = r <= max_radius
+        return K[sel], L[sel], r[sel]
+    return K.ravel(), L.ravel(), r.ravel()
+
+
+class TestGridMapsAgainstReference:
+    # h = 0.3, n = 23: interior nodes 2 .. 20 reach |x| = 2.7 on the axes
+    # and 2.7 * sqrt(3) in the corners
+    @pytest.mark.parametrize("max_radius", [
+        None, -1.0, 0.0, 0.29, 0.3, 1.0, 2.55, 2.7, 3.0, 4.6, 4.7, 100.0, np.inf])
+    def test_bitwise_equal(self, max_radius):
+        rng = np.random.default_rng(9)
+        g = grid_from_function(lambda t, x: rng.standard_normal(x.shape[:-1]),
+                               h=0.3, dt=0.15, n_half=11)
+        got = grid_derivative_maps(g, max_radius=max_radius)
+        want = reference_maps(g, max_radius=max_radius)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        if max_radius is not None and max_radius >= 0:
+            assert got[0].size > 0
 
 
 class TestSupportMeasures:

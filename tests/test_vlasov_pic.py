@@ -7,7 +7,7 @@ from vnsim.profiles import InitialData, make_bump
 from vnsim.vlasov_pic import (deposit_mu, evaluate_f, init_coupled_state,
                               mu_mass, sample_particles, step, update_weights,
                               ParticleEnsemble)
-from vnsim.wavefield import make_field_grid
+from vnsim.wavefield import FieldGrid, make_field_grid
 
 
 def small_data(f_amp=0.02, phi_amp=0.01, R=1.0):
@@ -59,6 +59,76 @@ class TestSampling:
         ens = sample_particles(small_data(f_amp=0.0), 6)
         assert ens.n == 0
         assert mu_mass(ens) == 0.0
+
+
+def reference_deposit(ens, grid):
+    """The deposit that scaled the whole grid by 1/h^3, kept as reference."""
+    n = grid.n_nodes
+    mu = np.zeros((n, n, n))
+    gamma = np.sqrt(1.0 + np.sum(ens.p**2, axis=-1))
+    q = ens.w / gamma
+    u = ens.x / grid.h + grid.n_half
+    i0 = np.floor(u).astype(int)
+    if np.any(i0 < 0) or np.any(i0 + 1 > n - 1):
+        raise DomainTooSmallError("particle outside deposition grid")
+    frac = u - i0
+    flat = mu.ravel()
+    for ox in (0, 1):
+        wx = frac[:, 0] if ox else 1.0 - frac[:, 0]
+        for oy in (0, 1):
+            wy = frac[:, 1] if oy else 1.0 - frac[:, 1]
+            for oz in (0, 1):
+                wz = frac[:, 2] if oz else 1.0 - frac[:, 2]
+                idx = ((i0[:, 0] + ox) * n + i0[:, 1] + oy) * n + i0[:, 2] + oz
+                np.add.at(flat, idx, q * wx * wy * wz)
+    mu /= grid.h**3
+    return mu
+
+
+def ensemble_at(x, rng):
+    x = np.asarray(x, float)
+    p = rng.uniform(-0.5, 0.5, x.shape)
+    w = rng.uniform(0.5, 2.0, len(x))
+    return ParticleEnsemble(x=x, p=p, w=w, x0=x.copy(), p0=p.copy(), w0=w.copy(),
+                            phi0_at_x0=np.zeros(len(x)), cell_volume=1.0)
+
+
+class TestDepositAgainstReference:
+    H, N_HALF = 0.25, 7  # n = 15 nodes, cells 0 .. 13; x <-> u is exact
+
+    def grid(self):
+        zero = np.zeros((2 * self.N_HALF + 1,) * 3)
+        return FieldGrid(h=self.H, dt=0.15, n_half=self.N_HALF, t=0.0,
+                         phi_m=zero, phi_0=zero, phi_p=zero, mu=zero)
+
+    def test_bitwise_in_first_and_last_cells(self):
+        rng = np.random.default_rng(2)
+        grid = self.grid()
+        # cell coordinates u in [0, 1) and [13, 14) on every axis, plus the
+        # clouds of one corner only and of the whole box
+        for lo, hi in ((0.0, 1.0), (13.0, 14.0), (0.0, 14.0), (6.0, 6.5)):
+            u = rng.uniform(lo, hi, (50, 3))
+            u[0] = lo
+            x = (u - self.N_HALF) * self.H
+            ens = ensemble_at(x, rng)
+            np.testing.assert_array_equal(deposit_mu(ens, grid),
+                                          reference_deposit(ens, grid))
+
+    def test_outside_error_at_the_same_edges(self):
+        rng = np.random.default_rng(3)
+        grid = self.grid()
+        for axis in range(3):
+            for u_edge, raises in ((-0.01, True), (0.0, False), (13.99, False),
+                                   (14.0, True)):
+                u = np.full((3, 3), 7.25)
+                u[1, axis] = u_edge
+                ens = ensemble_at((u - self.N_HALF) * self.H, rng)
+                for fn in (deposit_mu, reference_deposit):
+                    if raises:
+                        with pytest.raises(DomainTooSmallError):
+                            fn(ens, grid)
+                    else:
+                        fn(ens, grid)
 
 
 class TestDeposit:

@@ -4,8 +4,8 @@ import pytest
 from vnsim.errors import ConfigError, DomainTooSmallError, OutOfHistoryError
 from vnsim.profiles import InitialData, make_bump
 from vnsim.wavefield import (CallableSource, FieldGrid, GridFieldHistory,
-                             SourceHistory, data_term_dt_phi, discrete_energy,
-                             fdtd_step, field_derivatives,
+                             SourceHistory, _laplacian, data_term_dt_phi,
+                             discrete_energy, fdtd_step, field_derivatives,
                              kirchhoff_homogeneous, make_field_grid,
                              retarded_potential, unit_sphere_quadrature)
 
@@ -96,6 +96,110 @@ class TestFdtdStep:
         c = g.n_half
         np.testing.assert_array_equal(g.phi_p[c - 2:c + 3, c - 2:c + 3, c - 2:c + 3],
                                       g2.phi_p[c - 2:c + 3, c - 2:c + 3, c - 2:c + 3])
+
+
+def reference_laplacian(phi, h):
+    """The shifted-slice Laplacian that the flat-offset one replaced."""
+    lap = np.zeros_like(phi)
+    lap[1:-1, 1:-1, 1:-1] = (
+        phi[2:, 1:-1, 1:-1] + phi[:-2, 1:-1, 1:-1]
+        + phi[1:-1, 2:, 1:-1] + phi[1:-1, :-2, 1:-1]
+        + phi[1:-1, 1:-1, 2:] + phi[1:-1, 1:-1, :-2]
+        - 6.0 * phi[1:-1, 1:-1, 1:-1]
+    ) / h**2
+    return lap
+
+
+def reference_fdtd_step(grid, mu, sponge_radius=None):
+    """The leapfrog step with full-size temporaries that fdtd_step replaced."""
+    new = 2.0 * grid.phi_p - grid.phi_0 + grid.dt**2 * (
+        reference_laplacian(grid.phi_p, grid.h) - mu
+    )
+    if sponge_radius is not None:
+        ax = grid.node_axis()
+        xx, yy, zz = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
+        r = np.sqrt(xx**2 + yy**2 + zz**2)
+        sigma = 0.25 * np.clip((r - sponge_radius) / 3.0, 0.0, 1.0) ** 2
+        new *= 1.0 - sigma
+    edge = max(np.abs(new[:2]).max(initial=0), np.abs(new[-2:]).max(initial=0),
+               np.abs(new[:, :2]).max(initial=0), np.abs(new[:, -2:]).max(initial=0),
+               np.abs(new[:, :, :2]).max(initial=0), np.abs(new[:, :, -2:]).max(initial=0))
+    scale = float(np.abs(new).max())
+    if scale > 0.0 and edge > 1e-4 * scale:
+        raise DomainTooSmallError("field reached within 2 cells of the boundary")
+    grid.phi_m, grid.phi_0, grid.phi_p = grid.phi_0, grid.phi_p, new
+    grid.mu = mu
+    grid.t += grid.dt
+    return grid
+
+
+def copy_grid(g):
+    return FieldGrid(h=g.h, dt=g.dt, n_half=g.n_half, t=g.t, phi_m=g.phi_m.copy(),
+                     phi_0=g.phi_0.copy(), phi_p=g.phi_p.copy(), mu=g.mu.copy())
+
+
+class TestFdtdAgainstReference:
+    def test_laplacian_bitwise_with_boundary_values(self):
+        rng = np.random.default_rng(11)
+        for n in (3, 4, 9, 24):
+            phi = rng.standard_normal((n, n, n))
+            for h in (0.5, 0.3):
+                np.testing.assert_array_equal(_laplacian(phi, h),
+                                              reference_laplacian(phi, h))
+
+    @pytest.mark.parametrize("sponge", [None, 1.5])
+    def test_steps_bitwise_through_sponge_shell(self, sponge):
+        # n = 27 nodes; the rough field fills |x| < 3.5, across the sponge
+        # shell 1.5 < r < 4.5, and stays off the two edge cells (|x| > 5.5)
+        rng = np.random.default_rng(4)
+        h, dt, n_half = 0.5, 0.25, 13
+        ax = (np.arange(2 * n_half + 1) - n_half) * h
+        xx, yy, zz = np.meshgrid(ax, ax, ax, indexing="ij")
+        inside = np.sqrt(xx**2 + yy**2 + zz**2) < 3.5
+        shape = xx.shape
+        g = FieldGrid(h=h, dt=dt, n_half=n_half, t=0.0,
+                      phi_m=np.zeros(shape), phi_0=rng.standard_normal(shape) * inside,
+                      phi_p=rng.standard_normal(shape) * inside, mu=np.zeros(shape))
+        ref = copy_grid(g)
+        for _ in range(3):
+            mu = rng.standard_normal(shape) * inside
+            kept = (g.phi_0, g.phi_p)
+            saved = tuple(a.copy() for a in kept)
+            fdtd_step(g, mu, sponge_radius=sponge)
+            reference_fdtd_step(ref, mu, sponge_radius=sponge)
+            np.testing.assert_array_equal(g.phi_p, ref.phi_p)
+            np.testing.assert_array_equal(g.phi_0, ref.phi_0)
+            # the stored levels are never written in place
+            for a, b in zip(kept, saved):
+                np.testing.assert_array_equal(a, b)
+        assert g.t == ref.t
+
+    def test_boundary_error_at_the_same_edges(self):
+        # a point d cells from a face spreads to d - 1 in one step; the check
+        # fires when the field is within 2 cells of the boundary
+        h, dt, n_half = 0.5, 0.25, 6
+        n = 2 * n_half + 1
+        raised = {}
+        for axis in range(3):
+            for d in range(5):
+                for index in (d, n - 1 - d):
+                    g = FieldGrid(h=h, dt=dt, n_half=n_half, t=0.0,
+                                  phi_m=np.zeros((n,) * 3), phi_0=np.zeros((n,) * 3),
+                                  phi_p=np.zeros((n,) * 3), mu=np.zeros((n,) * 3))
+                    node = [n_half] * 3
+                    node[axis] = index
+                    g.phi_p[tuple(node)] = 1.0
+                    outcome = []
+                    for step_fn, grid in ((fdtd_step, g), (reference_fdtd_step,
+                                                           copy_grid(g))):
+                        try:
+                            step_fn(grid, np.zeros((n,) * 3), sponge_radius=1.0)
+                            outcome.append(False)
+                        except DomainTooSmallError:
+                            outcome.append(True)
+                    assert outcome[0] == outcome[1], (axis, index)
+                    raised[d] = outcome[0]
+        assert raised == {0: True, 1: True, 2: True, 3: False, 4: False}
 
 
 class TestFieldDerivatives:
