@@ -154,12 +154,22 @@ def _rhs(t, x, p, field):
 
 
 def push(state: PhaseState, dt: float, field: FieldView) -> PhaseState:
-    """One RK4 step of the characteristic system (dt may be negative)."""
+    """One RK4 step of the characteristic system (dt may be negative).
+
+    In a ZeroField dp/ds = 0, so every stage sees the same velocity; summing
+    it in the stage order keeps x bitwise equal to the general path.  The
+    momenta are returned as given, not copied (the general path differs only
+    by turning -0.0 into +0.0); this is safe because no vnsim code writes
+    into `ParticleEnsemble.p` or a `PhaseState.p` in place.
+    """
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
     x = np.asarray(state.x, dtype=float)
     p = np.asarray(state.p, dtype=float)
     t = state.t
+    if isinstance(field, ZeroField):
+        v = rel_velocity(p)
+        return PhaseState(x=x + dt / 6 * (v + 2 * v + 2 * v + v), p=p, t=t + dt)
     k1x, k1p = _rhs(t, x, p, field)
     k2x, k2p = _rhs(t + dt / 2, x + dt / 2 * k1x, p + dt / 2 * k1p, field)
     k3x, k3p = _rhs(t + dt / 2, x + dt / 2 * k2x, p + dt / 2 * k2p, field)

@@ -292,18 +292,20 @@ def _has_nan(state: CoupledState) -> bool:
 def save_checkpoint(path: str, cfg: SimConfig, state: CoupledState, rows: list):
     ens = state.ensemble
     grid = state.grid
-    np.savez(
-        path,
-        config_text=np.frombuffer(cfg.config_text.encode(), dtype=np.uint8),
-        config_hash=np.frombuffer(config_hash(cfg).encode(), dtype=np.uint8),
-        t=np.array([state.t]),
-        rows=np.frombuffer("\n".join(rows).encode(), dtype=np.uint8),
-        ens_x=ens.x, ens_p=ens.p, ens_w=ens.w,
-        ens_x0=ens.x0, ens_p0=ens.p0, ens_w0=ens.w0,
-        ens_phi0=ens.phi0_at_x0, cell_volume=np.array([ens.cell_volume]),
-        grid_meta=np.array([grid.h, grid.dt, float(grid.n_half), grid.t]),
-        phi_m=grid.phi_m, phi_0=grid.phi_0, phi_p=grid.phi_p, mu=grid.mu,
-    )
+    # a file object, because np.savez appends ".npz" to a path without it
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            config_text=np.frombuffer(cfg.config_text.encode(), dtype=np.uint8),
+            config_hash=np.frombuffer(config_hash(cfg).encode(), dtype=np.uint8),
+            t=np.array([state.t]),
+            rows=np.frombuffer("\n".join(rows).encode(), dtype=np.uint8),
+            ens_x=ens.x, ens_p=ens.p, ens_w=ens.w,
+            ens_x0=ens.x0, ens_p0=ens.p0, ens_w0=ens.w0,
+            ens_phi0=ens.phi0_at_x0, cell_volume=np.array([ens.cell_volume]),
+            grid_meta=np.array([grid.h, grid.dt, float(grid.n_half), grid.t]),
+            phi_m=grid.phi_m, phi_0=grid.phi_0, phi_p=grid.phi_p, mu=grid.mu,
+        )
 
 
 def load_checkpoint(path: str):

@@ -49,7 +49,13 @@ class ParticleEnsemble:
 def sample_particles(data: InitialData, n_per_dim: int,
                      chunk: int = 2**22) -> ParticleEnsemble:
     """Deterministic lattice over the phase-space support, one particle per
-    cell center; zero-weight cells are dropped."""
+    cell center; zero-weight cells are dropped.
+
+    Particles are in row-major (x cell, p cell) order.  f_in is evaluated
+    only on the cells whose offsets from the bump centre lie in the support
+    ball, with a relative slack of 1e-9 on r^2 so that every cell that
+    rounding puts inside is a candidate; `f > 0` still decides.
+    """
     if n_per_dim < 4:
         raise ValueError("n_per_dim must be >= 4")
     prof = data.f_in
@@ -58,15 +64,18 @@ def sample_particles(data: InitialData, n_per_dim: int,
     centers = -r + (np.arange(n_per_dim) + 0.5) * s
 
     xs, ps, ws = [], [], []
-    # chunk over the spatial dims to bound memory
+    # the x and p lattices are the same offsets from the centre
     grid3 = np.stack(np.meshgrid(centers, centers, centers, indexing="ij"),
                      axis=-1).reshape(-1, 3)
+    z2 = np.sum(grid3**2, axis=-1)
     pgrid = grid3 + prof.center[3:6]
+    # chunk over the spatial dims to bound memory
     chunk_size = max(1, chunk // pgrid.shape[0])
     for i0 in range(0, grid3.shape[0], chunk_size):
         xc = grid3[i0:i0 + chunk_size] + prof.center[0:3]
-        xx = np.repeat(xc, pgrid.shape[0], axis=0)
-        pp = np.tile(pgrid, (xc.shape[0], 1))
+        ix, ip = np.nonzero(z2[i0:i0 + chunk_size, None] + z2[None, :]
+                            < r**2 * (1 + 1e-9))
+        xx, pp = xc[ix], pgrid[ip]
         f = data.f_value(xx, pp)
         keep = f > 0.0
         if np.any(keep):

@@ -121,6 +121,57 @@ class TestBackwardTrace:
             backward_trace(2.0, np.zeros(3), np.zeros(3) + 0.1, fld, 0.25)
 
 
+def zero_analytic_field():
+    """phi = 0 as an AnalyticField, which takes the general RK4 path."""
+    return AnalyticField(lambda t, x: np.zeros(x.shape[:-1]),
+                         lambda t, x: np.zeros(x.shape[:-1]),
+                         lambda t, x: np.zeros(x.shape))
+
+
+def momenta_with_zero_components():
+    rng = np.random.default_rng(11)
+    p = rng.normal(scale=0.6, size=(40, 3))
+    p[::3, 0] = 0.0
+    p[1::4, 1:] = 0.0
+    p[5] = 0.0
+    return p
+
+
+def assert_bitwise_equal_states(xa, pa, xb, pb):
+    np.testing.assert_array_equal(xa, xb)
+    np.testing.assert_array_equal(pa, pb)
+    np.testing.assert_array_equal(np.signbit(pa), np.signbit(pb))
+
+
+class TestZeroFieldShortcut:
+    """A ZeroField push skips the RK4 stages but matches them bitwise."""
+
+    @pytest.mark.parametrize("dt", [0.5, -0.37])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_push_bitwise_equal_to_rk4(self, dt, batched):
+        p = momenta_with_zero_components()
+        x = np.random.default_rng(12).uniform(-3, 3, p.shape)
+        rows = [slice(None)] if batched else [1, 5, 6, 7]
+        for row in rows:
+            state = PhaseState(x=x[row], p=p[row], t=0.25)
+            fast = push(state, dt, ZeroField())
+            ref = push(state, dt, zero_analytic_field())
+            assert fast.p.shape == ref.p.shape == p[row].shape
+            assert fast.t == ref.t
+            assert_bitwise_equal_states(fast.x, fast.p, ref.x, ref.p)
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_backward_trace_bitwise_equal_to_rk4(self, batched):
+        p = momenta_with_zero_components()
+        x = np.random.default_rng(13).uniform(-3, 3, p.shape)
+        rows = [slice(None)] if batched else [0, 5, 9]
+        for row in rows:
+            # 1.3 = 2 * 0.5 + 0.3: full steps and a shorter last one
+            fast = backward_trace(1.3, x[row], p[row], ZeroField(), 0.5)
+            ref = backward_trace(1.3, x[row], p[row], zero_analytic_field(), 0.5)
+            assert_bitwise_equal_states(*fast, *ref)
+
+
 class TestFlowJacobian:
     def test_identity_at_zero_time(self):
         jac = flow_jacobian(0.0, np.zeros(3), np.ones(3), ZeroField(), 0.1)

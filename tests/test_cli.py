@@ -154,6 +154,19 @@ class TestCheckpointResume:
         cfg2, _, _ = load_checkpoint(cfg.ckpt_path)
         assert config_hash(cfg2) == config_hash(cfg)
 
+    def test_checkpoint_path_without_npz_suffix(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        conf = write_conf(tmp_path, BASE + "output = run.csv\n"
+                          "checkpoint_path = my.ckpt\ncheckpoint_interval = 0.75\n")
+        assert main(["run", conf]) == 0
+        assert (tmp_path / "my.ckpt").exists()
+        assert not (tmp_path / "my.ckpt.npz").exists()
+        ref = (tmp_path / "run.csv").read_bytes()
+        (tmp_path / "run.csv").unlink()
+        # the last checkpoint is at t = 1.5, so the resume runs two steps
+        assert main(["resume", "my.ckpt"]) == 0
+        assert (tmp_path / "run.csv").read_bytes() == ref
+
 
 class TestSweep:
     def test_table_rows(self, tmp_path):

@@ -234,6 +234,14 @@ class TestSupportMeasures:
                             [1, 1, 1, 1])
         assert max_momentum_spread(ens, 1.0) == pytest.approx(0.5**3)
 
+    @pytest.mark.xfail(strict=True, reason="cells are grouped by a hash of "
+                       "their indices, and cells (-3, -1, 3) and (-3, 1, -3) "
+                       "share one")
+    def test_max_spread_distinct_cells_with_one_hash(self):
+        ens = make_ensemble([[-2.5, -0.5, 3.5], [-2.5, 1.5, -2.5]],
+                            [[0, 0, 0], [1, 1, 1]], [1, 1])
+        assert max_momentum_spread(ens, 1.0) == 0.0
+
 
 class TestFsc:
     def test_zero_field_satisfied(self):

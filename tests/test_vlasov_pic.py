@@ -61,6 +61,85 @@ class TestSampling:
         assert mu_mass(ens) == 0.0
 
 
+def reference_sample_particles(data, n_per_dim, chunk=2**22):
+    """The sampler that evaluated f_in on the whole lattice, kept as reference."""
+    prof = data.f_in
+    r = prof.radius
+    s = 2.0 * r / n_per_dim
+    centers = -r + (np.arange(n_per_dim) + 0.5) * s
+    xs, ps, ws = [], [], []
+    grid3 = np.stack(np.meshgrid(centers, centers, centers, indexing="ij"),
+                     axis=-1).reshape(-1, 3)
+    pgrid = grid3 + prof.center[3:6]
+    chunk_size = max(1, chunk // pgrid.shape[0])
+    for i0 in range(0, grid3.shape[0], chunk_size):
+        xc = grid3[i0:i0 + chunk_size] + prof.center[0:3]
+        xx = np.repeat(xc, pgrid.shape[0], axis=0)
+        pp = np.tile(pgrid, (xc.shape[0], 1))
+        f = data.f_value(xx, pp)
+        keep = f > 0.0
+        if np.any(keep):
+            xs.append(xx[keep])
+            ps.append(pp[keep])
+            ws.append(f[keep])
+    if xs:
+        x = np.concatenate(xs)
+        p = np.concatenate(ps)
+        w = np.concatenate(ws) * s**6
+    else:
+        x = np.zeros((0, 3))
+        p = np.zeros((0, 3))
+        w = np.zeros(0)
+    return ParticleEnsemble(
+        x=x.copy(), p=p.copy(), w=w.copy(), x0=x.copy(), p0=p.copy(),
+        w0=w.copy(), phi0_at_x0=data.phi0_in.value(x), cell_volume=s**6,
+    )
+
+
+def off_centre_data(f_amp=0.02):
+    return InitialData(
+        f_in=make_bump([0.3, -0.2, 0.1, 0.15, -0.05, 0.2], 0.7, f_amp, 2),
+        phi0_in=make_bump([0.0] * 3, 1.0, 0.01, 3),
+        phi1_in=make_bump([0.0] * 3, 1.0, 0.01, 2),
+        support_radius_R=1.0,
+    )
+
+
+class TestSamplingAgainstReference:
+    """The ball filter keeps exactly the old sampler's particles, in order.
+
+    In units of (r/n)^2 a cell's squared offset is a sum of six odd (n even)
+    or even (n odd) squares, which is never within 1 of n^2; so no lattice
+    puts a cell within rounding distance of the sphere, and the filter's
+    1e-9 slack only guards the (x + c) - c rounding inside f_value.
+    """
+
+    FIELDS = ("x", "p", "w", "x0", "p0", "w0", "phi0_at_x0")
+
+    def assert_same(self, got, ref):
+        assert got.cell_volume == ref.cell_volume
+        for name in self.FIELDS:
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.shape == b.shape, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+    @pytest.mark.parametrize("n_per_dim", [4, 5, 8])
+    @pytest.mark.parametrize("make", [small_data, off_centre_data])
+    def test_bitwise_equal(self, n_per_dim, make):
+        data = make()
+        ref = reference_sample_particles(data, n_per_dim)
+        assert ref.n > 0
+        self.assert_same(sample_particles(data, n_per_dim), ref)
+        # many chunks, each holding a few x cells
+        self.assert_same(sample_particles(data, n_per_dim, chunk=2**10), ref)
+
+    def test_empty_distribution(self):
+        data = off_centre_data(f_amp=0.0)
+        ref = reference_sample_particles(data, 5)
+        assert ref.n == 0
+        self.assert_same(sample_particles(data, 5), ref)
+
+
 def reference_deposit(ens, grid):
     """The deposit that scaled the whole grid by 1/h^3, kept as reference."""
     n = grid.n_nodes
