@@ -8,15 +8,15 @@ from .profiles import (BumpProfile, InitialData, make_bump, initial_norm,
 from .characteristics import (AnalyticField, FieldView, PhaseState, ZeroField,
                               backward_trace, flow_jacobian, force, push,
                               rel_velocity)
-from .wavefield import (FieldGrid, GridFieldHistory, SourceHistory,
-                        CallableSource, discrete_energy, fdtd_step,
-                        field_derivatives, kirchhoff_homogeneous,
-                        data_term_dt_phi, make_field_grid, retarded_potential,
+from .wavefield import (FieldGrid, GridFieldHistory, CallableSource,
+                        discrete_energy, fdtd_step, field_derivatives,
+                        kirchhoff_homogeneous, data_term_dt_phi,
+                        make_field_grid, retarded_potential,
                         unit_sphere_quadrature)
 from .vlasov_pic import (CoupledState, ParticleEnsemble, deposit_mu,
                          evaluate_f, init_coupled_state, mu_mass,
                          sample_particles, step, update_weights)
-from .diagnostics import (ConeWeight, DecayFit, FscReport, check_fsc,
+from .diagnostics import (ConeWeight, DecayFit, fsc_raw_margins, fsc_verdict,
                           dispersion_check, fit_decay, jacobian_bound,
                           measure_K, measure_L, momentum_support,
                           momentum_spread, max_momentum_spread,

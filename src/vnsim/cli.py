@@ -19,7 +19,7 @@ from .errors import ConfigError, DomainTooSmallError
 from .profiles import InitialData, make_bump, validate_membership
 from .vlasov_pic import (CoupledState, init_coupled_state, step,
                          ParticleEnsemble)
-from .wavefield import FieldGrid, GridFieldHistory, _cfl_ok
+from .wavefield import FieldGrid, _cfl_ok
 
 FLOAT_FMT = "%.17g"
 
@@ -131,7 +131,7 @@ def estimate_memory_mb(cfg: SimConfig) -> float:
     """Upfront bound on peak array memory at the final grid size."""
     n = 2 * int(np.ceil((cfg.R + cfg.t_end + cfg.pad + 1.0) / cfg.h)) + 3
     level = n**3 * 8.0
-    total = 8.0 * level  # grid triple + mu + history ring
+    total = 8.0 * level  # grid triple + mu + the step's level-sized temporaries
     if cfg.keep_history:
         n_levels = cfg.t_end / (cfg.dt * cfg.history_stride) + 2
         itemsize = 4.0 if cfg.history_float32 else 8.0
@@ -267,10 +267,8 @@ def _record_row(state: CoupledState, cfg: SimConfig) -> dict:
         K, L, r = diag.grid_derivative_maps(state.grid, max_radius=cfg.R + t)
         if K.size:
             row["k_cone"] = float(K.max())
-            wk = diag.ConeWeight(cfg.R, cfg.beta, cfg.beta)(t, r)
-            wl = wk * (1.0 + cfg.R + t - r)
-            row["fsc_k_raw"] = float((K * wk).max())
-            row["fsc_l_raw"] = float((L * wl).max())
+            row["fsc_k_raw"], row["fsc_l_raw"] = diag.fsc_raw_margins(
+                K, L, r, t, cfg.R, cfg.beta)
     return row
 
 
@@ -321,12 +319,9 @@ def load_checkpoint(path: str):
             p0=z["ens_p0"], w0=z["ens_w0"], phi0_at_x0=z["ens_phi0"],
             cell_volume=float(z["cell_volume"][0]))
         t = float(z["t"][0])
-    data = build_initial_data(cfg)
-    hist = GridFieldHistory(max_levels=4)
-    hist.append(grid.t, grid.phi_0, grid.h, grid.n_half)
-    hist.append(grid.t + grid.dt, grid.phi_p, grid.h, grid.n_half)
-    state = CoupledState(ensemble=ens, grid=grid, hist=hist, hist_full=None,
-                         data=data, t=t, coupling=cfg.coupling, pad=cfg.pad)
+    state = CoupledState(ensemble=ens, grid=grid, hist_full=None,
+                         data=build_initial_data(cfg), t=t,
+                         coupling=cfg.coupling, pad=cfg.pad)
     return cfg, state, rows
 
 
@@ -368,14 +363,9 @@ def _write_summary(cfg: SimConfig, rows: list, status: str, note: str = ""):
         lines.append(f"t_final = {FLOAT_FMT % col('t')[-1]}")
         lines.append(f"p_max_overall = {FLOAT_FMT % col('p_max').max()}")
         # FSC verdict with the configured or auto-calibrated eta
-        ts = col("t")
-        raw = np.maximum(col("fsc_k_raw"), col("fsc_l_raw"))
-        eta = cfg.eta
-        if eta <= 0.0:
-            early = raw[ts <= cfg.eta_t_hat]
-            eta = float(early.max()) if early.size and early.max() > 0 else 1.0
+        eta, bad = diag.fsc_verdict(col("t"), col("fsc_k_raw"), col("fsc_l_raw"),
+                                    cfg.eta, cfg.eta_t_hat)
         lines.append(f"eta = {FLOAT_FMT % eta}")
-        bad = ts[raw > eta * (1.0 + 1e-9)]
         lines.append(f"fsc_satisfied = {int(bad.size == 0)}")
         if bad.size:
             lines.append(f"fsc_first_violation_t = {FLOAT_FMT % bad[0]}")

@@ -23,11 +23,11 @@ from .wavefield import (GRAD, HESS, NOW, TIME_D1, TIME_D2, VALUE, FieldGrid,
                         difference, field_derivatives)
 
 __all__ = [
-    "ConeWeight", "DecayFit", "FscReport", "measure_K", "measure_L",
+    "ConeWeight", "DecayFit", "measure_K", "measure_L",
     "sup_mu", "momentum_support", "momentum_spread", "max_momentum_spread",
-    "check_fsc", "fit_decay", "dispersion_check", "free_flow_dispersion_ratio",
-    "jacobian_bound", "JacobianBoundReport", "grid_derivative_maps",
-    "mu_pointwise", "semilag_profile",
+    "fsc_raw_margins", "fsc_verdict", "fit_decay", "dispersion_check",
+    "free_flow_dispersion_ratio", "jacobian_bound", "JacobianBoundReport",
+    "grid_derivative_maps", "semilag_profile",
 ]
 
 
@@ -201,46 +201,30 @@ def max_momentum_spread(ens: ParticleEnsemble, cell_size: float) -> float:
 # Free-streaming condition
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FscReport:
-    beta: float
-    eta: float
-    worst_k_margin: float
-    worst_l_margin: float
-    satisfied: bool
-    first_violation: tuple | None  # (t, xnorm) of the earliest violation
-
-
-def check_fsc(k_samples, l_samples, beta: float, eta: float, R: float) -> FscReport:
-    """Margins of the decay hypothesis: value / (eta * cone weight) <= 1.
-
-    Samples are sequences of (t, |x|, value); the K weight has exponents
-    (-beta, -beta) and the L weight (-beta, -beta-1).
+def fsc_raw_margins(K, L, r, t: float, R: float, beta: float):
+    """Raw margins (max K / w_K, max L / w_L) of the decay hypothesis
+    K <= eta w_K, L <= eta w_L at one time, where
+    w_K = (1+R+t+|x|)^-beta (1+R+t-|x|)^-beta and w_L = w_K / (1+R+t-|x|).
+    K, L, r are node maps of the cone, as grid_derivative_maps returns them.
     """
-    if not 0.5 < beta < 0.75:
-        raise ValueError(f"beta must lie in (1/2, 3/4), got {beta}")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    wk = ConeWeight(R, -beta, -beta)
-    wl = ConeWeight(R, -beta, -beta - 1.0)
+    wk = ConeWeight(R, beta, beta)(t, r)
+    wl = wk * (1.0 + R + t - r)
+    return float((K * wk).max()), float((L * wl).max())
 
-    def margins(samples, w):
-        out = []
-        for t, xn, val in samples:
-            if xn > R + t:
-                continue  # the decay hypothesis only constrains the cone
-            out.append((val / (eta * w(t, xn)), t, xn))
-        return out
 
-    mk = margins(k_samples, wk)
-    ml = margins(l_samples, wl)
-    worst_k = max((m[0] for m in mk), default=0.0)
-    worst_l = max((m[0] for m in ml), default=0.0)
-    violations = sorted((t, xn) for m, t, xn in mk + ml if m > 1.0)
-    return FscReport(beta=beta, eta=eta, worst_k_margin=float(worst_k),
-                     worst_l_margin=float(worst_l),
-                     satisfied=worst_k <= 1.0 and worst_l <= 1.0,
-                     first_violation=violations[0] if violations else None)
+def fsc_verdict(ts, k_raw, l_raw, eta: float, eta_t_hat: float):
+    """(eta, times of violation) for a series of raw margins.
+
+    eta <= 0 calibrates eta as the largest margin at t <= eta_t_hat (1 when
+    that is 0); a margin violates when it exceeds eta by more than 1e-9
+    relative, so the boundary itself is satisfied.
+    """
+    ts = np.asarray(ts, dtype=float)
+    raw = np.maximum(k_raw, l_raw)
+    if eta <= 0.0:
+        early = raw[ts <= eta_t_hat]
+        eta = float(early.max()) if early.size and early.max() > 0 else 1.0
+    return eta, ts[raw > eta * (1.0 + 1e-9)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +310,6 @@ def _p_grid(lo, hi, n_p):
     pg = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     vol = float(np.prod((hi - lo) / n_p))
     return pg, vol
-
-
-def mu_pointwise(t: float, x, field: FieldView, data: InitialData, dt: float,
-                 n_p: int = 12) -> float:
-    """mu(t,x) = int f(t,x,p)/sqrt(1+p^2) dp via the exact f representation,
-    on an adaptive momentum box."""
-    x = np.asarray(x, dtype=float)
-    lo, hi = _p_box(t, x, data)
-    pg, vol = _p_grid(lo, hi, n_p)
-    f = evaluate_f(t, np.broadcast_to(x, pg.shape), pg, field, data, dt)
-    gamma = np.sqrt(1.0 + np.sum(pg * pg, axis=-1))
-    return float(np.sum(f / gamma) * vol)
 
 
 def _radial_probes(t: float, data: InitialData, n_radii: int) -> np.ndarray:

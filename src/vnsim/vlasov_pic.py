@@ -152,8 +152,7 @@ def update_weights(ens: ParticleEnsemble, field: FieldView, t: float) -> Particl
 class CoupledState:
     ensemble: ParticleEnsemble
     grid: FieldGrid
-    hist: GridFieldHistory          # recent levels, used for pushes
-    hist_full: GridFieldHistory | None  # optional full history for diagnostics
+    hist_full: GridFieldHistory | None  # optional strided history for diagnostics
     data: InitialData
     t: float
     coupling: bool = True
@@ -161,7 +160,15 @@ class CoupledState:
 
     @property
     def field_view(self) -> FieldView:
-        return self.hist if self.coupling else ZeroField()
+        """The grid's own levels phi_0 at t and phi_p at t + dt as a
+        two-level GridFieldHistory; the zero field without coupling."""
+        if not self.coupling:
+            return ZeroField()
+        grid = self.grid
+        view = GridFieldHistory()
+        view.append(grid.t, grid.phi_0, grid.h, grid.n_half)
+        view.append(grid.t + grid.dt, grid.phi_p, grid.h, grid.n_half)
+        return view
 
 
 def init_coupled_state(data: InitialData, n_per_dim: int, h: float, dt: float,
@@ -173,15 +180,11 @@ def init_coupled_state(data: InitialData, n_per_dim: int, h: float, dt: float,
     probe = make_field_grid(data, h, dt, pad=pad, check_cfl=coupling)
     mu0 = deposit_mu(ens, probe)
     grid = make_field_grid(data, h, dt, pad=pad, mu0=mu0, check_cfl=coupling)
-    hist = GridFieldHistory(max_levels=4)
-    hist.append(0.0, grid.phi_0, h, grid.n_half)
-    hist.append(dt, grid.phi_p, h, grid.n_half)
     hist_full = None
     if keep_history:
-        hist_full = GridFieldHistory(dtype=history_dtype)
-        hist_full.stride = history_stride
+        hist_full = GridFieldHistory(dtype=history_dtype, stride=history_stride)
         hist_full.append(0.0, grid.phi_0, h, grid.n_half)
-    return CoupledState(ensemble=ens, grid=grid, hist=hist, hist_full=hist_full,
+    return CoupledState(ensemble=ens, grid=grid, hist_full=hist_full,
                         data=data, t=0.0, coupling=coupling, pad=pad)
 
 
@@ -198,6 +201,8 @@ def step(state: CoupledState, deposit: bool = True) -> CoupledState:
         ens.x, ens.p = pushed.x, pushed.p
         if state.coupling:
             update_weights(ens, view, t_new)
+    # a domain growth below replaces the levels the view holds; drop them
+    del view
 
     grid.ensure_extent(state.data.support_radius_R + t_new + state.pad)
     if state.coupling or deposit:
@@ -208,12 +213,9 @@ def step(state: CoupledState, deposit: bool = True) -> CoupledState:
     if state.coupling:
         fdtd_step(grid, mu,
                   sponge_radius=state.data.support_radius_R + t_new + 1.0)
-        state.hist.append(t_new + dt, grid.phi_p, grid.h, grid.n_half)
-        if state.hist_full is not None:
-            stride = getattr(state.hist_full, "stride", 1)
-            n_levels = int(round(t_new / dt))
-            if n_levels % stride == 0:
-                state.hist_full.append(t_new, grid.phi_0, grid.h, grid.n_half)
+        hist = state.hist_full
+        if hist is not None and int(round(t_new / dt)) % hist.stride == 0:
+            hist.append(t_new, grid.phi_0, grid.h, grid.n_half)
     else:
         grid.mu = mu
         grid.t = t_new

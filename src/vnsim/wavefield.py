@@ -20,7 +20,7 @@ from .profiles import InitialData
 
 __all__ = [
     "FieldGrid", "make_field_grid", "fdtd_step", "field_derivatives",
-    "discrete_energy", "GridFieldHistory", "SourceHistory", "CallableSource",
+    "discrete_energy", "GridFieldHistory", "CallableSource",
     "unit_sphere_quadrature", "kirchhoff_homogeneous", "data_term_dt_phi",
     "retarded_potential",
 ]
@@ -318,22 +318,19 @@ def field_derivatives(grid: FieldGrid, x) -> tuple:
 class GridFieldHistory(FieldView):
     """Time-bracketed store of levels; linear in t, trilinear in x.
 
-    dt phi is the forward difference of the bracketing levels.  A ring window
-    (`max_levels`) bounds memory when full history is not needed.
+    dt phi is the forward difference of the bracketing levels.  A run that
+    keeps every `stride`-th level of its field records the stride here.
     """
 
-    def __init__(self, max_levels: int | None = None, dtype=np.float64):
+    def __init__(self, dtype=np.float64, stride: int = 1):
         self._times: list[float] = []
         self._levels: list[tuple[np.ndarray, float, int]] = []  # (phi, h, n_half)
-        self.max_levels = max_levels
         self.dtype = dtype
+        self.stride = stride
 
     def append(self, t: float, phi: np.ndarray, h: float, n_half: int):
         self._times.append(t)
         self._levels.append((np.asarray(phi, dtype=self.dtype), h, n_half))
-        if self.max_levels is not None and len(self._times) > self.max_levels:
-            self._times.pop(0)
-            self._levels.pop(0)
 
     @property
     def t_min(self) -> float:
@@ -408,16 +405,9 @@ class GridFieldHistory(FieldView):
         return dt_grad, hess
 
 
-class SourceHistory(GridFieldHistory):
-    """Deposited source levels for the retarded integral: the level store
-    read as a density, linear in time and trilinear in space."""
-
-    def density(self, s: float, y) -> np.ndarray:
-        return self.phi(s, y)
-
-
 class CallableSource:
-    """Source given by a closed-form density(s, y); used by oracle tests."""
+    """Source given by a closed-form density fn(s, y), read like a level
+    store with phi(s, y); used by oracle tests."""
 
     def __init__(self, fn, t_range=(0.0, np.inf)):
         self.fn = fn
@@ -426,7 +416,7 @@ class CallableSource:
     def covers(self, t: float) -> bool:
         return self.t_range[0] - 1e-9 <= t <= self.t_range[1] + 1e-9
 
-    def density(self, s: float, y: np.ndarray) -> np.ndarray:
+    def phi(self, s: float, y: np.ndarray) -> np.ndarray:
         if not self.covers(s):
             raise OutOfHistoryError(f"source not defined at time {s}")
         return np.asarray(self.fn(s, y))
@@ -530,7 +520,9 @@ def retarded_potential(t: float, x, hist, shell_width: float,
     """-(1/4 pi) int_{|x-y|<=t} mu(t-|x-y|, y)/|x-y| dy in retarded shells.
 
     Midpoint rule in radius with shells of the given width, fixed-order
-    sphere quadrature per shell.  `hist` must cover retarded times in [0, t].
+    sphere quadrature per shell.  `hist` is a level store of deposited
+    source levels, read with phi(s, y), and must cover retarded times in
+    [0, t].
     """
     x = np.asarray(x, dtype=float)
     if t <= 0:
@@ -548,6 +540,6 @@ def retarded_potential(t: float, x, hist, shell_width: float,
             if dr <= 1e-12:
                 break
             r = n_full * shell_width + dr / 2
-        mu_vals = hist.density(t - r, x + r * dirs)
+        mu_vals = hist.phi(t - r, x + r * dirs)
         total += dr * r * np.sum(w * mu_vals)
     return float(-total / (4.0 * np.pi))

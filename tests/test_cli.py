@@ -3,8 +3,9 @@ import pytest
 
 from vnsim.cli import (SimConfig, build_initial_data, config_hash,
                        estimate_memory_mb, load_checkpoint, main, parse_config,
-                       run_scenario, sweep)
+                       run_scenario, save_checkpoint, sweep)
 from vnsim.errors import ConfigError
+from vnsim.vlasov_pic import init_coupled_state, step
 
 BASE = """
 R = 1
@@ -166,6 +167,31 @@ class TestCheckpointResume:
         # the last checkpoint is at t = 1.5, so the resume runs two steps
         assert main(["resume", "my.ckpt"]) == 0
         assert (tmp_path / "run.csv").read_bytes() == ref
+
+
+    def test_resume_after_domain_growth_is_bitwise(self, tmp_path):
+        # the cube grows at step 1; the resumed run must push through the
+        # same levels as the uninterrupted one, on the grown cube
+        cfg = parse_config("h = 0.25\ndt = 0.125\npad = 3\nn_per_dim = 4\n"
+                           f"semilag = 0\noutput = {tmp_path / 'g.csv'}\n")
+
+        def fresh():
+            return init_coupled_state(build_initial_data(cfg), cfg.n_per_dim,
+                                      cfg.h, cfg.dt, pad=cfg.pad)
+
+        full, resumed = fresh(), fresh()
+        n_half = full.grid.n_half
+        step(full)
+        step(resumed)
+        assert full.grid.n_half > n_half
+        save_checkpoint(cfg.ckpt_path, cfg, resumed, [])
+        _, resumed, _ = load_checkpoint(cfg.ckpt_path)
+        for _ in range(4):
+            step(full)
+            step(resumed)
+            assert np.array_equal(full.ensemble.x, resumed.ensemble.x)
+            assert np.array_equal(full.ensemble.w, resumed.ensemble.w)
+            assert np.array_equal(full.grid.phi_p, resumed.grid.phi_p)
 
 
 class TestSweep:

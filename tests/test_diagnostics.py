@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from vnsim.characteristics import ZeroField
-from vnsim.diagnostics import (ConeWeight, check_fsc, dispersion_check,
-                               fit_decay, free_flow_dispersion_ratio,
-                               grid_derivative_maps, jacobian_bound,
+from vnsim.diagnostics import (ConeWeight, dispersion_check, fit_decay,
+                               free_flow_dispersion_ratio, fsc_raw_margins,
+                               fsc_verdict, grid_derivative_maps, jacobian_bound,
                                max_momentum_spread, measure_K, measure_L,
                                momentum_spread, momentum_support,
                                semilag_profile, sup_mu)
@@ -244,43 +244,71 @@ class TestSupportMeasures:
 
 
 class TestFsc:
+    BETA, R = 0.6, 1.0
+
+    def bound_k(self, t, xn):
+        """w_K: the K bound of the decay hypothesis per unit eta."""
+        return (1 + self.R + t + xn)**-self.BETA * (1 + self.R + t - xn)**-self.BETA
+
     def test_zero_field_satisfied(self):
-        rep = check_fsc([(1.0, 0.5, 0.0)], [(1.0, 0.5, 0.0)], 0.6, 1.0, 1.0)
-        assert rep.satisfied and rep.worst_k_margin == 0.0
+        zero = np.zeros(3)
+        k_raw, l_raw = fsc_raw_margins(zero, zero, np.array([0.0, 0.5, 2.0]),
+                                       1.0, self.R, self.BETA)
+        assert (k_raw, l_raw) == (0.0, 0.0)
+        ts = np.array([0.0, 1.0, 2.0])
+        eta, bad = fsc_verdict(ts, np.zeros(3), np.zeros(3), 1.0, 2.0)
+        assert eta == 1.0 and bad.size == 0
+        # calibrating on all-zero margins falls back to eta = 1
+        eta, bad = fsc_verdict(ts, np.zeros(3), np.zeros(3), 0.0, 2.0)
+        assert eta == 1.0 and bad.size == 0
 
     def test_boundary_margin_inclusive(self):
-        beta, eta, R = 0.6, 0.3, 1.0
-        t, xn = 2.0, 0.5
-        wk = (1 + R + t + xn)**-beta * (1 + R + t - xn)**-beta
-        rep = check_fsc([(t, xn, eta * wk)], [], beta, eta, R)
-        assert rep.worst_k_margin == pytest.approx(1.0)
-        assert rep.satisfied
+        eta, t, xn = 0.3, 2.0, 0.5
+        k = np.array([eta * self.bound_k(t, xn)])
+        k_raw, _ = fsc_raw_margins(k, np.zeros(1), np.array([xn]), t, self.R, self.BETA)
+        assert k_raw == pytest.approx(eta)
+        _, bad = fsc_verdict([t], [k_raw], [0.0], eta, 2.0)
+        assert bad.size == 0
+        _, bad = fsc_verdict([t], [eta * (1 + 1e-8)], [0.0], eta, 2.0)
+        assert bad.size == 1
 
     def test_violation_reported(self):
-        beta, eta, R = 0.6, 0.3, 1.0
-        t, xn = 2.0, 0.5
-        wk = (1 + R + t + xn)**-beta * (1 + R + t - xn)**-beta
-        rep = check_fsc([(t, xn, 2 * eta * wk)], [], beta, eta, R)
-        assert not rep.satisfied
-        assert rep.worst_k_margin == pytest.approx(2.0)
-        assert rep.first_violation == (t, xn)
+        eta, xn = 0.3, 0.5
+        ts = [1.0, 2.0, 3.0]
+        factors = [0.5, 2.0, 3.0]   # K over eta * w_K at each time
+        k_raw = [fsc_raw_margins(np.array([f * eta * self.bound_k(t, xn)]),
+                                 np.zeros(1), np.array([xn]), t, self.R, self.BETA)[0]
+                 for t, f in zip(ts, factors)]
+        assert k_raw[1] == pytest.approx(2.0 * eta)
+        _, bad = fsc_verdict(ts, k_raw, np.zeros(3), eta, 2.0)
+        assert bad[0] == 2.0 and bad.size == 2
+        # calibrated on t <= 2, eta is the largest early margin: no violation
+        # before t = 3
+        eta_cal, bad = fsc_verdict(ts, k_raw, np.zeros(3), 0.0, 2.0)
+        assert eta_cal == k_raw[1] and list(bad) == [3.0]
+
+    def test_l_margin_carries_one_more_power(self):
+        eta, t, xn = 0.3, 2.0, 0.5
+        l_val = np.array([eta * self.bound_k(t, xn) / (1 + self.R + t - xn)])
+        _, l_raw = fsc_raw_margins(np.zeros(1), l_val, np.array([xn]), t,
+                                   self.R, self.BETA)
+        assert l_raw == pytest.approx(eta)
 
     def test_monotone_in_scaling(self):
         rng = np.random.default_rng(9)
         ts = rng.uniform(4, 10, 20)
-        samples = [(float(t), float(xn), float(v)) for t, xn, v in
-                   zip(ts, rng.uniform(0, 4, 20), rng.uniform(0, 0.01, 20))]
-        rep1 = check_fsc(samples, samples, 0.6, 1.0, 1.0)
-        scaled = [(t, xn, 3 * v) for t, xn, v in samples]
-        rep2 = check_fsc(scaled, scaled, 0.6, 1.0, 1.0)
-        assert rep2.worst_k_margin == pytest.approx(3 * rep1.worst_k_margin)
-        assert rep1.satisfied or not rep2.satisfied
-
-    def test_beta_range(self):
-        with pytest.raises(ValueError):
-            check_fsc([], [], 0.8, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            check_fsc([], [], 0.5, 1.0, 1.0)
+        r = rng.uniform(0, 4, 20)
+        vals = rng.uniform(0, 0.01, (20, 20))
+        raw1 = np.array([fsc_raw_margins(v, v, r, t, self.R, self.BETA)
+                         for t, v in zip(ts, vals)])
+        raw3 = np.array([fsc_raw_margins(3 * v, 3 * v, r, t, self.R, self.BETA)
+                         for t, v in zip(ts, vals)])
+        np.testing.assert_allclose(raw3, 3 * raw1, rtol=1e-14)
+        eta = 1.5 * raw1.max()
+        _, bad1 = fsc_verdict(ts, raw1[:, 0], raw1[:, 1], eta, 2.0)
+        _, bad3 = fsc_verdict(ts, raw3[:, 0], raw3[:, 1], eta, 2.0)
+        assert bad1.size == 0 and bad3.size > 0
+        assert set(bad1) <= set(bad3)
 
 
 class TestDispersion:

@@ -286,7 +286,7 @@ class TestCoupledLoop:
         for _ in range(4):
             step(state)
         assert state.grid.t == pytest.approx(state.t)
-        assert state.hist.t_max == pytest.approx(state.t + state.grid.dt)
+        assert state.field_view.t_max == pytest.approx(state.t + state.grid.dt)
 
     def test_spatial_support_within_cone(self):
         data = small_data()
@@ -340,9 +340,10 @@ class TestEvaluateF:
         for _ in range(8):  # t = 2
             step(state)
         t = state.t
-        from vnsim.diagnostics import mu_pointwise
-        x = np.zeros(3)
-        mu_sl = mu_pointwise(t, x, state.hist_full, data, state.grid.dt, n_p=14)
+        from vnsim.diagnostics import semilag_profile
+        # one radius: the probe at the origin
+        mu_sl = semilag_profile(t, state.hist_full, data, state.grid.dt,
+                                n_radii=1, n_p=14)[1][0]
         c = state.grid.n_half
         mu_dep = state.grid.mu[c, c, c]
         assert mu_dep == pytest.approx(mu_sl, rel=0.25)

@@ -4,8 +4,8 @@ import pytest
 from vnsim.errors import ConfigError, DomainTooSmallError, OutOfHistoryError
 from vnsim.profiles import InitialData, make_bump
 from vnsim.wavefield import (CallableSource, FieldGrid, GridFieldHistory,
-                             SourceHistory, _laplacian, data_term_dt_phi,
-                             discrete_energy, fdtd_step, field_derivatives,
+                             _laplacian, data_term_dt_phi, discrete_energy,
+                             fdtd_step, field_derivatives,
                              kirchhoff_homogeneous, make_field_grid,
                              retarded_potential, unit_sphere_quadrature)
 
@@ -303,8 +303,16 @@ class TestRetardedPotential:
         src = CallableSource(lambda s, y: np.ones(y.shape[:-1]))
         assert retarded_potential(0.0, np.zeros(3), src, 0.05) == 0.0
 
+    def test_reads_level_store(self):
+        # mu = 1 on a cube that holds the unit ball, at t = 0 and t = 1
+        hist = GridFieldHistory()
+        for t in (0.0, 1.0):
+            hist.append(t, np.ones((17, 17, 17)), 0.5, 8)
+        val = retarded_potential(1.0, np.zeros(3), hist, shell_width=0.05)
+        assert val == pytest.approx(-0.5, rel=1e-10)
+
     def test_history_coverage_required(self):
-        hist = SourceHistory()
+        hist = GridFieldHistory()
         hist.append(0.5, np.zeros((5, 5, 5)), 1.0, 2)
         with pytest.raises(OutOfHistoryError):
             retarded_potential(1.0, np.zeros(3), hist, 0.1)
@@ -331,14 +339,6 @@ class TestGridFieldHistory:
         hist.append(0.0, np.zeros((9, 9, 9)), 0.5, 4)
         with pytest.raises(OutOfHistoryError):
             hist.phi(2.0, np.zeros(3))
-
-    def test_ring_window(self):
-        hist = GridFieldHistory(max_levels=3)
-        for k in range(6):
-            hist.append(float(k), np.full((5, 5, 5), float(k)), 1.0, 2)
-        assert hist.t_min == 3.0 and hist.t_max == 5.0
-        with pytest.raises(OutOfHistoryError):
-            hist.phi(1.0, np.zeros(3))
 
     def test_derivatives_match_field_derivatives(self):
         def fn(t, x):
@@ -425,10 +425,9 @@ class TestLevelStoreAgainstReference:
     @pytest.mark.parametrize("t", [0.0, 0.2, 0.5, 0.7, 1.0])
     def test_phi_and_derivatives(self, dtype, t):
         levels = self.make_levels(dtype)
-        hist, src = GridFieldHistory(dtype=dtype), SourceHistory(dtype=dtype)
-        for store in (hist, src):
-            for tk, lv, nh in zip(self.TIMES, levels, self.N_HALF):
-                store.append(tk, lv, self.H, nh)
+        hist = GridFieldHistory(dtype=dtype)
+        for tk, lv, nh in zip(self.TIMES, levels, self.N_HALF):
+            hist.append(tk, lv, self.H, nh)
         # two cells inside the smaller level, where the reference is exact
         x = np.random.default_rng(3).uniform(-2.5, 2.5, (400, 3))
         # values of order 1 combine at most 4 terms per node, then divide by h^2
@@ -436,7 +435,6 @@ class TestLevelStoreAgainstReference:
 
         phi, dt_phi = self.reference(levels, t, x)
         np.testing.assert_allclose(hist.phi(t, x), phi, rtol=0, atol=atol)
-        np.testing.assert_allclose(src.density(t, x), phi, rtol=0, atol=atol)
         got_dt, got_grad = hist.first_derivs(t, x)
         np.testing.assert_allclose(got_dt, dt_phi, rtol=0, atol=atol / self.H**2)
         got_dt_grad, got_hess = hist.second_derivs(t, x)

@@ -9,7 +9,9 @@ BENCHMARK.json> --trace T` once in the parent checkout and once in this one;
 odd pairs start with the parent, even pairs with the change, so a drift of
 the machine's speed splits evenly. The file keeps the final JSON line of
 every run, and per spec the medians and quartiles of each metric on each
-side and how many pairs the change won on each end-to-end metric.
+side, how many pairs the change won on each end-to-end metric, and whether
+the change's median stays within that metric's `bound` of BENCHMARK.json
+(relative to the parent's median, in the metric's worse direction).
 """
 
 from __future__ import annotations
@@ -45,22 +47,34 @@ def _run(checkout: Path, workload: str, seed: int, trace: int,
     return res
 
 
-def _summarise(runs: list, lower_is_better: dict) -> dict:
+def _summarise(runs: list, end_to_end: list) -> dict:
+    """Per-metric medians and quartiles of each side; for the end-to-end
+    metrics (BENCHMARK.json entries) also the pairs the change won and
+    `within_bound`."""
     sides = {side: [r["metrics"] for r in runs if r["side"] == side]
              for side in ("parent", "change")}
+    specs = {m["name"]: m for m in end_to_end}
     out = {}
     for name in sides["parent"][0]:
         stats = {}
         for side, metrics in sides.items():
             q1, med, q3 = np.percentile([m[name] for m in metrics], [25, 50, 75])
             stats[side] = {"median": med, "q1": q1, "q3": q3}
-        if name in lower_is_better:
-            sign = 1 if lower_is_better[name] else -1
+        if name in specs:
+            sign = 1 if specs[name]["better"] == "lower" else -1
             stats["change_wins"] = sum(
                 sign * (c[name] - p[name]) < 0
                 for p, c in zip(sides["parent"], sides["change"]))
+            parent, change = stats["parent"]["median"], stats["change"]["median"]
+            worse = sign * (change - parent) / abs(parent) if parent else 0.0
+            stats["within_bound"] = bool(worse <= specs[name]["bound"])
         out[name] = stats
     return out
+
+
+def _breaches(summary: dict) -> list:
+    return [name for name, stats in summary.items()
+            if not stats.get("within_bound", True)]
 
 
 def main(argv=None) -> int:
@@ -73,7 +87,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    lower_is_better = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
     runs, summary = [], []
     for spec in args.specs:
@@ -92,9 +105,13 @@ def main(argv=None) -> int:
                 print(json.dumps(entry), flush=True)
                 group.append(entry)
         runs += group
+        metrics = _summarise(group, bench["end_to_end"])
         summary.append({"workload": workload, "seed": seed, "trace": trace,
-                        "pairs": pairs,
-                        "metrics": _summarise(group, lower_is_better)})
+                        "pairs": pairs, "metrics": metrics})
+        breaches = _breaches(metrics)
+        print(f"{workload} seed {seed}: "
+              + (f"bound breached: {', '.join(breaches)}" if breaches
+                 else "every end-to-end metric within its bound"), flush=True)
 
     parent_rev = _git_rev(checkouts["parent"])
     report = {
