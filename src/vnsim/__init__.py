@@ -8,8 +8,8 @@ from .profiles import (BumpProfile, InitialData, make_bump, initial_norm,
 from .characteristics import (AnalyticField, FieldView, PhaseState, ZeroField,
                               backward_trace, flow_jacobian, force, push,
                               rel_velocity)
-from .wavefield import (FieldGrid, GridFieldHistory, CallableSource,
-                        discrete_energy, fdtd_step, field_derivatives,
+from .wavefield import (FieldGrid, GridFieldHistory, discrete_energy,
+                        fdtd_step, field_derivatives,
                         kirchhoff_homogeneous, data_term_dt_phi,
                         make_field_grid, retarded_potential,
                         unit_sphere_quadrature)

@@ -79,22 +79,26 @@ class ZeroField(FieldView):
 
 
 class AnalyticField(FieldView):
-    """Field built from callables; used for manufactured-solution tests."""
+    """Field from closed-form callables fn(t, x), defined for t in t_range.
 
-    def __init__(self, phi_fn, dt_phi_fn, grad_fn, dt_grad_fn=None, hess_fn=None,
-                 t_range=None):
+    Manufactured-solution and oracle tests read it; a source density for
+    retarded_potential needs only phi_fn.  Second derivatives are FieldView's
+    finite differences.
+    """
+
+    def __init__(self, phi_fn, dt_phi_fn=None, grad_fn=None,
+                 t_range=(-np.inf, np.inf)):
         self._phi = phi_fn
         self._dt = dt_phi_fn
         self._grad = grad_fn
-        self._dt_grad = dt_grad_fn
-        self._hess = hess_fn
         self.t_range = t_range
 
+    def covers(self, t: float) -> bool:
+        return self.t_range[0] - 1e-9 <= t <= self.t_range[1] + 1e-9
+
     def _check_t(self, t):
-        if self.t_range is not None:
-            lo, hi = self.t_range
-            if t < lo - 1e-12 or t > hi + 1e-12:
-                raise OutOfHistoryError(f"t={t} outside covered range [{lo}, {hi}]")
+        if not self.covers(t):
+            raise OutOfHistoryError(f"t={t} outside covered range {self.t_range}")
 
     def phi(self, t, x):
         self._check_t(t)
@@ -104,13 +108,6 @@ class AnalyticField(FieldView):
         self._check_t(t)
         x = np.asarray(x, dtype=float)
         return np.asarray(self._dt(t, x)), np.asarray(self._grad(t, x))
-
-    def second_derivs(self, t, x):
-        if self._dt_grad is None or self._hess is None:
-            return super().second_derivs(t, x)
-        self._check_t(t)
-        x = np.asarray(x, dtype=float)
-        return np.asarray(self._dt_grad(t, x)), np.asarray(self._hess(t, x))
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +150,16 @@ def _rhs(t, x, p, field):
     return rel_velocity(p), _force_arrays(t, x, p, field)
 
 
+def _rk4(t, y, dt, rhs):
+    """One classical RK4 step of dy/ds = rhs(s, *y); y is a tuple of arrays."""
+    k1 = rhs(t, *y)
+    k2 = rhs(t + dt / 2, *(a + dt / 2 * k for a, k in zip(y, k1)))
+    k3 = rhs(t + dt / 2, *(a + dt / 2 * k for a, k in zip(y, k2)))
+    k4 = rhs(t + dt, *(a + dt * k for a, k in zip(y, k3)))
+    return tuple(a + dt / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
+                 for a, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4))
+
+
 def push(state: PhaseState, dt: float, field: FieldView) -> PhaseState:
     """One RK4 step of the characteristic system (dt may be negative).
 
@@ -170,12 +177,7 @@ def push(state: PhaseState, dt: float, field: FieldView) -> PhaseState:
     if isinstance(field, ZeroField):
         v = rel_velocity(p)
         return PhaseState(x=x + dt / 6 * (v + 2 * v + 2 * v + v), p=p, t=t + dt)
-    k1x, k1p = _rhs(t, x, p, field)
-    k2x, k2p = _rhs(t + dt / 2, x + dt / 2 * k1x, p + dt / 2 * k1p, field)
-    k3x, k3p = _rhs(t + dt / 2, x + dt / 2 * k2x, p + dt / 2 * k2p, field)
-    k4x, k4p = _rhs(t + dt, x + dt * k3x, p + dt * k3p, field)
-    xn = x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-    pn = p + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+    xn, pn = _rk4(t, (x, p), dt, lambda s, xs, ps: _rhs(s, xs, ps, field))
     return PhaseState(x=xn, p=pn, t=t + dt)
 
 
@@ -256,14 +258,6 @@ def flow_jacobian(t: float, x, p, field: FieldView, dt: float) -> np.ndarray:
         return dx, dp, dj
 
     for step in _backward_steps(t, dt):
-        k1 = rhs(s, x, p, jac)
-        k2 = rhs(s + step / 2, x + step / 2 * k1[0], p + step / 2 * k1[1],
-                 jac + step / 2 * k1[2])
-        k3 = rhs(s + step / 2, x + step / 2 * k2[0], p + step / 2 * k2[1],
-                 jac + step / 2 * k2[2])
-        k4 = rhs(s + step, x + step * k3[0], p + step * k3[1], jac + step * k3[2])
-        x = x + step / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        p = p + step / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        jac = jac + step / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        x, p, jac = _rk4(s, (x, p, jac), step, rhs)
         s += step
     return jac

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class SimConfig:
     fit_t_hi: float = 0.0       # 0 = t_end
     output: str = "run.csv"
     summary: str = ""           # default: output + ".summary"
-    threads: int = 1
     checkpoint_interval: float = 0.0  # 0 = no periodic checkpoints
     checkpoint_path: str = ""   # default: output + ".ckpt.npz"
     memory_budget_mb: float = 4096.0
@@ -106,25 +105,21 @@ def _parse_tuple(n):
     return conv
 
 
-_SCHEMA = {
-    "R": float, "delta": float,
-    "f_center": _parse_tuple(6), "f_radius": float, "f_amplitude": float,
-    "f_k": int,
-    "phi0_center": _parse_tuple(3), "phi0_radius": float,
-    "phi0_amplitude": float, "phi0_k": int,
-    "phi1_center": _parse_tuple(3), "phi1_radius": float,
-    "phi1_amplitude": float, "phi1_k": int,
-    "h": float, "dt": float, "t_end": float, "n_per_dim": int, "pad": float,
-    "coupling": _parse_bool, "record_interval": float,
-    "semilag": _parse_bool, "semilag_radii": int, "semilag_np": int,
-    "keep_history": _parse_bool, "history_stride": int,
-    "history_float32": _parse_bool,
-    "beta": float, "eta": float, "eta_t_hat": float,
-    "fit_t_lo": float, "fit_t_hi": float,
-    "output": str, "summary": str, "threads": int,
-    "checkpoint_interval": float, "checkpoint_path": str,
-    "memory_budget_mb": float,
-}
+_CONVERTERS = {"float": float, "int": int, "bool": _parse_bool, "str": str}
+
+
+def _converter(field):
+    # annotations are strings here; a tuple's length is its default's
+    if field.type == "tuple":
+        return _parse_tuple(len(field.default))
+    return _CONVERTERS[field.type]
+
+
+# retired keys are still parsed, so that old configs load and hash the
+# same, but do not reach SimConfig
+_RETIRED = {"threads": int}
+_SCHEMA = {f.name: _converter(f) for f in fields(SimConfig)
+           if f.name != "config_text"} | _RETIRED
 
 
 def estimate_memory_mb(cfg: SimConfig) -> float:
@@ -163,7 +158,8 @@ def parse_config(text: str) -> SimConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
         norm_lines.append(f"{key} = {val}")
-    cfg = SimConfig(**values, config_text="\n".join(sorted(norm_lines)) + "\n")
+    cfg = SimConfig(**{k: v for k, v in values.items() if k not in _RETIRED},
+                    config_text="\n".join(sorted(norm_lines)) + "\n")
     _validate(cfg)
     return cfg
 
@@ -179,6 +175,10 @@ def _validate(cfg: SimConfig):
         raise ConfigError("R must be positive")
     if cfg.delta < 0:
         raise ConfigError("delta must be nonnegative")
+    try:
+        build_initial_data(cfg)  # make_bump checks each profile
+    except ValueError as exc:
+        raise ConfigError(f"initial data: {exc}") from exc
     if cfg.h <= 0 or cfg.dt <= 0 or cfg.t_end <= 0:
         raise ConfigError("h, dt, t_end must be positive")
     if cfg.coupling and not _cfl_ok(cfg.dt, cfg.h):
@@ -189,8 +189,14 @@ def _validate(cfg: SimConfig):
             f"beta = {cfg.beta} outside the admissible interval (1/2, 3/4)")
     if cfg.n_per_dim < 4:
         raise ConfigError("n_per_dim must be >= 4")
-    if cfg.threads != 1:
-        raise ConfigError("only threads = 1 is supported (deterministic mode)")
+    if cfg.pad < 0:
+        raise ConfigError("pad must be nonnegative")
+    if cfg.coupling and int(np.ceil((cfg.R + cfg.pad) / cfg.h)) < 3:
+        # as make_field_grid sizes the t = 0 cube; the derivative stencils
+        # of the t = 0 record need 3 nodes on each side of the origin
+        raise ConfigError("R + pad must exceed 2 h when coupling is on")
+    if cfg.semilag_radii < 1 or cfg.semilag_np < 1:
+        raise ConfigError("semilag_radii and semilag_np must be >= 1")
     if not _multiple_of(cfg.t_end, cfg.dt):
         # the run takes round(t_end / dt) steps and would end elsewhere
         raise ConfigError("t_end must be a multiple of dt")
@@ -318,10 +324,10 @@ def load_checkpoint(path: str):
             x=z["ens_x"], p=z["ens_p"], w=z["ens_w"], x0=z["ens_x0"],
             p0=z["ens_p0"], w0=z["ens_w0"], phi0_at_x0=z["ens_phi0"],
             cell_volume=float(z["cell_volume"][0]))
-        t = float(z["t"][0])
+    # the state's time is the grid's; save_checkpoint keeps writing "t"
     state = CoupledState(ensemble=ens, grid=grid, hist_full=None,
-                         data=build_initial_data(cfg), t=t,
-                         coupling=cfg.coupling, pad=cfg.pad)
+                         data=build_initial_data(cfg), coupling=cfg.coupling,
+                         pad=cfg.pad)
     return cfg, state, rows
 
 
@@ -335,18 +341,6 @@ def _write_output(cfg: SimConfig, rows: list):
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for r in rows:
             fh.write(r + "\n")
-
-
-def _try_fit(rows: list, col: str, cfg: SimConfig):
-    idx = CSV_COLUMNS.index(col)
-    series = []
-    for r in rows:
-        vals = r.split(",")
-        series.append((float(vals[0]), float(vals[idx])))
-    try:
-        return diag.fit_decay(series, cfg.fit_window)
-    except ValueError:
-        return None
 
 
 def _write_summary(cfg: SimConfig, rows: list, status: str, note: str = ""):
@@ -371,10 +365,13 @@ def _write_summary(cfg: SimConfig, rows: list, status: str, note: str = ""):
             lines.append(f"fsc_first_violation_t = {FLOAT_FMT % bad[0]}")
         for name in ("sup_mu_sl", "sup_mu", "spread_sl", "max_spread",
                      "k_origin", "l_origin"):
-            fit = _try_fit(rows, name, cfg)
-            if fit is not None:
-                lines.append(f"slope_{name} = {FLOAT_FMT % fit.slope}")
-                lines.append(f"residual_{name} = {FLOAT_FMT % fit.residual}")
+            try:
+                fit = diag.fit_decay(np.stack([col("t"), col(name)], axis=-1),
+                                     cfg.fit_window)
+            except ValueError:
+                continue
+            lines.append(f"slope_{name} = {FLOAT_FMT % fit.slope}")
+            lines.append(f"residual_{name} = {FLOAT_FMT % fit.residual}")
     with open(cfg.summary_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -382,44 +379,42 @@ def _write_summary(cfg: SimConfig, rows: list, status: str, note: str = ""):
 def run_scenario(cfg: SimConfig, state: CoupledState | None = None,
                  rows: list | None = None) -> int:
     """Run (or continue) a scenario; writes CSV + summary, returns exit code."""
-    if state is None:
-        data = build_initial_data(cfg)
-        state = init_coupled_state(
-            data, cfg.n_per_dim, cfg.h, cfg.dt, pad=cfg.pad,
-            coupling=cfg.coupling, keep_history=cfg.keep_history,
-            history_stride=cfg.history_stride,
-            history_dtype=np.float32 if cfg.history_float32 else np.float64)
-        rows = [_format_row(_record_row(state, cfg))]
-    elif cfg.coupling and cfg.semilag and cfg.keep_history:
+    if state is not None and cfg.coupling and cfg.semilag and cfg.keep_history:
         raise ConfigError(
             "resume cannot rebuild the full field history; "
             "use semilag = 0 or keep_history = 0 for resumable coupled runs")
-
+    rows = rows or []
     rec_every = int(round(cfg.record_interval / cfg.dt))
     ckpt_every = (int(round(cfg.checkpoint_interval / cfg.dt))
                   if cfg.checkpoint_interval > 0 else 0)
     n_steps = int(round(cfg.t_end / cfg.dt))
-    start = int(round(state.t / cfg.dt))
 
-    for k in range(start + 1, n_steps + 1):
-        record = (k % rec_every == 0) or (k == n_steps)
-        try:
-            step(state, deposit=record)
-        except DomainTooSmallError as exc:
-            _write_output(cfg, rows)
-            _write_summary(cfg, rows, "aborted", f"domain: {exc}")
-            return 3
-        if _has_nan(state):
-            save_checkpoint(cfg.ckpt_path, cfg, state, rows)
-            _write_output(cfg, rows)
-            _write_summary(cfg, rows, "aborted",
-                           f"NaN detected at t={state.t}; "
-                           f"last state saved to {cfg.ckpt_path}")
-            return 3
-        if record:
+    try:
+        if state is None:
+            state = init_coupled_state(
+                build_initial_data(cfg), cfg.n_per_dim, cfg.h, cfg.dt,
+                pad=cfg.pad, coupling=cfg.coupling,
+                keep_history=cfg.keep_history, history_stride=cfg.history_stride,
+                history_dtype=np.float32 if cfg.history_float32 else np.float64)
             rows.append(_format_row(_record_row(state, cfg)))
-        if ckpt_every and k % ckpt_every == 0:
-            save_checkpoint(cfg.ckpt_path, cfg, state, rows)
+        for k in range(int(round(state.t / cfg.dt)) + 1, n_steps + 1):
+            record = (k % rec_every == 0) or (k == n_steps)
+            step(state, deposit=record)
+            if _has_nan(state):
+                save_checkpoint(cfg.ckpt_path, cfg, state, rows)
+                _write_output(cfg, rows)
+                _write_summary(cfg, rows, "aborted",
+                               f"NaN detected at t={state.t}; "
+                               f"last state saved to {cfg.ckpt_path}")
+                return 3
+            if record:
+                rows.append(_format_row(_record_row(state, cfg)))
+            if ckpt_every and k % ckpt_every == 0:
+                save_checkpoint(cfg.ckpt_path, cfg, state, rows)
+    except DomainTooSmallError as exc:
+        _write_output(cfg, rows)
+        _write_summary(cfg, rows, "aborted", f"domain: {exc}")
+        return 3
 
     _write_output(cfg, rows)
     _write_summary(cfg, rows, "ok")

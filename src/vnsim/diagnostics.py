@@ -187,14 +187,10 @@ def max_momentum_spread(ens: ParticleEnsemble, cell_size: float) -> float:
     flat = (keys[:, 0] * 73856093) ^ (keys[:, 1] * 19349663) ^ (keys[:, 2] * 83492791)
     order = np.argsort(flat, kind="stable")
     flat, p = flat[order], p[order]
-    bounds = np.nonzero(np.diff(flat))[0] + 1
-    best = 0.0
-    for lo, hi in zip(np.concatenate([[0], bounds]),
-                      np.concatenate([bounds, [flat.size]])):
-        if hi - lo >= 2:
-            seg = p[lo:hi]
-            best = max(best, float(np.prod(seg.max(axis=0) - seg.min(axis=0))))
-    return best
+    starts = np.concatenate([[0], np.nonzero(np.diff(flat))[0] + 1])
+    # a one-particle segment has zero extent and so zero spread
+    ext = np.maximum.reduceat(p, starts) - np.minimum.reduceat(p, starts)
+    return float(np.prod(ext, axis=1).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -154,9 +154,13 @@ class CoupledState:
     grid: FieldGrid
     hist_full: GridFieldHistory | None  # optional strided history for diagnostics
     data: InitialData
-    t: float
     coupling: bool = True
     pad: float = 2.0
+
+    @property
+    def t(self) -> float:
+        """The run's time, the grid's center level time."""
+        return self.grid.t
 
     @property
     def field_view(self) -> FieldView:
@@ -185,7 +189,7 @@ def init_coupled_state(data: InitialData, n_per_dim: int, h: float, dt: float,
         hist_full = GridFieldHistory(dtype=history_dtype, stride=history_stride)
         hist_full.append(0.0, grid.phi_0, h, grid.n_half)
     return CoupledState(ensemble=ens, grid=grid, hist_full=hist_full,
-                        data=data, t=0.0, coupling=coupling, pad=pad)
+                        data=data, coupling=coupling, pad=pad)
 
 
 def step(state: CoupledState, deposit: bool = True) -> CoupledState:
@@ -219,7 +223,6 @@ def step(state: CoupledState, deposit: bool = True) -> CoupledState:
     else:
         grid.mu = mu
         grid.t = t_new
-    state.t = t_new
     return state
 
 

@@ -20,9 +20,8 @@ from .profiles import InitialData
 
 __all__ = [
     "FieldGrid", "make_field_grid", "fdtd_step", "field_derivatives",
-    "discrete_energy", "GridFieldHistory", "CallableSource",
-    "unit_sphere_quadrature", "kirchhoff_homogeneous", "data_term_dt_phi",
-    "retarded_potential",
+    "discrete_energy", "GridFieldHistory", "unit_sphere_quadrature",
+    "kirchhoff_homogeneous", "data_term_dt_phi", "retarded_potential",
 ]
 
 
@@ -405,23 +404,6 @@ class GridFieldHistory(FieldView):
         return dt_grad, hess
 
 
-class CallableSource:
-    """Source given by a closed-form density fn(s, y), read like a level
-    store with phi(s, y); used by oracle tests."""
-
-    def __init__(self, fn, t_range=(0.0, np.inf)):
-        self.fn = fn
-        self.t_range = t_range
-
-    def covers(self, t: float) -> bool:
-        return self.t_range[0] - 1e-9 <= t <= self.t_range[1] + 1e-9
-
-    def phi(self, s: float, y: np.ndarray) -> np.ndarray:
-        if not self.covers(s):
-            raise OutOfHistoryError(f"source not defined at time {s}")
-        return np.asarray(self.fn(s, y))
-
-
 # ---------------------------------------------------------------------------
 # Light-cone integrals
 # ---------------------------------------------------------------------------
@@ -520,9 +502,9 @@ def retarded_potential(t: float, x, hist, shell_width: float,
     """-(1/4 pi) int_{|x-y|<=t} mu(t-|x-y|, y)/|x-y| dy in retarded shells.
 
     Midpoint rule in radius with shells of the given width, fixed-order
-    sphere quadrature per shell.  `hist` is a level store of deposited
-    source levels, read with phi(s, y), and must cover retarded times in
-    [0, t].
+    sphere quadrature per shell.  `hist`, a store of deposited source
+    levels or a closed-form AnalyticField, is read with phi(s, y) and must
+    cover retarded times in [0, t].
     """
     x = np.asarray(x, dtype=float)
     if t <= 0:

@@ -12,10 +12,10 @@ import pytest
 
 import vnsim.cli as cli
 import vnsim.diagnostics as diag
-from vnsim.characteristics import ZeroField
+from vnsim.characteristics import AnalyticField, ZeroField
 from vnsim.profiles import InitialData, make_bump
 from vnsim.vlasov_pic import evaluate_f, init_coupled_state, step
-from vnsim.wavefield import (CallableSource, GridFieldHistory, fdtd_step,
+from vnsim.wavefield import (GridFieldHistory, fdtd_step,
                              kirchhoff_homogeneous, make_field_grid,
                              retarded_potential)
 
@@ -121,7 +121,7 @@ class TestCriterion1WaveOracle:
 
 class TestCriterion2RetardedIntegral:
     def test_static_ball_center(self):
-        src = CallableSource(
+        src = AnalyticField(
             lambda s, y: (np.sum(y * y, axis=-1) <= 1.0).astype(float))
         val = retarded_potential(1.0, np.zeros(3), src, shell_width=0.05)
         rel = abs(val + 0.5) / 0.5

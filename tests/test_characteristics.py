@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vnsim.characteristics import (AnalyticField, PhaseState, ZeroField,
+                                   _backward_steps, _flow_matrix,
                                    backward_trace, flow_jacobian, force, push,
                                    rel_velocity)
 from vnsim.errors import OutOfHistoryError
@@ -215,3 +216,104 @@ class TestFlowJacobian:
         assert jac.shape == (4, 6, 6)
         single = flow_jacobian(1.0, x[0], p[0], fld, dt=0.25)
         np.testing.assert_allclose(jac[2], single, rtol=1e-13)
+
+
+class TestAnalyticField:
+    def test_whole_line_by_default(self):
+        fld = gaussian_field()
+        assert fld.covers(-1e6) and fld.covers(1e6)
+
+    def test_covers_with_tolerance(self):
+        fld = AnalyticField(lambda t, x: np.zeros(x.shape[:-1]), t_range=(0.0, 1.0))
+        assert fld.covers(0.0) and fld.covers(1.0 + 5e-10) and fld.covers(-5e-10)
+        assert not fld.covers(1.0 + 1e-8) and not fld.covers(-1e-8)
+
+    def test_raises_outside_t_range(self):
+        fld = gaussian_field()
+        fld.t_range = (0.0, 1.0)
+        x = np.zeros((2, 3))
+        for t in (-0.5, 1.5):
+            with pytest.raises(OutOfHistoryError):
+                fld.phi(t, x)
+            with pytest.raises(OutOfHistoryError):
+                fld.first_derivs(t, x)
+        assert fld.phi(1.0, x).shape == (2,)
+
+    def test_phi_only_source(self):
+        fld = AnalyticField(lambda t, x: t + x[..., 0])
+        np.testing.assert_array_equal(fld.phi(2.0, np.ones((3, 3))), [3.0] * 3)
+
+
+def reference_push(state, dt, field):
+    """push's general path with its four RK4 stages written out."""
+    x, p, t = state.x, state.p, state.t
+
+    def rhs(s, xs, ps):
+        return rel_velocity(ps), force(PhaseState(x=xs, p=ps, t=s), field)
+
+    k1x, k1p = rhs(t, x, p)
+    k2x, k2p = rhs(t + dt / 2, x + dt / 2 * k1x, p + dt / 2 * k1p)
+    k3x, k3p = rhs(t + dt / 2, x + dt / 2 * k2x, p + dt / 2 * k2p)
+    k4x, k4p = rhs(t + dt, x + dt * k3x, p + dt * k3p)
+    xn = x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
+    pn = p + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+    return PhaseState(x=xn, p=pn, t=t + dt)
+
+
+def reference_flow_jacobian(t, x, p, field, dt):
+    """flow_jacobian with its own written-out RK4 step."""
+    jac = np.broadcast_to(np.eye(6), x.shape[:-1] + (6, 6)).copy()
+    s = t
+
+    def rhs(time, xx, pp, jj):
+        dx = rel_velocity(pp)
+        dp = force(PhaseState(x=xx, p=pp, t=time), field)
+        return dx, dp, _flow_matrix(time, xx, pp, field) @ jj
+
+    for step in _backward_steps(t, dt):
+        k1 = rhs(s, x, p, jac)
+        k2 = rhs(s + step / 2, x + step / 2 * k1[0], p + step / 2 * k1[1],
+                 jac + step / 2 * k1[2])
+        k3 = rhs(s + step / 2, x + step / 2 * k2[0], p + step / 2 * k2[1],
+                 jac + step / 2 * k2[2])
+        k4 = rhs(s + step, x + step * k3[0], p + step * k3[1], jac + step * k3[2])
+        x = x + step / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        p = p + step / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        jac = jac + step / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        s += step
+    return jac
+
+
+class TestSharedRk4Step:
+    """push and flow_jacobian share one RK4 step, bitwise equal to the
+    written-out stages."""
+
+    @pytest.mark.parametrize("dt", [0.3, -0.17])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_push(self, dt, batched):
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-1.5, 1.5, (30, 3))
+        p = rng.normal(scale=0.6, size=(30, 3))
+        fld = gaussian_field(amp=0.1)
+        rows = [slice(None)] if batched else [0, 7, 19]
+        for row in rows:
+            state = PhaseState(x=x[row], p=p[row], t=0.4)
+            out = push(state, dt, fld)
+            ref = reference_push(state, dt, fld)
+            assert out.x.shape == ref.x.shape == x[row].shape
+            assert out.t == ref.t
+            assert_bitwise_equal_states(out.x, out.p, ref.x, ref.p)
+
+    @pytest.mark.parametrize("t", [1.3, 2.0])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_flow_jacobian(self, t, batched):
+        rng = np.random.default_rng(22)
+        x = rng.uniform(-1, 1, (6, 3))
+        p = rng.normal(scale=0.5, size=(6, 3))
+        fld = gaussian_field(amp=0.05)
+        rows = [slice(None)] if batched else [2, 5]
+        for row in rows:
+            jac = flow_jacobian(t, x[row], p[row], fld, 0.25)
+            ref = reference_flow_jacobian(t, x[row], p[row], fld, 0.25)
+            assert jac.shape == ref.shape == x[row].shape[:-1] + (6, 6)
+            np.testing.assert_array_equal(jac, ref)

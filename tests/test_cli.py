@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,45 @@ class TestParseConfig:
 
     def test_estimate_positive(self):
         assert estimate_memory_mb(SimConfig()) > 0
+
+
+def text_value(field):
+    """A config-file value for a SimConfig field, and what it parses to."""
+    if field.type == "str":
+        return "named.csv", "named.csv"
+    if field.type == "bool":
+        return ("1", True) if field.default else ("0", False)
+    if field.type == "tuple":
+        vals = tuple(0.125 * (i + 1) for i in range(len(field.default)))
+        return ",".join(repr(v) for v in vals), vals
+    return repr(field.default), field.default
+
+
+class TestSchema:
+    FIELDS = [f for f in dataclasses.fields(SimConfig) if f.name != "config_text"]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_every_field_parses_from_text(self, field):
+        text, expected = text_value(field)
+        cfg = parse_config(f"{field.name} = {text}\n")
+        value = getattr(cfg, field.name)
+        assert value == expected
+        assert type(value).__name__ == field.type
+
+    def test_tuple_length_from_default(self):
+        with pytest.raises(ConfigError, match="expected 3"):
+            parse_config("phi0_center = 0,0\n")
+
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_retired_threads_key_loads(self, threads):
+        cfg = parse_config(f"threads = {threads}\n")
+        assert not hasattr(cfg, "threads")
+        assert f"threads = {threads}" in cfg.config_text
+
+    def test_retired_threads_key_keeps_hash(self):
+        # the hash this config had while threads was a SimConfig field
+        cfg = parse_config("h = 0.5\ndt = 0.25\nthreads = 1\n")
+        assert config_hash(cfg) == "f083aa545c8f8f3f"
 
 
 class TestConfigHash:
@@ -299,6 +340,37 @@ class TestMain:
                           + f"output = {out}\n")
         assert main(["run", conf]) == code
         assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("extra, code", [
+        ("f_k = 0", 2),
+        ("phi0_k = 0", 2),
+        ("f_radius = 0", 2),
+        ("f_amplitude = -1", 2),
+        ("coupling = 0\nsemilag = 1\nsemilag_radii = 0", 2),
+        ("coupling = 0\nsemilag = 1\nsemilag_np = 0", 2),
+        ("pad = -3", 2),
+        ("pad = -0.5", 2),
+        ("coupling = 0\npad = -3", 2),
+        ("coupling = 1\npad = 0", 2),
+        # f's support lies outside the t = 0 cube
+        ("pad = 2\nf_center = 6,0,0,0,0,0", 3),
+    ])
+    def test_bad_data_exits_without_traceback(self, tmp_path, extra, code):
+        keys = {line.partition("=")[0].strip() for line in extra.splitlines()}
+        base = [line for line in BASE.splitlines()
+                if line.partition("=")[0].strip() not in keys]
+        out = tmp_path / "bad.csv"
+        conf = write_conf(tmp_path, "\n".join(base) + f"\n{extra}\noutput = {out}\n")
+        assert main(["run", conf]) == code
+        if out.exists():
+            assert "nan" not in out.read_text()
+
+    def test_free_transport_needs_no_margin(self, tmp_path):
+        # no field derivatives are taken, so the cube may end at R
+        out = tmp_path / "free.csv"
+        conf = write_conf(tmp_path, BASE.replace("pad = 5", "pad = 0")
+                          + f"coupling = 0\noutput = {out}\n")
+        assert main(["run", conf]) == 0
 
     def test_missing_file_exit_two(self):
         assert main(["run", "/nonexistent/x.conf"]) == 2

@@ -176,6 +176,27 @@ class TestGridMapsAgainstReference:
             assert got[0].size > 0
 
 
+def reference_max_spread(ens, cell_size):
+    """max_momentum_spread as a Python loop over the sorted hash segments."""
+    live = ens.w > 0.0
+    if np.count_nonzero(live) < 2:
+        return 0.0
+    x = ens.x[live]
+    p = ens.p[live]
+    keys = np.floor(x / cell_size).astype(np.int64)
+    flat = (keys[:, 0] * 73856093) ^ (keys[:, 1] * 19349663) ^ (keys[:, 2] * 83492791)
+    order = np.argsort(flat, kind="stable")
+    flat, p = flat[order], p[order]
+    bounds = np.nonzero(np.diff(flat))[0] + 1
+    best = 0.0
+    for lo, hi in zip(np.concatenate([[0], bounds]),
+                      np.concatenate([bounds, [flat.size]])):
+        if hi - lo >= 2:
+            seg = p[lo:hi]
+            best = max(best, float(np.prod(seg.max(axis=0) - seg.min(axis=0))))
+    return best
+
+
 class TestSupportMeasures:
     def test_empty(self):
         ens = make_ensemble(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
@@ -233,6 +254,18 @@ class TestSupportMeasures:
                              [0, 0, 0], [0.5, 0.5, 0.5]],
                             [1, 1, 1, 1])
         assert max_momentum_spread(ens, 1.0) == pytest.approx(0.5**3)
+
+    @pytest.mark.parametrize("cell_size", [0.25, 1.0])
+    def test_max_spread_equals_segment_loop(self, cell_size):
+        # hundreds of occupied cells, with one-particle cells and zero weights
+        rng = np.random.default_rng(31)
+        x = rng.normal(scale=2.0, size=(3000, 3))
+        p = rng.normal(scale=0.5, size=(3000, 3))
+        w = (rng.uniform(size=3000) > 0.1).astype(float)
+        ens = make_ensemble(x, p, w)
+        ref = reference_max_spread(ens, cell_size)
+        assert ref > 0.0
+        assert max_momentum_spread(ens, cell_size) == ref
 
     @pytest.mark.xfail(strict=True, reason="cells are grouped by a hash of "
                        "their indices, and cells (-3, -1, 3) and (-3, 1, -3) "

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from vnsim.characteristics import AnalyticField
 from vnsim.errors import ConfigError, DomainTooSmallError, OutOfHistoryError
 from vnsim.profiles import InitialData, make_bump
-from vnsim.wavefield import (CallableSource, FieldGrid, GridFieldHistory,
+from vnsim.wavefield import (FieldGrid, GridFieldHistory,
                              _laplacian, data_term_dt_phi, discrete_energy,
                              fdtd_step, field_derivatives,
                              kirchhoff_homogeneous, make_field_grid,
@@ -294,13 +295,13 @@ class TestKirchhoff:
 
 class TestRetardedPotential:
     def test_static_ball_closed_form(self):
-        src = CallableSource(
+        src = AnalyticField(
             lambda s, y: (np.sum(y * y, axis=-1) <= 1.0).astype(float))
         val = retarded_potential(1.0, np.zeros(3), src, shell_width=0.05)
         assert val == pytest.approx(-0.5, rel=1e-10)
 
     def test_zero_time(self):
-        src = CallableSource(lambda s, y: np.ones(y.shape[:-1]))
+        src = AnalyticField(lambda s, y: np.ones(y.shape[:-1]))
         assert retarded_potential(0.0, np.zeros(3), src, 0.05) == 0.0
 
     def test_reads_level_store(self):
