@@ -122,19 +122,36 @@ _SCHEMA = {f.name: _converter(f) for f in fields(SimConfig)
            if f.name != "config_text"} | _RETIRED
 
 
+# A run's peak RSS, measured on coupled and free-transport runs (Python 3.11,
+# numpy 2.4): the interpreter with numpy and vnsim; per particle 15 ensemble
+# floats and up to 70 floats of RK4 stage and gather arrays; per semi-
+# Lagrangian trace point up to 80 floats; 10 levels of the final cube (a
+# growth holds 4 old and 4 grown levels, the heap up to 2 freed ones).
+_BASELINE_MB = 34.0
+_PARTICLE_FLOATS = 15 + 70
+_TRACE_POINT_FLOATS = 80
+_PEAK_LEVELS = 10
+
+
 def estimate_memory_mb(cfg: SimConfig) -> float:
-    """Upfront bound on peak array memory at the final grid size."""
-    n = 2 * int(np.ceil((cfg.R + cfg.t_end + cfg.pad + 1.0) / cfg.h)) + 3
-    level = n**3 * 8.0
-    total = 8.0 * level  # grid triple + mu + the step's level-sized temporaries
+    """Upper estimate of a run's peak resident memory in MiB; history
+    levels count at the cube size of their own time."""
+    def cube(t):
+        # nodes of the cube that the field grid holds at time t
+        return (2 * int(np.ceil((cfg.R + t + cfg.pad + 1.0) / cfg.h)) + 1) ** 3
+
+    total = _PEAK_LEVELS * cube(cfg.t_end) * 8.0
     if cfg.keep_history:
-        n_levels = cfg.t_end / (cfg.dt * cfg.history_stride) + 2
+        level_dt = cfg.dt * cfg.history_stride
         itemsize = 4.0 if cfg.history_float32 else 8.0
-        total += n_levels * n**3 * itemsize
+        n_levels = int(cfg.t_end / level_dt + 1e-9) + 1
+        total += sum(cube(k * level_dt) for k in range(n_levels)) * itemsize
     # lattice particle fraction inside the unit 6-ball is pi^3/6 / 2^6
     n_part = cfg.n_per_dim**6 * (np.pi**3 / 6.0) / 64.0
-    total += n_part * 15 * 8.0
-    return total / 2**20
+    total += n_part * _PARTICLE_FLOATS * 8.0
+    if cfg.semilag and (cfg.keep_history or not cfg.coupling):
+        total += cfg.semilag_radii * cfg.semilag_np**3 * _TRACE_POINT_FLOATS * 8.0
+    return _BASELINE_MB + total / 2**20
 
 
 def parse_config(text: str) -> SimConfig:
@@ -411,9 +428,11 @@ def run_scenario(cfg: SimConfig, state: CoupledState | None = None,
                 rows.append(_format_row(_record_row(state, cfg)))
             if ckpt_every and k % ckpt_every == 0:
                 save_checkpoint(cfg.ckpt_path, cfg, state, rows)
-    except DomainTooSmallError as exc:
+    except (DomainTooSmallError, MemoryError) as exc:
+        # no checkpoint of a half-done step; the last periodic one stays valid
+        reason = "domain" if isinstance(exc, DomainTooSmallError) else "out of memory"
         _write_output(cfg, rows)
-        _write_summary(cfg, rows, "aborted", f"domain: {exc}")
+        _write_summary(cfg, rows, "aborted", f"{reason}: {exc}")
         return 3
 
     _write_output(cfg, rows)

@@ -20,7 +20,7 @@ from .characteristics import FieldView, rel_velocity, flow_jacobian, backward_tr
 from .profiles import InitialData
 from .vlasov_pic import ParticleEnsemble, evaluate_f
 from .wavefield import (GRAD, HESS, NOW, TIME_D1, TIME_D2, VALUE, FieldGrid,
-                        difference, field_derivatives)
+                        _slabs, difference, field_derivatives)
 
 __all__ = [
     "ConeWeight", "DecayFit", "measure_K", "measure_L",
@@ -101,51 +101,51 @@ def grid_derivative_maps(grid: FieldGrid, max_radius: float | None = None):
     """K and L on all interior nodes with |x| <= max_radius.
 
     Returns (K, L, r) flat arrays in node order; used for grid-wide sup
-    norms and FSC margins.  With `max_radius` set, the stencils run only on
-    the index sub-cube that holds the ball, clamped to the interior.
+    norms and FSC margins.  The stencils run only on the index sub-cube that
+    holds the ball, clamped to the interior, one slab of x-planes at a time.
     """
+    radius = np.inf if max_radius is None else max_radius  # inf keeps all
     n = grid.n_nodes
-    lo, hi = 2, n - 2
-    if max_radius is not None:
-        # nodes within max_radius / h of the center on each axis, plus one
-        # of margin (the r <= max_radius test below decides); capped at n
-        # so that max_radius = inf stays an int
-        reach = int(min(np.floor(max_radius / grid.h), n)) + 1
-        lo = max(lo, grid.n_half - reach)
-        hi = max(lo, min(hi, grid.n_half + reach + 1))
+    # nodes within radius / h of the center on each axis, plus one of margin
+    # (r <= radius decides); capped at n so that inf stays an int
+    reach = int(min(np.floor(radius / grid.h), n)) + 1
+    lo = max(2, grid.n_half - reach)
+    hi = max(lo, min(n - 2, grid.n_half + reach + 1))
+    if hi <= lo:
+        return (np.zeros(0),) * 3
     levels = (grid.phi_m, grid.phi_0, grid.phi_p)
+    ax = grid.node_axis()
+    parts = []
+    for a, b in _slabs(lo, hi, (hi - lo) ** 2):
+        def on_nodes(k, space):
+            """`space` combined on the slab's nodes of the level at time offset k."""
+            def shifted(off):
+                i, j, l = off
+                return levels[k + 1][a + i:b + i, lo + j:hi + j, lo + l:hi + l]
+            return space.combine(shifted)
 
-    def on_nodes(k, space):
-        """`space` combined on the sub-cube nodes of the level at time offset k."""
-        def shifted(off):
-            i, j, l = off
-            return levels[k + 1][lo + i:hi + i, lo + j:hi + j, lo + l:hi + l]
-        return space.combine(shifted)
+        def d(time, space=VALUE):
+            return difference(time, space, on_nodes, grid.dt, grid.h)
 
-    def d(time, space=VALUE):
-        return difference(time, space, on_nodes, grid.dt, grid.h)
-
-    # one running accumulator for |grad|^2, |dt grad|^2 and max |hess|: on
-    # fine grids each sub-cube-sized array is tens of MiB
-    acc = np.zeros((hi - lo,) * 3)
-    for g in GRAD:
-        acc += d(NOW, g) ** 2
-    K = np.abs(d(TIME_D1)) + np.sqrt(acc)
-    acc[...] = 0.0
-    for g in GRAD:
-        acc += d(TIME_D1, g) ** 2
-    L = np.abs(d(TIME_D2)) + np.sqrt(acc)
-    acc[...] = 0.0
-    for st in HESS.values():
-        np.maximum(acc, np.abs(d(NOW, st)), out=acc)
-    L += acc
-    ax = grid.node_axis()[lo:hi]
-    xx, yy, zz = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
-    r = np.broadcast_to(np.sqrt(xx**2 + yy**2 + zz**2), K.shape)
-    if max_radius is not None:
-        sel = r <= max_radius
-        return K[sel], L[sel], r[sel]
-    return K.ravel(), L.ravel(), r.ravel()
+        # one running accumulator for |grad|^2, |dt grad|^2 and max |hess|
+        acc = np.zeros((b - a, hi - lo, hi - lo))
+        for g in GRAD:
+            acc += d(NOW, g) ** 2
+        K = np.abs(d(TIME_D1)) + np.sqrt(acc)
+        acc[...] = 0.0
+        for g in GRAD:
+            acc += d(TIME_D1, g) ** 2
+        L = np.abs(d(TIME_D2)) + np.sqrt(acc)
+        acc[...] = 0.0
+        for st in HESS.values():
+            np.maximum(acc, np.abs(d(NOW, st)), out=acc)
+        L += acc
+        xx, yy, zz = np.meshgrid(ax[a:b], ax[lo:hi], ax[lo:hi], indexing="ij",
+                                 sparse=True)
+        r = np.broadcast_to(np.sqrt(xx**2 + yy**2 + zz**2), K.shape)
+        sel = r <= radius
+        parts.append((K[sel], L[sel], r[sel]))
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def sup_mu(grid: FieldGrid) -> float:

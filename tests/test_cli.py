@@ -73,6 +73,16 @@ class TestParseConfig:
     def test_estimate_positive(self):
         assert estimate_memory_mb(SimConfig()) > 0
 
+    @pytest.mark.parametrize("float32", [0, 1])
+    def test_estimate_counts_history_levels_at_their_own_size(self, float32):
+        base = "h = 0.5\ndt = 0.25\npad = 3\nt_end = 12\nhistory_stride = 4\nsemilag = 0\n"
+        with_history = parse_config(base + f"keep_history = 1\nhistory_float32 = {float32}\n")
+        without = parse_config(base + "keep_history = 0\n")
+        # levels at t = 0, 1, ..., 12 on the cube of half-width R + t + pad + 1
+        nodes = sum((2 * int(np.ceil((1 + t + 3 + 1) / 0.5)) + 1) ** 3 for t in range(13))
+        extra = estimate_memory_mb(with_history) - estimate_memory_mb(without)
+        assert extra == pytest.approx(nodes * (4 if float32 else 8) / 2**20)
+
 
 def text_value(field):
     """A config-file value for a SimConfig field, and what it parses to."""
@@ -306,6 +316,50 @@ class TestNanAbort:
         # the rows recorded before the abort: t = 0 and t = 0.5
         assert len(rows) == 2
         assert out.read_text().splitlines()[2:] == rows
+
+
+class TestMemoryErrorAbort:
+    def test_failed_growth_exits_three_without_traceback(self, tmp_path, monkeypatch,
+                                                          capsys):
+        import vnsim.cli as cli
+        from vnsim.wavefield import FieldGrid
+        # the cube grows at t = 0.25 and again at t = 1.75; the second
+        # growth fails
+        out = tmp_path / "oom.csv"
+        conf = write_conf(tmp_path, "h = 0.5\ndt = 0.25\nn_per_dim = 4\npad = 2\n"
+                          "semilag = 0\nt_end = 3\nrecord_interval = 0.5\n"
+                          f"checkpoint_interval = 0.5\noutput = {out}\n")
+        real_grow = FieldGrid.ensure_extent
+
+        grows = []
+
+        def failing(grid, x_needed, grow_chunk=1.0):
+            if x_needed > grid.x_max:
+                grows.append(grid.t)
+                if len(grows) == 2:
+                    raise MemoryError("Unable to allocate the grown levels")
+            real_grow(grid, x_needed, grow_chunk)
+
+        saved = []
+        real_save = cli.save_checkpoint
+
+        def spy(path, cfg, state, rows):
+            saved.append(state.t)
+            real_save(path, cfg, state, rows)
+
+        monkeypatch.setattr(FieldGrid, "ensure_extent", failing)
+        monkeypatch.setattr(cli, "save_checkpoint", spy)
+        assert main(["run", conf]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        summary = (tmp_path / "oom.csv.summary").read_text()
+        assert "status = aborted" in summary
+        assert "note = out of memory: Unable to allocate" in summary
+        assert grows == [0.0, 1.5]
+        # rows at t = 0, 0.5, 1, 1.5; no checkpoint after the failed step
+        assert len(out.read_text().splitlines()[2:]) == 4
+        assert saved == [0.5, 1.0, 1.5]
+        _, state, rows = load_checkpoint(str(out) + ".ckpt.npz")
+        assert state.t == 1.5 and len(rows) == 4
 
 
 class TestMain:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vnsim import wavefield
 from vnsim.characteristics import ZeroField
 from vnsim.diagnostics import (ConeWeight, dispersion_check, fit_decay,
                                free_flow_dispersion_ratio, fsc_raw_margins,
@@ -174,6 +175,68 @@ class TestGridMapsAgainstReference:
             np.testing.assert_array_equal(a, b)
         if max_radius is not None and max_radius >= 0:
             assert got[0].size > 0
+
+
+def reference_ball_maps(grid, max_radius=None):
+    """The ball-bounded maps in whole-sub-cube passes that the slab loop
+    replaced."""
+    n = grid.n_nodes
+    lo, hi = 2, n - 2
+    if max_radius is not None:
+        reach = int(min(np.floor(max_radius / grid.h), n)) + 1
+        lo = max(lo, grid.n_half - reach)
+        hi = max(lo, min(hi, grid.n_half + reach + 1))
+    levels = (grid.phi_m, grid.phi_0, grid.phi_p)
+
+    def on_nodes(k, space):
+        def shifted(off):
+            i, j, l = off
+            return levels[k + 1][lo + i:hi + i, lo + j:hi + j, lo + l:hi + l]
+        return space.combine(shifted)
+
+    def d(time, space=VALUE):
+        return difference(time, space, on_nodes, grid.dt, grid.h)
+
+    acc = np.zeros((hi - lo,) * 3)
+    for g in GRAD:
+        acc += d(NOW, g) ** 2
+    K = np.abs(d(TIME_D1)) + np.sqrt(acc)
+    acc[...] = 0.0
+    for g in GRAD:
+        acc += d(TIME_D1, g) ** 2
+    L = np.abs(d(TIME_D2)) + np.sqrt(acc)
+    acc[...] = 0.0
+    for st in HESS.values():
+        np.maximum(acc, np.abs(d(NOW, st)), out=acc)
+    L += acc
+    ax = grid.node_axis()[lo:hi]
+    xx, yy, zz = np.meshgrid(ax, ax, ax, indexing="ij", sparse=True)
+    r = np.broadcast_to(np.sqrt(xx**2 + yy**2 + zz**2), K.shape)
+    if max_radius is not None:
+        sel = r <= max_radius
+        return K[sel], L[sel], r[sel]
+    return K.ravel(), L.ravel(), r.ravel()
+
+
+class TestGridMapsSlabs:
+    # h = 0.3, n = 23: the full interior has 19 x-planes of 19**2 nodes.
+    # SLAB_NODES = 1 gives one plane per slab on every sub-cube, 3 * 19**2
+    # three planes of the full interior and a partial last slab.
+    @pytest.mark.parametrize("slab_nodes", [1, 3 * 19**2, None])
+    @pytest.mark.parametrize("max_radius", [-1.0, 0.0, 0.3, 3.0, np.inf, None])
+    def test_bitwise_equal_to_whole_sub_cube(self, monkeypatch, slab_nodes,
+                                             max_radius):
+        if slab_nodes is not None:
+            monkeypatch.setattr(wavefield, "SLAB_NODES", slab_nodes)
+        rng = np.random.default_rng(9)
+        g = grid_from_function(lambda t, x: rng.standard_normal(x.shape[:-1]),
+                               h=0.3, dt=0.15, n_half=11)
+        got = grid_derivative_maps(g, max_radius=max_radius)
+        want = reference_ball_maps(g, max_radius=max_radius)
+        for a, b in zip(got, want):
+            assert a.dtype == np.float64 and a.ndim == 1
+            np.testing.assert_array_equal(a, b)
+        assert (got[0].size == 0) == (max_radius is not None and max_radius < 0)
 
 
 def reference_max_spread(ens, cell_size):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vnsim import wavefield
 from vnsim.characteristics import AnalyticField
 from vnsim.errors import ConfigError, DomainTooSmallError, OutOfHistoryError
 from vnsim.profiles import InitialData, make_bump
@@ -64,6 +65,31 @@ class TestGridBasics:
             g.phi_0[off:off + before.shape[0], off:off + before.shape[0],
                     off:off + before.shape[0]], before)
         assert np.all(g.phi_0[:off] == 0.0)
+
+    def test_failed_growth_leaves_grid_unchanged(self, monkeypatch):
+        g = make_field_grid(wave_data(), h=0.5, dt=0.25)
+        g.mu = np.ones_like(g.phi_0)
+        names = ("phi_m", "phi_0", "phi_p", "mu")
+        before = {name: getattr(g, name) for name in names}
+        n_half = g.n_half
+        real_zeros = np.zeros
+        calls = []
+
+        def third_fails(shape, *args, **kwargs):
+            calls.append(shape)
+            if len(calls) == 3:
+                raise MemoryError("Unable to allocate")
+            return real_zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", third_fails)
+        with pytest.raises(MemoryError):
+            g.ensure_extent(8.0)
+        monkeypatch.undo()
+        assert len(calls) == 3
+        assert g.n_half == n_half
+        for name in names:
+            assert getattr(g, name) is before[name]
+            assert getattr(g, name).shape == (2 * n_half + 1,) * 3
 
 
 class TestFdtdStep:
@@ -139,6 +165,67 @@ def copy_grid(g):
                      phi_0=g.phi_0.copy(), phi_p=g.phi_p.copy(), mu=g.mu.copy())
 
 
+def steps_through_sponge_shell(n_half, sponge):
+    """Three steps of fdtd_step and reference_fdtd_step from one rough field
+    that fills |x| < 3.5, across the sponge shell 1.5 < r < 4.5, and stays
+    off the two edge cells (h = 0.5); both must agree bitwise."""
+    rng = np.random.default_rng(4)
+    h, dt = 0.5, 0.25
+    ax = (np.arange(2 * n_half + 1) - n_half) * h
+    xx, yy, zz = np.meshgrid(ax, ax, ax, indexing="ij")
+    inside = np.sqrt(xx**2 + yy**2 + zz**2) < 3.5
+    shape = xx.shape
+    g = FieldGrid(h=h, dt=dt, n_half=n_half, t=0.0,
+                  phi_m=np.zeros(shape), phi_0=rng.standard_normal(shape) * inside,
+                  phi_p=rng.standard_normal(shape) * inside, mu=np.zeros(shape))
+    ref = copy_grid(g)
+    for _ in range(3):
+        mu = rng.standard_normal(shape) * inside
+        kept = (g.phi_0, g.phi_p)
+        saved = tuple(a.copy() for a in kept)
+        fdtd_step(g, mu, sponge_radius=sponge)
+        reference_fdtd_step(ref, mu, sponge_radius=sponge)
+        np.testing.assert_array_equal(g.phi_p, ref.phi_p)
+        np.testing.assert_array_equal(np.signbit(g.phi_p), np.signbit(ref.phi_p))
+        np.testing.assert_array_equal(g.phi_0, ref.phi_0)
+        # the stored levels are never written in place
+        for a, b in zip(kept, saved):
+            np.testing.assert_array_equal(a, b)
+    assert g.t == ref.t
+
+
+def boundary_outcomes():
+    """{d: raised} for a unit point d cells from each face, after checking
+    that fdtd_step and reference_fdtd_step raise at the same edges.
+
+    A point d cells from a face spreads to d - 1 in one step; the check
+    fires when the field is within 2 cells of the boundary.
+    """
+    h, dt, n_half = 0.5, 0.25, 6
+    n = 2 * n_half + 1
+    raised = {}
+    for axis in range(3):
+        for d in range(5):
+            for index in (d, n - 1 - d):
+                g = FieldGrid(h=h, dt=dt, n_half=n_half, t=0.0,
+                              phi_m=np.zeros((n,) * 3), phi_0=np.zeros((n,) * 3),
+                              phi_p=np.zeros((n,) * 3), mu=np.zeros((n,) * 3))
+                node = [n_half] * 3
+                node[axis] = index
+                g.phi_p[tuple(node)] = 1.0
+                outcome = []
+                for step_fn, grid in ((fdtd_step, g), (reference_fdtd_step,
+                                                       copy_grid(g))):
+                    try:
+                        step_fn(grid, np.zeros((n,) * 3), sponge_radius=1.0)
+                        outcome.append(False)
+                    except DomainTooSmallError:
+                        outcome.append(True)
+                assert outcome[0] == outcome[1], (axis, index)
+                raised[d] = outcome[0]
+    return raised
+
+
 class TestFdtdAgainstReference:
     def test_laplacian_bitwise_with_boundary_values(self):
         rng = np.random.default_rng(11)
@@ -150,57 +237,71 @@ class TestFdtdAgainstReference:
 
     @pytest.mark.parametrize("sponge", [None, 1.5])
     def test_steps_bitwise_through_sponge_shell(self, sponge):
-        # n = 27 nodes; the rough field fills |x| < 3.5, across the sponge
-        # shell 1.5 < r < 4.5, and stays off the two edge cells (|x| > 5.5)
-        rng = np.random.default_rng(4)
-        h, dt, n_half = 0.5, 0.25, 13
-        ax = (np.arange(2 * n_half + 1) - n_half) * h
-        xx, yy, zz = np.meshgrid(ax, ax, ax, indexing="ij")
-        inside = np.sqrt(xx**2 + yy**2 + zz**2) < 3.5
-        shape = xx.shape
-        g = FieldGrid(h=h, dt=dt, n_half=n_half, t=0.0,
-                      phi_m=np.zeros(shape), phi_0=rng.standard_normal(shape) * inside,
-                      phi_p=rng.standard_normal(shape) * inside, mu=np.zeros(shape))
-        ref = copy_grid(g)
-        for _ in range(3):
-            mu = rng.standard_normal(shape) * inside
-            kept = (g.phi_0, g.phi_p)
-            saved = tuple(a.copy() for a in kept)
-            fdtd_step(g, mu, sponge_radius=sponge)
-            reference_fdtd_step(ref, mu, sponge_radius=sponge)
-            np.testing.assert_array_equal(g.phi_p, ref.phi_p)
-            np.testing.assert_array_equal(g.phi_0, ref.phi_0)
-            # the stored levels are never written in place
-            for a, b in zip(kept, saved):
-                np.testing.assert_array_equal(a, b)
-        assert g.t == ref.t
+        steps_through_sponge_shell(13, sponge)
 
     def test_boundary_error_at_the_same_edges(self):
-        # a point d cells from a face spreads to d - 1 in one step; the check
-        # fires when the field is within 2 cells of the boundary
-        h, dt, n_half = 0.5, 0.25, 6
-        n = 2 * n_half + 1
-        raised = {}
-        for axis in range(3):
-            for d in range(5):
-                for index in (d, n - 1 - d):
-                    g = FieldGrid(h=h, dt=dt, n_half=n_half, t=0.0,
-                                  phi_m=np.zeros((n,) * 3), phi_0=np.zeros((n,) * 3),
-                                  phi_p=np.zeros((n,) * 3), mu=np.zeros((n,) * 3))
-                    node = [n_half] * 3
-                    node[axis] = index
-                    g.phi_p[tuple(node)] = 1.0
-                    outcome = []
-                    for step_fn, grid in ((fdtd_step, g), (reference_fdtd_step,
-                                                           copy_grid(g))):
-                        try:
-                            step_fn(grid, np.zeros((n,) * 3), sponge_radius=1.0)
-                            outcome.append(False)
-                        except DomainTooSmallError:
-                            outcome.append(True)
-                    assert outcome[0] == outcome[1], (axis, index)
-                    raised[d] = outcome[0]
-        assert raised == {0: True, 1: True, 2: True, 3: False, 4: False}
+        assert boundary_outcomes() == {0: True, 1: True, 2: True, 3: False, 4: False}
+
+
+# SLAB_NODES as one x-plane per slab, as three (n = 25 leaves a partial last
+# slab of one plane) and the default
+SLAB_PLANES = [1, 3, None]
+
+
+def patch_slabs(monkeypatch, planes, n):
+    if planes is not None:
+        monkeypatch.setattr(wavefield, "SLAB_NODES", planes * n * n)
+
+
+class TestFdtdSlabs:
+    def test_laplacian_plane_ranges_bitwise(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 4, 9):
+            phi = rng.standard_normal((n, n, n))
+            ref = reference_laplacian(phi, 0.3)
+            for a in range(n):
+                for b in range(a + 1, n + 1):
+                    out = np.full((b - a, n, n), np.nan)
+                    got = _laplacian(phi, 0.3, (a, b), out)
+                    assert got is out
+                    np.testing.assert_array_equal(got, ref[a:b])
+                    np.testing.assert_array_equal(np.signbit(got),
+                                                  np.signbit(ref[a:b]))
+
+    @pytest.mark.parametrize("planes", SLAB_PLANES)
+    @pytest.mark.parametrize("sponge", [None, 1.5])
+    def test_steps_bitwise_through_sponge_shell(self, monkeypatch, planes, sponge):
+        patch_slabs(monkeypatch, planes, 25)
+        steps_through_sponge_shell(12, sponge)
+
+    @pytest.mark.parametrize("planes", SLAB_PLANES)
+    def test_boundary_error_at_the_same_edges(self, monkeypatch, planes):
+        patch_slabs(monkeypatch, planes, 13)
+        assert boundary_outcomes() == {0: True, 1: True, 2: True, 3: False, 4: False}
+
+    @pytest.mark.parametrize("planes", SLAB_PLANES)
+    def test_nan_level_is_left_to_the_nan_check(self, monkeypatch, planes):
+        # a NaN makes the scale NaN, so a field at the edge raises no
+        # DomainTooSmallError: the run's NaN check reports it instead
+        patch_slabs(monkeypatch, planes, 13)
+        n = 13
+        g = FieldGrid(h=0.5, dt=0.25, n_half=6, t=0.0, phi_m=np.zeros((n,) * 3),
+                      phi_0=np.zeros((n,) * 3), phi_p=np.zeros((n,) * 3),
+                      mu=np.zeros((n,) * 3))
+        g.phi_p[6, 6, 1] = 1.0
+        mu = np.zeros((n,) * 3)
+        mu[6, 6, 6] = np.nan
+        ref = copy_grid(g)
+        fdtd_step(g, mu, sponge_radius=1.0)
+        reference_fdtd_step(ref, mu, sponge_radius=1.0)
+        assert np.isnan(g.phi_p[6, 6, 6])
+        np.testing.assert_array_equal(g.phi_p, ref.phi_p)
+
+    def test_slabs_cover_the_planes_in_order(self, monkeypatch):
+        monkeypatch.setattr(wavefield, "SLAB_NODES", 3 * 49)
+        assert list(wavefield._slabs(2, 9, 49)) == [(2, 5), (5, 8), (8, 9)]
+        # a plane larger than SLAB_NODES still makes one-plane slabs
+        assert list(wavefield._slabs(0, 2, 1000)) == [(0, 1), (1, 2)]
 
 
 class TestFieldDerivatives:
