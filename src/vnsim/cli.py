@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import zipfile
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import ConfigError, DomainTooSmallError
 from .profiles import InitialData, make_bump, validate_membership
 from .vlasov_pic import (CoupledState, init_coupled_state, step,
                          ParticleEnsemble)
-from .wavefield import FieldGrid, _cfl_ok
+from .wavefield import GROW_CHUNK, FieldGrid, _cfl_ok
 
 FLOAT_FMT = "%.17g"
 
@@ -123,14 +124,14 @@ _SCHEMA = {f.name: _converter(f) for f in fields(SimConfig)
 
 
 # A run's peak RSS, measured on coupled and free-transport runs (Python 3.11,
-# numpy 2.4): the interpreter with numpy and vnsim; per particle 15 ensemble
+# numpy 2.4): the interpreter with numpy and vnsim; per particle 9 ensemble
 # floats and up to 70 floats of RK4 stage and gather arrays; per semi-
-# Lagrangian trace point up to 80 floats; 10 levels of the final cube (a
-# growth holds 4 old and 4 grown levels, the heap up to 2 freed ones).
+# Lagrangian trace point up to 80 floats; 8 levels of the final cube (a growth
+# holds 4 old and 2 grown levels, an FDTD step 6, the heap up to 2 freed ones).
 _BASELINE_MB = 34.0
-_PARTICLE_FLOATS = 15 + 70
+_PARTICLE_FLOATS = 9 + 70
 _TRACE_POINT_FLOATS = 80
-_PEAK_LEVELS = 10
+_PEAK_LEVELS = 8
 
 
 def estimate_memory_mb(cfg: SimConfig) -> float:
@@ -138,7 +139,7 @@ def estimate_memory_mb(cfg: SimConfig) -> float:
     levels count at the cube size of their own time."""
     def cube(t):
         # nodes of the cube that the field grid holds at time t
-        return (2 * int(np.ceil((cfg.R + t + cfg.pad + 1.0) / cfg.h)) + 1) ** 3
+        return (2 * int(np.ceil((cfg.R + t + cfg.pad + GROW_CHUNK) / cfg.h)) + 1) ** 3
 
     total = _PEAK_LEVELS * cube(cfg.t_end) * 8.0
     if cfg.keep_history:
@@ -319,29 +320,30 @@ def save_checkpoint(path: str, cfg: SimConfig, state: CoupledState, rows: list):
             fh,
             config_text=np.frombuffer(cfg.config_text.encode(), dtype=np.uint8),
             config_hash=np.frombuffer(config_hash(cfg).encode(), dtype=np.uint8),
-            t=np.array([state.t]),
             rows=np.frombuffer("\n".join(rows).encode(), dtype=np.uint8),
-            ens_x=ens.x, ens_p=ens.p, ens_w=ens.w,
-            ens_x0=ens.x0, ens_p0=ens.p0, ens_w0=ens.w0,
-            ens_phi0=ens.phi0_at_x0, cell_volume=np.array([ens.cell_volume]),
+            ens_x=ens.x, ens_p=ens.p, ens_w=ens.w, ens_w0=ens.w0,
+            ens_phi0=ens.phi0_at_x0,
             grid_meta=np.array([grid.h, grid.dt, float(grid.n_half), grid.t]),
             phi_m=grid.phi_m, phi_0=grid.phi_0, phi_p=grid.phi_p, mu=grid.mu,
         )
 
 
 def load_checkpoint(path: str):
-    with np.load(path) as z:
-        cfg = parse_config(bytes(z["config_text"]).decode())
-        rows = bytes(z["rows"]).decode().split("\n")
-        h, dtv, n_half, gt = z["grid_meta"]
-        grid = FieldGrid(h=float(h), dt=float(dtv), n_half=int(n_half),
-                         t=float(gt), phi_m=z["phi_m"], phi_0=z["phi_0"],
-                         phi_p=z["phi_p"], mu=z["mu"])
-        ens = ParticleEnsemble(
-            x=z["ens_x"], p=z["ens_p"], w=z["ens_w"], x0=z["ens_x0"],
-            p0=z["ens_p0"], w0=z["ens_w0"], phi0_at_x0=z["ens_phi0"],
-            cell_volume=float(z["cell_volume"][0]))
-    # the state's time is the grid's; save_checkpoint keeps writing "t"
+    """(config, state, rows) from a checkpoint; keys no run reads are ignored."""
+    try:
+        with np.load(path) as z:
+            text = bytes(z["config_text"]).decode()
+            rows = bytes(z["rows"]).decode().split("\n")
+            h, dtv, n_half, gt = z["grid_meta"]
+            grid = FieldGrid(h=float(h), dt=float(dtv), n_half=int(n_half),
+                             t=float(gt), phi_m=z["phi_m"], phi_0=z["phi_0"],
+                             phi_p=z["phi_p"], mu=z["mu"])
+            ens = ParticleEnsemble(x=z["ens_x"], p=z["ens_p"], w=z["ens_w"],
+                                   w0=z["ens_w0"], phi0_at_x0=z["ens_phi0"])
+    except (ValueError, KeyError, TypeError, EOFError,
+            zipfile.BadZipFile) as exc:
+        raise ConfigError(f"not a vnsim checkpoint: {path}: {exc}") from exc
+    cfg = parse_config(text)
     state = CoupledState(ensemble=ens, grid=grid, hist_full=None,
                          data=build_initial_data(cfg), coupling=cfg.coupling,
                          pad=cfg.pad)

@@ -8,7 +8,7 @@ derivative needed for the data norm is available in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -226,7 +226,6 @@ class MembershipReport:
     nonnegative_ok: bool
     norm_value: float
     norm_ok: bool
-    details: dict = field(default_factory=dict)
 
     @property
     def all_ok(self) -> bool:
@@ -242,7 +241,7 @@ def validate_membership(data: InitialData, sample_spacing: float = 1e-3) -> Memb
         return float(np.linalg.norm(prof.center) + prof.radius) <= R + 1e-12
 
     norm = initial_norm(data, min(sample_spacing, data.f_in.radius / 16))
-    report = MembershipReport(
+    return MembershipReport(
         f_support_ok=contained(data.f_in),
         phi0_support_ok=contained(data.phi0_in),
         phi1_support_ok=contained(data.phi1_in),
@@ -253,5 +252,3 @@ def validate_membership(data: InitialData, sample_spacing: float = 1e-3) -> Memb
         norm_value=norm,
         norm_ok=norm <= 1.0,
     )
-    report.details = {"R": R, "norm": norm}
-    return report

@@ -30,16 +30,13 @@ __all__ = [
 
 @dataclass
 class ParticleEnsemble:
-    """Quiet-start particle set: per-particle state plus frozen initial data."""
+    """Quiet-start particle set: current state plus what the weight law reads."""
 
     x: np.ndarray          # (N, 3) positions
     p: np.ndarray          # (N, 3) momenta
     w: np.ndarray          # (N,) current weights
-    x0: np.ndarray         # (N, 3) initial positions
-    p0: np.ndarray         # (N, 3) initial momenta
     w0: np.ndarray         # (N,) initial weights f_in * cell volume
-    phi0_at_x0: np.ndarray  # (N,) phi0_in evaluated at x0, cached
-    cell_volume: float     # 6D sampling cell volume
+    phi0_at_x0: np.ndarray  # (N,) phi0_in at the initial positions
 
     @property
     def n(self) -> int:
@@ -90,10 +87,8 @@ def sample_particles(data: InitialData, n_per_dim: int,
         x = np.zeros((0, 3))
         p = np.zeros((0, 3))
         w = np.zeros(0)
-    return ParticleEnsemble(
-        x=x.copy(), p=p.copy(), w=w.copy(), x0=x.copy(), p0=p.copy(),
-        w0=w.copy(), phi0_at_x0=data.phi0_in.value(x), cell_volume=s**6,
-    )
+    return ParticleEnsemble(x=x, p=p, w=w, w0=w.copy(),
+                            phi0_at_x0=data.phi0_in.value(x))
 
 
 def mu_mass(ens: ParticleEnsemble) -> float:
@@ -181,9 +176,9 @@ def init_coupled_state(data: InitialData, n_per_dim: int, h: float, dt: float,
                        history_dtype=np.float64) -> CoupledState:
     ens = sample_particles(data, n_per_dim)
     # the t=0 deposit feeds the Taylor start
-    probe = make_field_grid(data, h, dt, pad=pad, check_cfl=coupling)
-    mu0 = deposit_mu(ens, probe)
-    grid = make_field_grid(data, h, dt, pad=pad, mu0=mu0, check_cfl=coupling)
+    grid = make_field_grid(data, h, dt, pad=pad,
+                           source=lambda g: deposit_mu(ens, g),
+                           check_cfl=coupling)
     hist_full = None
     if keep_history:
         hist_full = GridFieldHistory(dtype=history_dtype, stride=history_stride)
@@ -212,7 +207,7 @@ def step(state: CoupledState, deposit: bool = True) -> CoupledState:
     if state.coupling or deposit:
         mu = deposit_mu(ens, grid)
     else:
-        mu = np.zeros_like(grid.mu)
+        mu = np.zeros((grid.n_nodes,) * 3)
 
     if state.coupling:
         fdtd_step(grid, mu,

@@ -33,6 +33,9 @@ def _cfl_ok(dt: float, h: float) -> bool:
 # Grid
 # ---------------------------------------------------------------------------
 
+GROW_CHUNK = 1.0  # a growth's margin beyond the extent asked for
+
+
 @dataclass
 class FieldGrid:
     """Three consecutive time levels of phi on a cube, plus the source level.
@@ -61,21 +64,20 @@ class FieldGrid:
     def node_axis(self) -> np.ndarray:
         return (np.arange(self.n_nodes) - self.n_half) * self.h
 
-    def ensure_extent(self, x_needed: float, grow_chunk: float = 1.0):
-        """Re-embed into a larger cube if x_needed exceeds the current extent.
-        A MemoryError leaves the grid as it was: all four grown arrays are
-        allocated before any level is replaced."""
+    def ensure_extent(self, x_needed: float):
+        """Re-embed phi_0 and phi_p, the levels the next step reads, into a
+        larger cube if x_needed exceeds the current extent; phi_m and mu stay
+        on the old cube until the step replaces them (free transport replaces
+        only mu, and never reads phi_m).  A MemoryError leaves the grid as it
+        was: both grown levels exist before either is swapped in."""
         if x_needed <= self.x_max:
             return
-        new_half = int(np.ceil((x_needed + grow_chunk) / self.h))
-        off = new_half - self.n_half
-        names = ("phi_m", "phi_0", "phi_p", "mu")
-        grown = [np.zeros((2 * new_half + 1,) * 3) for _ in names]
-        for name, new in zip(names, grown):
-            old = getattr(self, name)
-            new[off:off + old.shape[0], off:off + old.shape[1],
-                off:off + old.shape[2]] = old
-            setattr(self, name, new)
+        new_half = int(np.ceil((x_needed + GROW_CHUNK) / self.h))
+        grown = [np.zeros((2 * new_half + 1,) * 3) for _ in range(2)]
+        inner = slice(new_half - self.n_half, new_half + self.n_half + 1)
+        for new, old in zip(grown, (self.phi_0, self.phi_p)):
+            new[inner, inner, inner] = old
+        self.phi_0, self.phi_p = grown
         self.n_half = new_half
 
 
@@ -86,11 +88,11 @@ def _sample_on_nodes(fn, axis: np.ndarray) -> np.ndarray:
 
 
 def make_field_grid(data: InitialData, h: float, dt: float, pad: float = 2.0,
-                    mu0: np.ndarray | None = None,
-                    check_cfl: bool = True) -> FieldGrid:
+                    source=None, check_cfl: bool = True) -> FieldGrid:
     """Grid at t = 0 with phi(-dt), phi(0), phi(dt) from a 2nd-order Taylor start.
 
-    phi(+-dt) = phi0 +- dt*phi1 + dt^2/2 * (lap phi0 - mu(0)).
+    phi(+-dt) = phi0 +- dt*phi1 + dt^2/2 * (lap phi0 - mu(0)), where
+    mu(0) = source(grid) on the grid just sized (0 without a source).
     `check_cfl=False` is for runs that never advance the field (the grid then
     only carries deposited source levels).
     """
@@ -104,8 +106,7 @@ def make_field_grid(data: InitialData, h: float, dt: float, pad: float = 2.0,
     phi0 = _sample_on_nodes(data.phi0_in.value, axis)
     phi1 = _sample_on_nodes(data.phi1_in.value, axis)
     lap0 = _sample_on_nodes(data.phi0_in.laplacian, axis)
-    if mu0 is None:
-        mu0 = np.zeros_like(phi0)
+    mu0 = np.zeros_like(phi0) if source is None else source(grid)
     acc = 0.5 * dt**2 * (lap0 - mu0)
     grid.phi_0 = phi0
     grid.phi_m = phi0 - dt * phi1 + acc

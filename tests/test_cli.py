@@ -245,6 +245,72 @@ class TestCheckpointResume:
             assert np.array_equal(full.grid.phi_p, resumed.grid.phi_p)
 
 
+    def test_old_format_checkpoint_resumes_bitwise(self, tmp_path, monkeypatch):
+        # earlier versions also wrote t, ens_x0, ens_p0 and cell_volume,
+        # which no run reads
+        monkeypatch.chdir(tmp_path)
+        conf = write_conf(tmp_path, BASE + "output = run.csv\n"
+                          "checkpoint_interval = 0.75\n")
+        assert main(["run", conf]) == 0
+        ref = (tmp_path / "run.csv").read_bytes()
+        (tmp_path / "run.csv").unlink()
+        with np.load("run.csv.ckpt.npz") as z:
+            arrays = dict(z)
+        arrays.update(t=arrays["grid_meta"][3:], ens_x0=arrays["ens_x"] + 1.0,
+                      ens_p0=arrays["ens_p"] - 1.0, cell_volume=np.array([0.5]))
+        with open("old.npz", "wb") as fh:
+            np.savez(fh, **arrays)
+        assert main(["resume", "old.npz"]) == 0
+        assert (tmp_path / "run.csv").read_bytes() == ref
+
+    def test_free_transport_resumes_bitwise_after_growth(self, tmp_path, monkeypatch):
+        # pad = 0: the cube grows at t = 0.25 and 1.75; the last checkpoint,
+        # at t = 2, holds the phi_m of the t = 0 cube, which free transport
+        # never reads
+        monkeypatch.chdir(tmp_path)
+        conf = write_conf(tmp_path, BASE.replace("pad = 5", "pad = 0")
+                          .replace("t_end = 2", "t_end = 2.5")
+                          .replace("semilag = 0", "semilag = 1")
+                          + "coupling = 0\noutput = run.csv\n"
+                          "checkpoint_interval = 1\n")
+        assert main(["run", conf]) == 0
+        ref = (tmp_path / "run.csv").read_bytes()
+        (tmp_path / "run.csv").unlink()
+        _, state, _ = load_checkpoint("run.csv.ckpt.npz")
+        assert state.t == 2.0 and state.grid.n_half == 8
+        assert state.grid.phi_m.shape == (5, 5, 5)
+        assert main(["resume", "run.csv.ckpt.npz"]) == 0
+        assert (tmp_path / "run.csv").read_bytes() == ref
+
+    @pytest.mark.parametrize("kind", ["csv", "cut", "empty", "npy", "no_mu"])
+    def test_resume_of_a_broken_file_exits_two(self, tmp_path, monkeypatch,
+                                              capsys, kind):
+        monkeypatch.chdir(tmp_path)
+        conf = write_conf(tmp_path, BASE.replace("t_end = 2", "t_end = 0.5")
+                          + "output = run.csv\ncheckpoint_interval = 0.5\n")
+        assert main(["run", conf]) == 0
+        ckpt = (tmp_path / "run.csv.ckpt.npz").read_bytes()
+        bad = tmp_path / "bad"
+        if kind == "csv":
+            bad.write_bytes((tmp_path / "run.csv").read_bytes())
+        elif kind == "cut":
+            bad.write_bytes(ckpt[:300])
+        elif kind == "empty":
+            bad.write_bytes(b"")
+        elif kind == "npy":
+            with open(bad, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        else:
+            with np.load("run.csv.ckpt.npz") as z:
+                arrays = {k: v for k, v in z.items() if k != "mu"}
+            with open(bad, "wb") as fh:
+                np.savez(fh, **arrays)
+        capsys.readouterr()
+        assert main(["resume", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "not a vnsim checkpoint" in err and "Traceback" not in err
+
+
 class TestSweep:
     def test_table_rows(self, tmp_path):
         out = tmp_path / "sw.csv"
@@ -333,12 +399,12 @@ class TestMemoryErrorAbort:
 
         grows = []
 
-        def failing(grid, x_needed, grow_chunk=1.0):
+        def failing(grid, x_needed):
             if x_needed > grid.x_max:
                 grows.append(grid.t)
                 if len(grows) == 2:
                     raise MemoryError("Unable to allocate the grown levels")
-            real_grow(grid, x_needed, grow_chunk)
+            real_grow(grid, x_needed)
 
         saved = []
         real_save = cli.save_checkpoint

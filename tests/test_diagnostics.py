@@ -19,9 +19,8 @@ def make_ensemble(x, p, w):
     x = np.asarray(x, float).reshape(-1, 3)
     p = np.asarray(p, float).reshape(-1, 3)
     w = np.asarray(w, float).ravel()
-    return ParticleEnsemble(x=x, p=p, w=w, x0=x.copy(), p0=p.copy(),
-                            w0=w.copy(), phi0_at_x0=np.zeros(len(w)),
-                            cell_volume=1.0)
+    return ParticleEnsemble(x=x, p=p, w=w, w0=w.copy(),
+                            phi0_at_x0=np.zeros(len(w)))
 
 
 class TestConeWeight:

@@ -91,8 +91,8 @@ def reference_sample_particles(data, n_per_dim, chunk=2**22):
         p = np.zeros((0, 3))
         w = np.zeros(0)
     return ParticleEnsemble(
-        x=x.copy(), p=p.copy(), w=w.copy(), x0=x.copy(), p0=p.copy(),
-        w0=w.copy(), phi0_at_x0=data.phi0_in.value(x), cell_volume=s**6,
+        x=x.copy(), p=p.copy(), w=w.copy(), w0=w.copy(),
+        phi0_at_x0=data.phi0_in.value(x),
     )
 
 
@@ -114,10 +114,9 @@ class TestSamplingAgainstReference:
     1e-9 slack only guards the (x + c) - c rounding inside f_value.
     """
 
-    FIELDS = ("x", "p", "w", "x0", "p0", "w0", "phi0_at_x0")
+    FIELDS = ("x", "p", "w", "w0", "phi0_at_x0")
 
     def assert_same(self, got, ref):
-        assert got.cell_volume == ref.cell_volume
         for name in self.FIELDS:
             a, b = getattr(got, name), getattr(ref, name)
             assert a.shape == b.shape, name
@@ -168,8 +167,8 @@ def ensemble_at(x, rng):
     x = np.asarray(x, float)
     p = rng.uniform(-0.5, 0.5, x.shape)
     w = rng.uniform(0.5, 2.0, len(x))
-    return ParticleEnsemble(x=x, p=p, w=w, x0=x.copy(), p0=p.copy(), w0=w.copy(),
-                            phi0_at_x0=np.zeros(len(x)), cell_volume=1.0)
+    return ParticleEnsemble(x=x, p=p, w=w, w0=w.copy(),
+                            phi0_at_x0=np.zeros(len(x)))
 
 
 class TestDepositAgainstReference:
@@ -223,8 +222,7 @@ class TestDeposit:
         grid = make_field_grid(data, h=0.5, dt=0.25, pad=2.0)
         ens = ParticleEnsemble(
             x=np.array([[0.0, 0.0, 0.0]]), p=np.zeros((1, 3)),
-            w=np.array([2.0]), x0=np.zeros((1, 3)), p0=np.zeros((1, 3)),
-            w0=np.array([2.0]), phi0_at_x0=np.zeros(1), cell_volume=1.0)
+            w=np.array([2.0]), w0=np.array([2.0]), phi0_at_x0=np.zeros(1))
         mu = deposit_mu(ens, grid)
         c = grid.n_half
         assert mu[c, c, c] == pytest.approx(2.0 / grid.h**3)
@@ -235,8 +233,7 @@ class TestDeposit:
         grid = make_field_grid(data, h=0.5, dt=0.25, pad=1.0)
         ens = ParticleEnsemble(
             x=np.array([[50.0, 0.0, 0.0]]), p=np.zeros((1, 3)),
-            w=np.ones(1), x0=np.zeros((1, 3)), p0=np.zeros((1, 3)),
-            w0=np.ones(1), phi0_at_x0=np.zeros(1), cell_volume=1.0)
+            w=np.ones(1), w0=np.ones(1), phi0_at_x0=np.zeros(1))
         with pytest.raises(DomainTooSmallError):
             deposit_mu(ens, grid)
 
@@ -295,6 +292,20 @@ class TestCoupledLoop:
             step(state)
         r = np.linalg.norm(state.ensemble.x, axis=-1)
         assert r.max() <= 1.0 + state.t  # |x| <= R + t (velocities subluminal)
+
+    def test_levels_share_the_cube_after_every_growth(self):
+        # h = 0.25, pad = 3: the cube grows at steps 1 and 11, and the step
+        # replaces the phi_m and mu that the growth left on the old cube
+        state = init_coupled_state(small_data(), 4, h=0.25, dt=0.125, pad=3.0)
+        grows = 0
+        for _ in range(12):
+            n_half = state.grid.n_half
+            step(state)
+            g = state.grid
+            grows += g.n_half != n_half
+            shapes = {a.shape for a in (g.phi_m, g.phi_0, g.phi_p, g.mu)}
+            assert shapes == {(g.n_nodes,) * 3}
+        assert grows == 2
 
     def test_zero_amplitude_run_stays_zero(self):
         data = small_data(f_amp=0.0, phi_amp=0.0)

@@ -57,14 +57,16 @@ class TestGridBasics:
 
     def test_ensure_extent_preserves_values(self):
         g = make_field_grid(wave_data(), h=0.5, dt=0.25)
-        before = g.phi_0.copy()
+        levels = {name: getattr(g, name).copy() for name in ("phi_0", "phi_p")}
         nh = g.n_half
         g.ensure_extent(8.0)
         off = g.n_half - nh
-        np.testing.assert_array_equal(
-            g.phi_0[off:off + before.shape[0], off:off + before.shape[0],
-                    off:off + before.shape[0]], before)
-        assert np.all(g.phi_0[:off] == 0.0)
+        for name, before in levels.items():
+            grown = getattr(g, name)
+            np.testing.assert_array_equal(
+                grown[off:off + before.shape[0], off:off + before.shape[0],
+                      off:off + before.shape[0]], before)
+            assert np.all(grown[:off] == 0.0)
 
     def test_failed_growth_leaves_grid_unchanged(self, monkeypatch):
         g = make_field_grid(wave_data(), h=0.5, dt=0.25)
@@ -75,21 +77,39 @@ class TestGridBasics:
         real_zeros = np.zeros
         calls = []
 
-        def third_fails(shape, *args, **kwargs):
+        def second_fails(shape, *args, **kwargs):
             calls.append(shape)
-            if len(calls) == 3:
+            if len(calls) == 2:
                 raise MemoryError("Unable to allocate")
             return real_zeros(shape, *args, **kwargs)
 
-        monkeypatch.setattr(np, "zeros", third_fails)
+        monkeypatch.setattr(np, "zeros", second_fails)
         with pytest.raises(MemoryError):
             g.ensure_extent(8.0)
         monkeypatch.undo()
-        assert len(calls) == 3
+        assert len(calls) == 2
         assert g.n_half == n_half
         for name in names:
             assert getattr(g, name) is before[name]
             assert getattr(g, name).shape == (2 * n_half + 1,) * 3
+
+    def test_growth_allocates_and_copies_only_the_read_levels(self, monkeypatch):
+        g = make_field_grid(wave_data(), h=0.5, dt=0.25)
+        before = {name: getattr(g, name) for name in ("phi_m", "mu")}
+        real_zeros = np.zeros
+        calls = []
+
+        def counting(shape, *args, **kwargs):
+            calls.append(shape)
+            return real_zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", counting)
+        g.ensure_extent(8.0)
+        monkeypatch.undo()
+        assert calls == [(g.n_nodes,) * 3] * 2
+        # the step replaces phi_m and mu before anything reads them
+        for name, level in before.items():
+            assert getattr(g, name) is level
 
 
 class TestFdtdStep:
