@@ -115,9 +115,9 @@ def make_field_grid(data: InitialData, h: float, dt: float, pad: float = 2.0,
     return grid
 
 
-# Grid passes run one slab of consecutive x-planes at a time, at most this
-# many nodes each, so that every pass over a slab stays in the L2 cache.
-# Each node keeps its operation order, so the results do not depend on it.
+# Grid passes run one slab of at most this many nodes (consecutive x-planes)
+# at a time, and `sample_levels` chunks of points whose buffers hold as many
+# floats, so each pass stays in L2; no value's operation order depends on it.
 SLAB_NODES = 1 << 16
 
 
@@ -289,32 +289,66 @@ def sample_levels(levels, h: float, n_half: int, x, stencils) -> np.ndarray:
     Returns shape (len(levels), len(stencils)) + x.shape[:-1]: each stencil
     combined on the nodes of each level, interpolated to x, not scaled by
     the step.  A point is sampled when its cell and the cell's +-1
-    neighbours lie on the grid, and is 0 otherwise.  The 8 cell corners are
-    visited once each; every gather is a flat index into the raveled level,
-    offset by the strides n**2, n, 1.
+    neighbours lie on the grid, and is 0 otherwise.  Every gather is a flat
+    index into the raveled level, offset by the strides n**2, n, 1.
+
+    If the box of the sampled cells' corners has no more nodes than there
+    are points, the stencils are combined once per box node into a table
+    whose rows the 8 corners gather; else each corner combines its own
+    gathers.  Both add w * value over the corners in one order, so they give
+    the same bits, in chunks whose rows and products fill SLAB_NODES floats.
     """
     x = np.asarray(x, dtype=float)
     n = levels[0].shape[0]
-    u = x.reshape(-1, 3) / h + n_half
+    u = x.reshape(-1, 3) / h
+    u += n_half
     i0 = np.floor(u).astype(np.intp)
-    frac = u - i0
-    valid = np.all((i0 >= 1) & (i0 <= n - 3), axis=-1)
-    i0[~valid] = 1  # any cell with neighbours keeps the gathers in range
-    # flat index of the cell's (-1, -1, -1) neighbour: every shift is >= 0
-    low = ((i0[:, 0] - 1) * n + i0[:, 1] - 1) * n + i0[:, 2] - 1
-    weights = [(1.0 - frac[:, ax], frac[:, ax]) for ax in range(3)]
+    valid = np.logical_and.reduce([(c >= 1) & (c <= n - 3) for c in i0.T])
+    width = len(levels) * len(stencils)
+    out = np.zeros((width, len(u)))
+    if not valid.any():
+        return out.reshape((len(levels), len(stencils)) + x.shape[:-1])
+    i0[~valid] = i0[valid.argmax()]  # a sampled cell keeps the gathers in range
+    lo = np.array([c.min() for c in i0.T])
+    box = np.array([c.max() for c in i0.T]) + 2 - lo  # corner nodes per axis
     strides = np.array([n * n, n, 1])
-    flats = [np.ravel(level) for level in levels]
-    out = np.zeros((len(levels), len(stencils), low.size))
-    for corner in itertools.product((0, 1), repeat=3):
-        w = weights[0][corner[0]] * weights[1][corner[1]] * weights[2][corner[2]]
-        start = np.add(corner, 1) @ strides  # from `low` to this corner
-        for flat, acc in zip(flats, out):
-            for stencil, a in zip(stencils, acc):
-                a += w * stencil.combine(
-                    lambda off: flat[start + off @ strides:].take(low))
-    out[..., ~valid] = 0.0
-    return out.reshape(out.shape[:2] + x.shape[:-1])
+    # the stencils with each offset as its shift in the raveled level
+    shifted = [Stencil(st.order, tuple((int(off @ strides), c) for off, c in st.terms))
+               for st in stencils]
+    pairs = list(itertools.product([np.ravel(lv) for lv in levels], shifted))
+
+    def combined(low, start):
+        """Each level's stencils, in its dtype, at the nodes start + low."""
+        for flat, st in pairs:
+            yield st.combine(lambda shift: flat[start + shift:].take(low))
+
+    chunk = max(1, SLAB_NODES // (2 * width))
+    rows, base, table = strides, strides.sum(), None
+    if np.prod(box) <= len(u):
+        # table row r holds box node r, in the box's own strides
+        rows = np.array([box[1] * box[2], box[2], 1])
+        ix, iy, iz = (np.arange(m) * st for m, st in zip(box, strides))
+        nodes = (ix[:, None, None] + iy[:, None] + iz).ravel() + (lo - 1) @ strides
+        table = np.array(list(combined(nodes, strides.sum())), dtype=float).T.copy()
+        base, term = lo @ rows, np.empty((width, min(chunk, len(u))))
+        gathered = np.empty(term.shape[::-1])
+    for a in range(0, len(u), chunk):
+        # low: the cell's table row, or its (-1, -1, -1) neighbour's flat index
+        s = slice(a, a + chunk)
+        low = i0[s, 0] * rows[0] + i0[s, 1] * rows[1] + i0[s, 2] - base
+        weights = [(1.0 - f, f) for f in (u[s] - i0[s]).T]
+        acc = out[:, s]
+        for c in map(np.array, itertools.product((0, 1), repeat=3)):
+            w = weights[0][c[0]] * weights[1][c[1]] * weights[2][c[2]]
+            if table is None:
+                for a_k, v in zip(acc, combined(low, (c + 1) @ strides)):
+                    a_k += w * v
+            else:  # rows are in range; "clip" writes `out` without a check copy
+                v = table.take(low + c @ rows, axis=0, mode="clip",
+                               out=gathered[:w.size])
+                acc += np.multiply(v.T, w, out=term[:, :w.size])
+    out[:, ~valid] = 0.0
+    return out.reshape((len(levels), len(stencils)) + x.shape[:-1])
 
 
 def field_derivatives(grid: FieldGrid, x) -> tuple:

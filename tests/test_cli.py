@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -500,6 +504,20 @@ class TestMain:
         assert main(["validate", conf]) == 0
         out = capsys.readouterr().out
         assert "admissible" in out and "config_hash" in out
+
+    def test_module_entry_point_loads_cli_once(self, tmp_path):
+        # `python -m vnsim` imports vnsim.cli once; running `-m vnsim.cli`
+        # would execute a second copy after the package import, with a
+        # RuntimeWarning that -W error turns into a failure
+        conf = write_conf(tmp_path, BASE)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "vnsim",
+             "validate", conf], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert "admissible = 1" in out.stdout and out.stderr == ""
 
     def test_build_initial_data_scales_with_delta(self):
         cfg = parse_config("delta = 0.5\n")

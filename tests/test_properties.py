@@ -1,0 +1,98 @@
+"""Property test of the CLI contract over small valid configs: every run
+ends with exit 0, 2 or 3; a rerun writes the same bytes; a resume from a
+mid-run checkpoint writes the same bytes as the run it interrupted."""
+
+import os
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import vnsim.cli as cli  # noqa: E402
+
+
+@st.composite
+def small_configs(draw):
+    """(config text, coupled semilag with history) of a run of a few steps."""
+    h = draw(st.sampled_from([0.5, 1.0]))
+    dt = h / draw(st.sampled_from([2, 4]))  # inside the CFL bound h / sqrt(3)
+    coupling, semilag, keep_history = (draw(st.booleans()) for _ in range(3))
+    stride = draw(st.integers(1, 2))
+    # coupled semi-Lagrangian columns trace back through the levels kept
+    # every `stride` steps, so records and t_end fall on those levels
+    every = stride if coupling and semilag and keep_history else 1
+    n_steps = every * draw(st.integers(-(-2 // every), int(1.5 / dt) // every))
+    lines = {
+        "h": h, "dt": dt, "t_end": n_steps * dt,
+        "n_per_dim": draw(st.integers(4, 6)),
+        "pad": draw(st.sampled_from([2, 3, 5])),  # R + pad > 2 h
+        "delta": draw(st.sampled_from([0.5, 1.0, 2.0])),
+        "coupling": int(coupling), "semilag": int(semilag),
+        "semilag_radii": draw(st.integers(1, 3)),
+        "semilag_np": draw(st.integers(2, 4)),
+        "keep_history": int(keep_history), "history_stride": stride,
+        "history_float32": int(draw(st.booleans())),
+        "record_interval": every * draw(st.integers(1, n_steps // every)) * dt,
+        "checkpoint_interval": draw(st.integers(1, n_steps - 1)) * dt,
+        "output": "run.csv",
+    }
+    text = "".join(f"{key} = {val}\n" for key, val in lines.items())
+    return text, coupling and semilag and keep_history
+
+
+def outputs(work: Path) -> tuple:
+    return tuple((work / name).read_bytes() if (work / name).exists() else None
+                 for name in ("run.csv", "run.csv.summary"))
+
+
+def run_keeping_first_checkpoint(work: Path, keep: Path) -> int:
+    """`vnsim run`, with a copy of the first checkpoint it writes at `keep`."""
+    orig = cli.save_checkpoint
+
+    def save(path, *args):
+        orig(path, *args)
+        if not keep.exists():
+            shutil.copy(path, keep)
+
+    cli.save_checkpoint = save
+    try:
+        return cli.main(["run", str(work / "run.conf")])
+    finally:
+        cli.save_checkpoint = orig
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(small_configs())
+def test_runs_end_cleanly_and_reproduce(case):
+    text, history_traces = case
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "run.conf").write_text(text)
+        old_cwd = Path.cwd()
+        os.chdir(work)
+        try:
+            code = cli.main(["run", "run.conf"])
+            assert code in (0, 2, 3)
+            if code == 2:  # rejected by validate: nothing to compare
+                return
+            first = outputs(work)
+            mid = work / "mid.ckpt.npz"
+            assert run_keeping_first_checkpoint(work, mid) == code
+            assert outputs(work) == first
+            if code != 0 or not mid.exists():
+                return
+            for name in ("run.csv", "run.csv.summary"):
+                (work / name).unlink()
+            resumed = cli.main(["resume", str(mid)])
+            if history_traces:
+                # the full field history is not in the checkpoint
+                assert resumed == 2
+            else:
+                assert resumed == 0
+                assert outputs(work) == first
+        finally:
+            os.chdir(old_cwd)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -590,3 +592,159 @@ class TestSamplerEdges:
             np.testing.assert_allclose(grad, np.tile([1.0, 2.0, -3.0], (4, 1)),
                                        rtol=0, atol=1e-12)
             np.testing.assert_array_equal(hist.phi(0.0, x[4:]), 0.0)
+
+
+def reference_sample_levels(levels, h, n_half, x, stencils):
+    """The per-corner sampler the box table joined: each of the 8 corners
+    combines every stencil from its own gathers of the full levels."""
+    x = np.asarray(x, dtype=float)
+    n = levels[0].shape[0]
+    u = x.reshape(-1, 3) / h + n_half
+    i0 = np.floor(u).astype(np.intp)
+    frac = u - i0
+    valid = np.all((i0 >= 1) & (i0 <= n - 3), axis=-1)
+    i0[~valid] = 1
+    low = ((i0[:, 0] - 1) * n + i0[:, 1] - 1) * n + i0[:, 2] - 1
+    weights = [(1.0 - frac[:, ax], frac[:, ax]) for ax in range(3)]
+    strides = np.array([n * n, n, 1])
+    flats = [np.ravel(level) for level in levels]
+    out = np.zeros((len(levels), len(stencils), low.size))
+    for corner in itertools.product((0, 1), repeat=3):
+        w = weights[0][corner[0]] * weights[1][corner[1]] * weights[2][corner[2]]
+        start = np.add(corner, 1) @ strides
+        for flat, acc in zip(flats, out):
+            for stencil, a in zip(stencils, acc):
+                a += w * stencil.combine(
+                    lambda off: flat[start + off @ strides:].take(low))
+    out[..., ~valid] = 0.0
+    return out.reshape(out.shape[:2] + x.shape[:-1])
+
+
+def assert_same_bits(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
+STENCIL_SETS = {
+    "value": (wavefield.VALUE,),
+    "first": (wavefield.VALUE, *wavefield.GRAD),
+    "second": (*wavefield.GRAD, *wavefield.HESS.values()),
+}
+N_HALF = 6  # 13 nodes a side; sampled cells have lower corner 1 .. 10
+
+
+def random_levels(dtype, count=2, n_half=N_HALF, seed=5):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((2 * n_half + 1,) * 3).astype(dtype)
+            for _ in range(count)]
+
+
+def points_in_cells(cells, count, seed=11, h=0.5):
+    """`count` points spread over the cells with lower corner 4 .. 3 + cells
+    on each axis, plus exact node and face positions; their corner box
+    holds (cells + 1)**3 nodes."""
+    rng = np.random.default_rng(seed)
+    u = 4 + rng.uniform(0.0, cells, (count, 3))
+    u[: count // 4] = np.round(u[: count // 4])  # nodes, faces, edges
+    u = np.minimum(u, 4 + cells - 1e-9)  # keep the top face in the last cell
+    return (u - N_HALF) * h
+
+
+def points_with_outside(count, seed=13, h=0.5):
+    """Points over the whole cube and beyond: many lie in cells without
+    neighbours or off the grid, and are sampled as 0."""
+    edges = [[0.5, 5, 5], [5, 11.5, 5], [5, 5, 10.99], [1e3, -1e3, 5]]
+    u = np.random.default_rng(seed).uniform(-3.0, 2 * N_HALF + 4.0, (count, 3))
+    u[:4] = np.array(edges)[:count]
+    return (u - N_HALF) * h
+
+
+class TestSampleLevelsAgainstReference:
+    """The box table and the chunked per-corner gather give the reference
+    sampler's bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("stencils", STENCIL_SETS)
+    @pytest.mark.parametrize("n_levels", [1, 2])
+    @pytest.mark.parametrize("points", [
+        points_in_cells(2, 27),      # a 27-node box, 27 points: the table
+        points_in_cells(2, 26),      # 26 points: the per-corner gather
+        points_in_cells(4, 400),     # a 125-node box: the table
+        points_in_cells(9, 300),     # a 1000-node box: the gather
+        points_with_outside(500),    # the whole cube: the gather
+        points_with_outside(3000),   # the table, with zeroed points
+        np.zeros((0, 3)),
+        np.array([0.1, -0.2, 0.3]),  # one point, no point axis
+    ], ids=["table-27", "gather-26", "table-125", "gather-1000",
+            "gather-outside", "table-outside", "none", "single"])
+    def test_bits_equal_the_reference(self, dtype, stencils, n_levels, points):
+        levels = random_levels(dtype, n_levels)
+        st = STENCIL_SETS[stencils]
+        ref = reference_sample_levels(levels, 0.5, N_HALF, points, st)
+        got = wavefield.sample_levels(levels, 0.5, N_HALF, points, st)
+        assert_same_bits(got, ref)
+
+    def test_table_rule_sides(self):
+        # the fixtures above fall on the intended side of the rule: a box
+        # of (cells + 1)**3 corner nodes against the point count
+        for cells, count, table in [(2, 27, True), (2, 26, False),
+                                    (4, 400, True), (9, 300, False)]:
+            u = points_in_cells(cells, count) / 0.5 + N_HALF
+            i0 = np.floor(u).astype(int)
+            box = np.prod(i0.max(axis=0) + 2 - i0.min(axis=0))
+            assert box == (cells + 1) ** 3
+            assert (box <= count) == table
+
+    def test_points_outside_are_zero(self):
+        levels = random_levels(np.float64)
+        x = points_with_outside(3000)
+        got = wavefield.sample_levels(levels, 0.5, N_HALF, x, STENCIL_SETS["first"])
+        i0 = np.floor(x / 0.5 + N_HALF)
+        outside = np.any((i0 < 1) | (i0 > 2 * N_HALF - 2), axis=-1)
+        assert outside.sum() > 100 and (~outside).sum() > 100
+        assert np.all(got[..., outside] == 0.0)
+        assert not np.any(np.signbit(got[..., outside]))
+
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("stencils", ["first", "second"])
+    def test_chunk_edges(self, monkeypatch, chunk, extra, stencils):
+        st = STENCIL_SETS[stencils]
+        levels = random_levels(np.float32)
+        width = len(levels) * len(st)
+        if chunk is None:
+            chunk = wavefield.SLAB_NODES // (2 * width)
+        else:
+            monkeypatch.setattr(wavefield, "SLAB_NODES", 2 * width * chunk)
+        # chunk +- 1 points, and 50 points in a 27-node box (the table) to
+        # give the small chunks a full and a partial last chunk there too
+        for x in (points_with_outside(chunk + extra), points_in_cells(2, 50)):
+            ref = reference_sample_levels(levels, 0.5, N_HALF, x, st)
+            got = wavefield.sample_levels(levels, 0.5, N_HALF, x, st)
+            assert_same_bits(got, ref)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.5, 0.8, 1.0])
+    def test_history_with_two_geometries(self, monkeypatch, dtype, t):
+        # t = 0, 0.5 share a geometry and are sampled together; the cube
+        # grows before t = 1, so that pair is sampled level by level
+        levels = (random_levels(dtype, 2, 6, seed=1)
+                  + random_levels(dtype, 1, 8, seed=2))
+        hist = GridFieldHistory(dtype=dtype)
+        for tk, lv, nh in zip((0.0, 0.5, 1.0), levels, (6, 6, 8)):
+            hist.append(tk, lv, 0.5, nh)
+        clustered = points_in_cells(3, 200)
+        spread = np.random.default_rng(4).uniform(-3.5, 3.5, (60, 3))
+
+        def read(x):
+            return (hist.phi(t, x), *hist.first_derivs(t, x),
+                    *hist.second_derivs(t, x))
+
+        for x in (clustered, spread):
+            got = read(x)
+            with monkeypatch.context() as m:
+                m.setattr(wavefield, "sample_levels", reference_sample_levels)
+                ref = read(x)
+            for g, r in zip(got, ref):
+                assert_same_bits(np.asarray(g), np.asarray(r))

@@ -4,8 +4,9 @@ checkout's, on every benchmark workload.
     python3 tools/same_outputs.py --parent <checkout> [--seeds 0,3,7]
 
 For each workload of perfbench/workloads.py and each seed, the config from
-this tree's `config_text` is run with `python3 -m vnsim.cli run` once with
-each tree's `src/` on PYTHONPATH, each in its own empty directory. The CSV
+this tree's `config_text` is run with `python3 -m vnsim run` once with
+each tree's `src/` on PYTHONPATH, each in its own empty directory (a tree
+without `vnsim/__main__.py` runs `python3 -m vnsim.cli run`). The CSV
 and the summary must match byte for byte; for a file that differs, the first
 differing line of each side is printed. Exit status 1 on any difference or
 failed run, 0 otherwise.
@@ -70,7 +71,8 @@ def _run(tree: Path, workdir: Path, config: str) -> int:
     workdir.mkdir()
     (workdir / "run.conf").write_text(config)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    out = subprocess.run([sys.executable, "-m", "vnsim.cli", "run", "run.conf"],
+    module = "vnsim" if (tree / "src/vnsim/__main__.py").exists() else "vnsim.cli"
+    out = subprocess.run([sys.executable, "-m", module, "run", "run.conf"],
                          cwd=workdir, env=env, capture_output=True, text=True)
     if out.returncode:
         sys.stderr.write(out.stderr)
