@@ -14,13 +14,12 @@ from .wavefield import (FieldGrid, GridFieldHistory, discrete_energy,
                         make_field_grid, retarded_potential,
                         unit_sphere_quadrature)
 from .vlasov_pic import (CoupledState, ParticleEnsemble, deposit_mu,
-                         evaluate_f, init_coupled_state, mu_mass,
+                         evaluate_f, init_coupled_state,
                          sample_particles, step, update_weights)
 from .diagnostics import (ConeWeight, DecayFit, fsc_raw_margins, fsc_verdict,
                           dispersion_check, fit_decay, jacobian_bound,
                           measure_K, measure_L, momentum_support,
-                          momentum_spread, max_momentum_spread,
-                          semilag_profile, sup_mu)
+                          max_momentum_spread, semilag_profile, sup_mu)
 from .cli import SimConfig, parse_config, run_scenario, sweep, main
 
 __version__ = "0.1.0"

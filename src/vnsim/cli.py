@@ -395,6 +395,14 @@ def _write_summary(cfg: SimConfig, rows: list, status: str, note: str = ""):
         fh.write("\n".join(lines) + "\n")
 
 
+def _abort(cfg: SimConfig, rows: list, note: str) -> int:
+    """Write the rows and an "aborted" summary, echo the note to stderr: exit 3."""
+    _write_output(cfg, rows)
+    _write_summary(cfg, rows, "aborted", note)
+    print(f"aborted: {note}", file=sys.stderr)
+    return 3
+
+
 def run_scenario(cfg: SimConfig, state: CoupledState | None = None,
                  rows: list | None = None) -> int:
     """Run (or continue) a scenario; writes CSV + summary, returns exit code."""
@@ -421,11 +429,8 @@ def run_scenario(cfg: SimConfig, state: CoupledState | None = None,
             step(state, deposit=record)
             if _has_nan(state):
                 save_checkpoint(cfg.ckpt_path, cfg, state, rows)
-                _write_output(cfg, rows)
-                _write_summary(cfg, rows, "aborted",
-                               f"NaN detected at t={state.t}; "
-                               f"last state saved to {cfg.ckpt_path}")
-                return 3
+                return _abort(cfg, rows, f"NaN detected at t={state.t}; "
+                                         f"last state saved to {cfg.ckpt_path}")
             if record:
                 rows.append(_format_row(_record_row(state, cfg)))
             if ckpt_every and k % ckpt_every == 0:
@@ -433,9 +438,7 @@ def run_scenario(cfg: SimConfig, state: CoupledState | None = None,
     except (DomainTooSmallError, MemoryError) as exc:
         # no checkpoint of a half-done step; the last periodic one stays valid
         reason = "domain" if isinstance(exc, DomainTooSmallError) else "out of memory"
-        _write_output(cfg, rows)
-        _write_summary(cfg, rows, "aborted", f"{reason}: {exc}")
-        return 3
+        return _abort(cfg, rows, f"{reason}: {exc}")
 
     _write_output(cfg, rows)
     _write_summary(cfg, rows, "ok")

@@ -24,7 +24,7 @@ from .wavefield import (GRAD, HESS, NOW, TIME_D1, TIME_D2, VALUE, FieldGrid,
 
 __all__ = [
     "ConeWeight", "DecayFit", "measure_K", "measure_L",
-    "sup_mu", "momentum_support", "momentum_spread", "max_momentum_spread",
+    "sup_mu", "momentum_support", "max_momentum_spread",
     "fsc_raw_margins", "fsc_verdict", "fit_decay", "dispersion_check",
     "free_flow_dispersion_ratio", "jacobian_bound", "JacobianBoundReport",
     "grid_derivative_maps", "semilag_profile",
@@ -165,19 +165,9 @@ def momentum_support(ens: ParticleEnsemble) -> float:
     return float(np.linalg.norm(ens.p[live], axis=-1).max())
 
 
-def momentum_spread(ens: ParticleEnsemble, cell_center, cell_size: float) -> float:
-    """Bounding-box volume of momenta of weighted particles inside one cell."""
-    cell_center = np.asarray(cell_center, dtype=float)
-    live = ens.w > 0.0
-    inside = live & np.all(np.abs(ens.x - cell_center) <= cell_size / 2, axis=-1)
-    if np.count_nonzero(inside) < 2:
-        return 0.0
-    p = ens.p[inside]
-    return float(np.prod(p.max(axis=0) - p.min(axis=0)))
-
-
 def max_momentum_spread(ens: ParticleEnsemble, cell_size: float) -> float:
-    """Max of momentum_spread over the occupied cells of a cubic lattice."""
+    """Max over the occupied cells of a cubic lattice of the bounding-box
+    volume of the momenta of the weighted particles in the cell."""
     live = ens.w > 0.0
     if np.count_nonzero(live) < 2:
         return 0.0

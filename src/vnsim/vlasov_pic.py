@@ -20,7 +20,7 @@ from .wavefield import FieldGrid, GridFieldHistory, fdtd_step, make_field_grid
 
 __all__ = [
     "ParticleEnsemble", "CoupledState", "sample_particles", "deposit_mu",
-    "update_weights", "init_coupled_state", "step", "evaluate_f", "mu_mass",
+    "update_weights", "init_coupled_state", "step", "evaluate_f",
 ]
 
 
@@ -89,12 +89,6 @@ def sample_particles(data: InitialData, n_per_dim: int,
         w = np.zeros(0)
     return ParticleEnsemble(x=x, p=p, w=w, w0=w.copy(),
                             phi0_at_x0=data.phi0_in.value(x))
-
-
-def mu_mass(ens: ParticleEnsemble) -> float:
-    """Sum of w/gamma: the integral of mu carried by the ensemble."""
-    gamma = np.sqrt(1.0 + np.sum(ens.p**2, axis=-1))
-    return float(np.sum(ens.w / gamma))
 
 
 # ---------------------------------------------------------------------------

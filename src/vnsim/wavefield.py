@@ -116,8 +116,8 @@ def make_field_grid(data: InitialData, h: float, dt: float, pad: float = 2.0,
 
 
 # Grid passes run one slab of at most this many nodes (consecutive x-planes)
-# at a time, and `sample_levels` chunks of points whose buffers hold as many
-# floats, so each pass stays in L2; no value's operation order depends on it.
+# at a time, and `sample_levels` chunks of SLAB_NODES // (2 * width) points,
+# so each pass stays near L2; no value's operation order depends on it.
 SLAB_NODES = 1 << 16
 
 
@@ -177,37 +177,49 @@ def fdtd_step(grid: FieldGrid, mu: np.ndarray,
         raise DomainTooSmallError("source level shape does not match grid")
     phi_p, phi_0 = grid.phi_p, grid.phi_0
     n = phi_p.shape[0]
+    c = n // 2  # the plane x = 0, and the row y = 0
     new = np.empty_like(phi_p)
-    slabs = list(_slabs(0, n, n * n))
-    scratch = np.empty((slabs[0][1], n, n))
+    # the slabs of the planes [0, c], each with its mirror in [c + 1, n)
+    pairs = [((a, b), (max(n - b, c + 1), n - a)) for a, b in _slabs(0, c + 1, n * n)]
+    scratch = np.empty((pairs[0][0][1], n, n))
     if sponge_radius is not None:
         ax = grid.node_axis()
-        xy2 = (ax[:, None] ** 2 + ax**2)[..., None]  # x^2 + y^2
+        xy2 = (ax[:, None] ** 2 + ax[c:] ** 2)[..., None]  # x^2 + y^2, y >= 0
         z2 = ax**2
     top, bottom = -np.inf, np.inf
-    for a, b in slabs:
-        # new = 2 phi_p - phi_0 + dt^2 (lap - mu), in that order
-        buf = _laplacian(phi_p, grid.h, (a, b), scratch[:b - a])
-        buf -= mu[a:b]
-        buf *= grid.dt**2
-        out = new[a:b]
-        np.multiply(2.0, phi_p[a:b], out=out)
-        out -= phi_0[a:b]
-        out += buf
+    for (a, b), mirror in pairs:
+        slabs = [(lo, hi) for lo, hi in ((a, b), mirror) if lo < hi]
+        for lo, hi in slabs:
+            # new = 2 phi_p - phi_0 + dt^2 (lap - mu), in that order
+            buf = _laplacian(phi_p, grid.h, (lo, hi), scratch[:hi - lo])
+            buf -= mu[lo:hi]
+            buf *= grid.dt**2
+            out = new[lo:hi]
+            np.multiply(2.0, phi_p[lo:hi], out=out)
+            out -= phi_0[lo:hi]
+            out += buf
         if sponge_radius is not None:
-            # factor 1 - 0.25 clip((r - r_s) / 3, 0, 1)^2, built in `buf`
-            np.add(xy2[a:b], z2, out=buf)
-            np.sqrt(buf, out=buf)
-            buf -= sponge_radius
-            buf /= 3.0
-            np.clip(buf, 0.0, 1.0, out=buf)
-            np.square(buf, out=buf)
-            buf *= 0.25
-            np.subtract(1.0, buf, out=buf)
-            out *= buf
-        # np.maximum/minimum, unlike max(), keep a NaN
-        top = np.maximum(top, out.max())
-        bottom = np.minimum(bottom, out.min())
+            # 1 - 0.25 clip((r - r_s) / 3, 0, 1)^2 on the planes [a, b) and
+            # rows y >= 0, in `scratch` once both slabs are done; node_axis()
+            # is exactly antisymmetric, so both slabs' other rows share it
+            f = np.ravel(scratch)[:(b - a) * (c + 1) * n].reshape(b - a, c + 1, n)
+            np.sqrt(np.add(xy2[a:b], z2, out=f), out=f)
+            f -= sponge_radius
+            f /= 3.0
+            np.square(np.clip(f, 0.0, 1.0, out=f), out=f)
+            f *= 0.25
+            np.subtract(1.0, f, out=f)
+        for lo, hi in slabs:
+            out = new[lo:hi]
+            if sponge_radius is not None:
+                # plane i of the mirror takes the factor of plane n - 1 - i,
+                # and row j < c that of row n - 1 - j
+                fx = f if lo == a else f[n - hi - a:n - lo - a][::-1]
+                out[:, c:] *= fx
+                out[:, :c] *= fx[:, :0:-1]
+            # np.maximum/minimum, unlike max(), keep a NaN
+            top = np.maximum(top, out.max())
+            bottom = np.minimum(bottom, out.min())
     # The discrete stencil leaks an exponentially small tail one cell per
     # step ahead of the physical cone; only a significant boundary value
     # means the domain is genuinely too small.
@@ -294,9 +306,9 @@ def sample_levels(levels, h: float, n_half: int, x, stencils) -> np.ndarray:
 
     If the box of the sampled cells' corners has no more nodes than there
     are points, the stencils are combined once per box node into a table
-    whose rows the 8 corners gather; else each corner combines its own
-    gathers.  Both add w * value over the corners in one order, so they give
-    the same bits, in chunks whose rows and products fill SLAB_NODES floats.
+    whose rows the 8 corners gather; else each stencil term is one gather
+    for all 8 corners.  Both add w * value over the corners in one order, so
+    they give the same bits, in chunks of SLAB_NODES // (2 * width) points.
     """
     x = np.asarray(x, dtype=float)
     n = levels[0].shape[0]
@@ -330,23 +342,25 @@ def sample_levels(levels, h: float, n_half: int, x, stencils) -> np.ndarray:
         ix, iy, iz = (np.arange(m) * st for m, st in zip(box, strides))
         nodes = (ix[:, None, None] + iy[:, None] + iz).ravel() + (lo - 1) @ strides
         table = np.array(list(combined(nodes, strides.sum())), dtype=float).T.copy()
-        base, term = lo @ rows, np.empty((width, min(chunk, len(u))))
-        gathered = np.empty(term.shape[::-1])
+        base, gathered = lo @ rows, np.empty((min(chunk, len(u)), width))
+    corners = np.array(list(itertools.product((0, 1), repeat=3)))
+    offsets, term = corners @ rows, np.empty((width, min(chunk, len(u))))
     for a in range(0, len(u), chunk):
         # low: the cell's table row, or its (-1, -1, -1) neighbour's flat index
         s = slice(a, a + chunk)
         low = i0[s, 0] * rows[0] + i0[s, 1] * rows[1] + i0[s, 2] - base
         weights = [(1.0 - f, f) for f in (u[s] - i0[s]).T]
         acc = out[:, s]
-        for c in map(np.array, itertools.product((0, 1), repeat=3)):
+        if table is None:  # one take per stencil term for all 8 corners
+            vals = np.array(list(combined(low + offsets[:, None], base)))
+        for k, c in enumerate(corners):
             w = weights[0][c[0]] * weights[1][c[1]] * weights[2][c[2]]
             if table is None:
-                for a_k, v in zip(acc, combined(low, (c + 1) @ strides)):
-                    a_k += w * v
+                v = vals[:, k]
             else:  # rows are in range; "clip" writes `out` without a check copy
-                v = table.take(low + c @ rows, axis=0, mode="clip",
-                               out=gathered[:w.size])
-                acc += np.multiply(v.T, w, out=term[:, :w.size])
+                v = table.take(low + offsets[k], axis=0, mode="clip",
+                               out=gathered[:w.size]).T
+            acc += np.multiply(v, w, out=term[:, :w.size])
     out[:, ~valid] = 0.0
     return out.reshape((len(levels), len(stencils)) + x.shape[:-1])
 

@@ -359,7 +359,7 @@ class TestSweepResume:
 
 
 class TestNanAbort:
-    def test_nan_in_field_aborts_with_checkpoint(self, tmp_path, monkeypatch):
+    def test_nan_in_field_aborts_with_checkpoint(self, tmp_path, monkeypatch, capsys):
         import vnsim.cli as cli
         out = tmp_path / "nan.csv"
         cfg = parse_config(BASE + f"output = {out}\n")
@@ -380,6 +380,8 @@ class TestNanAbort:
         assert run_scenario(cfg) == 3
         summary = (tmp_path / "nan.csv.summary").read_text()
         assert "status = aborted" in summary and "NaN detected at t=0.75" in summary
+        assert capsys.readouterr().err == (
+            f"aborted: NaN detected at t=0.75; last state saved to {cfg.ckpt_path}\n")
         _, state, rows = load_checkpoint(cfg.ckpt_path)
         assert state.t == 0.75
         assert np.isnan(state.grid.phi_p).any()
@@ -420,16 +422,38 @@ class TestMemoryErrorAbort:
         monkeypatch.setattr(FieldGrid, "ensure_extent", failing)
         monkeypatch.setattr(cli, "save_checkpoint", spy)
         assert main(["run", conf]) == 3
-        assert "Traceback" not in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "aborted: out of memory: Unable to allocate the grown levels\n")
         summary = (tmp_path / "oom.csv.summary").read_text()
         assert "status = aborted" in summary
-        assert "note = out of memory: Unable to allocate" in summary
+        assert "note = out of memory: Unable to allocate the grown levels" in summary
         assert grows == [0.0, 1.5]
         # rows at t = 0, 0.5, 1, 1.5; no checkpoint after the failed step
         assert len(out.read_text().splitlines()[2:]) == 4
         assert saved == [0.5, 1.0, 1.5]
         _, state, rows = load_checkpoint(str(out) + ".ckpt.npz")
         assert state.t == 1.5 and len(rows) == 4
+
+
+class TestDomainAbort:
+    def test_abort_note_on_stderr_and_files_unchanged(self, tmp_path, capsys):
+        # validate accepts this config, but the field reaches the boundary
+        # at t = 1, before the first record after t = 0
+        out = tmp_path / "dom.csv"
+        conf = write_conf(tmp_path, "h = 0.5\ndt = 0.125\npad = 1\ndelta = 0.5\n"
+                          f"n_per_dim = 6\noutput = {out}\n")
+        assert main(["validate", conf]) == 0
+        capsys.readouterr()
+        assert main(["run", conf]) == 3
+        note = "domain: field reached within 2 cells of the boundary (t=1.000)"
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"aborted: {note}\n"
+        summary = (tmp_path / "dom.csv.summary").read_text().splitlines()
+        assert summary[1:4] == ["status = aborted", f"note = {note}", "t_final = 0"]
+        assert summary[-1] == "fsc_satisfied = 1" and len(summary) == 7
+        csv = out.read_text().splitlines()
+        assert csv[0] == summary[0].replace("config_hash = ", "# config_hash=")
+        assert len(csv) == 3 and csv[2].startswith("0,")
 
 
 class TestMain:

@@ -7,7 +7,7 @@ from vnsim.diagnostics import (ConeWeight, dispersion_check, fit_decay,
                                free_flow_dispersion_ratio, fsc_raw_margins,
                                fsc_verdict, grid_derivative_maps, jacobian_bound,
                                max_momentum_spread, measure_K, measure_L,
-                               momentum_spread, momentum_support,
+                               momentum_support,
                                semilag_profile, sup_mu)
 from vnsim.profiles import InitialData, make_bump
 from vnsim.vlasov_pic import ParticleEnsemble
@@ -275,38 +275,37 @@ class TestSupportMeasures:
                             [[0.3, 0, 0], [5.0, 0, 0]], [1.0, 0.0])
         assert momentum_support(ens) == pytest.approx(0.3)
 
+    # the spread tests below keep their particles in the cell [0, 1)^3,
+    # unless they say otherwise
     def test_single_particle_spread_zero(self):
         ens = make_ensemble([[0, 0, 0]], [[0.3, 0, 0]], [1.0])
-        assert momentum_spread(ens, [0, 0, 0], 1.0) == 0.0
+        assert max_momentum_spread(ens, 1.0) == 0.0
 
     def test_spread_box_volume(self):
         ens = make_ensemble([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0]],
                             [[0, 0, 0], [0.2, 0.1, 0.3], [0.1, 0.4, 0.1]],
                             [1.0, 1.0, 1.0])
-        vol = momentum_spread(ens, [0, 0, 0], 1.0)
+        vol = max_momentum_spread(ens, 1.0)
         assert vol == pytest.approx(0.2 * 0.4 * 0.3)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)
-        x = rng.uniform(-0.4, 0.4, (20, 3))
+        x = rng.uniform(-0.4, 0.4, (20, 3))  # 8 cells
         p = rng.uniform(-1, 1, (20, 3))
         w = np.ones(20)
         ens = make_ensemble(x, p, w)
         perm = rng.permutation(20)
         ens2 = make_ensemble(x[perm], p[perm], w[perm])
-        assert momentum_spread(ens, [0, 0, 0], 1.0) == pytest.approx(
-            momentum_spread(ens2, [0, 0, 0], 1.0))
+        assert max_momentum_spread(ens, 1.0) == max_momentum_spread(ens2, 1.0)
 
     def test_monotone_under_addition(self):
         x = [[0, 0, 0], [0.1, 0, 0]]
         p = [[0, 0, 0], [0.4, 0.4, 0.4]]
-        base = momentum_spread(make_ensemble(x, p, [1, 1]), [0, 0, 0], 1.0)
-        inside = momentum_spread(
-            make_ensemble(x + [[0, 0.1, 0]], p + [[0.2, 0.2, 0.2]], [1, 1, 1]),
-            [0, 0, 0], 1.0)
-        outside = momentum_spread(
-            make_ensemble(x + [[0, 0.1, 0]], p + [[0.9, 0.2, 0.2]], [1, 1, 1]),
-            [0, 0, 0], 1.0)
+        base = max_momentum_spread(make_ensemble(x, p, [1, 1]), 1.0)
+        inside = max_momentum_spread(
+            make_ensemble(x + [[0, 0.1, 0]], p + [[0.2, 0.2, 0.2]], [1, 1, 1]), 1.0)
+        outside = max_momentum_spread(
+            make_ensemble(x + [[0, 0.1, 0]], p + [[0.9, 0.2, 0.2]], [1, 1, 1]), 1.0)
         assert inside == pytest.approx(base)
         assert outside >= base
 

@@ -748,3 +748,102 @@ class TestSampleLevelsAgainstReference:
                 ref = read(x)
             for g, r in zip(got, ref):
                 assert_same_bits(np.asarray(g), np.asarray(r))
+
+
+def points_in_edge_cells(count, seed=17, h=0.5):
+    """Points in the first and the last valid cell of each axis (lower
+    corner 1 and 2 * N_HALF - 2), mixed per axis, so their corner box is
+    the whole cube less one face per axis and the sampler gathers per
+    corner for any count below (2 * N_HALF)**3."""
+    rng = np.random.default_rng(seed)
+    cell = rng.choice([1, 2 * N_HALF - 2], size=(count, 3))
+    u = cell + rng.uniform(0.0, 1.0, (count, 3))
+    u[:3] = [[1, 1, 1], [2 * N_HALF - 2] * 3, [1, 2 * N_HALF - 2, 1.5]]
+    return (u - N_HALF) * h
+
+
+# widths (levels x stencils) 1, 8 and 30; the last is field_derivatives'
+CORNER_WIDTHS = {
+    1: (1, STENCIL_SETS["value"]),
+    8: (2, STENCIL_SETS["first"]),
+    30: (3, (wavefield.VALUE, *wavefield.GRAD, *wavefield.HESS.values())),
+}
+
+
+class TestCornerGatherAgainstReference:
+    """The per-corner path (a points' box larger than the point count)
+    gathers each stencil term once for all 8 corners and still gives the
+    reference sampler's bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("width", CORNER_WIDTHS)
+    @pytest.mark.parametrize("chunk", [1, 3, 7, None])
+    def test_edge_cells_and_chunks(self, monkeypatch, dtype, width, chunk):
+        n_levels, st = CORNER_WIDTHS[width]
+        if chunk is not None:  # 10 points: a partial last chunk for 3 and 7
+            monkeypatch.setattr(wavefield, "SLAB_NODES", 2 * width * chunk)
+        levels = random_levels(dtype, n_levels)
+        for x in (points_in_edge_cells(10), points_in_edge_cells(200, seed=3)):
+            u = x / 0.5 + N_HALF
+            i0 = np.floor(u).astype(int)
+            assert np.prod(i0.max(axis=0) + 2 - i0.min(axis=0)) > len(x)
+            ref = reference_sample_levels(levels, 0.5, N_HALF, x, st)
+            got = wavefield.sample_levels(levels, 0.5, N_HALF, x, st)
+            assert_same_bits(got, ref)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_field_derivatives_on_the_corner_path(self, dtype):
+        levels = random_levels(dtype, 3, n_half=8, seed=9)
+        x = np.random.default_rng(2).uniform(-2.9, 2.9, (300, 3))
+        st = CORNER_WIDTHS[30][1]
+        assert_same_bits(wavefield.sample_levels(levels, 0.5, 8, x, st),
+                         reference_sample_levels(levels, 0.5, 8, x, st))
+
+
+@pytest.mark.parametrize("h", [0.25, 0.3, 0.5, 1 / 3])
+def test_node_axis_is_exactly_antisymmetric(h):
+    # fdtd_step builds the sponge factor on one quarter and mirrors it
+    for n_half in (1, 2, 6, 12, 66):
+        g = FieldGrid(h=h, dt=h / 2, n_half=n_half, t=0.0, phi_m=np.zeros(1),
+                      phi_0=np.zeros(1), phi_p=np.zeros(1), mu=np.zeros(1))
+        ax = g.node_axis()
+        np.testing.assert_array_equal(ax[::-1], -ax)  # the centre is 0.0
+        assert ax[n_half] == 0.0 and not np.signbit(ax[n_half])
+
+
+def sponge_radii(n_half, h):
+    """No sponge; radius 0; a 3-wide shell that crosses the plane x = 0
+    inside the cube; and a radius beyond the cube's corner."""
+    return [None, 0.0, 0.4 * n_half * h, 2.0 * n_half * h]
+
+
+class TestMirroredSponge:
+    """fdtd_step walks mirrored slab pairs and builds the sponge factor on
+    the rows y >= 0 of one of them; the new level keeps the bits of the
+    full-size reference step, on every cube size and slab width."""
+
+    @pytest.mark.parametrize("n_half", [1, 2, 6, 12])
+    @pytest.mark.parametrize("planes", [1, 3, None])
+    def test_bitwise_with_the_reference(self, monkeypatch, n_half, planes):
+        h, dt = 0.3, 0.15
+        n = 2 * n_half + 1
+        patch_slabs(monkeypatch, planes, n)
+        rng = np.random.default_rng(n_half)
+        for sponge in sponge_radii(n_half, h):
+            g = FieldGrid(h=h, dt=dt, n_half=n_half, t=0.0,
+                          phi_m=np.zeros((n,) * 3),
+                          phi_0=rng.standard_normal((n,) * 3),
+                          phi_p=rng.standard_normal((n,) * 3),
+                          mu=np.zeros((n,) * 3))
+            ref = copy_grid(g)
+            for _ in range(2):
+                # a NaN at a corner node keeps the field's edge values from
+                # raising DomainTooSmallError, so every node is compared
+                mu = rng.standard_normal((n,) * 3)
+                mu[0, 0, 0] = np.nan
+                fdtd_step(g, mu, sponge_radius=sponge)
+                reference_fdtd_step(ref, mu, sponge_radius=sponge)
+                np.testing.assert_array_equal(g.phi_p, ref.phi_p)
+                np.testing.assert_array_equal(np.signbit(g.phi_p),
+                                              np.signbit(ref.phi_p))
+                assert np.isnan(g.phi_p).sum() == 1
