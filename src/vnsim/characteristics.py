@@ -17,7 +17,8 @@ from .errors import OutOfHistoryError
 
 __all__ = [
     "FieldView", "ZeroField", "AnalyticField", "PhaseState",
-    "rel_velocity", "force", "push", "backward_trace", "flow_jacobian",
+    "rel_velocity", "free_displacement", "force", "push", "backward_trace",
+    "flow_jacobian",
 ]
 
 
@@ -123,19 +124,43 @@ class PhaseState:
     t: float
 
 
+def _norm2(a) -> np.ndarray:
+    """np.sum(a * a, axis=-1) over a last axis of length 3, bitwise: the
+    columns in np.sum's order, (a0 a0 + a1 a1) + a2 a2, which is several
+    times faster than the reduction on (N, 3) rows."""
+    return (a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1]) + a[..., 2] * a[..., 2]
+
+
+def _dot(a, b) -> np.ndarray:
+    """np.sum(a * b, axis=-1) over a last axis of length 3, bitwise.
+
+    np.sum adds the columns to a start of 0.0, which changes a sum only by
+    turning -0.0 into +0.0; the columns add that 0.0 last.  (A sum of
+    squares is never -0.0, so _norm2 needs no such term.)
+    """
+    return ((a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
+            + a[..., 2] * b[..., 2]) + 0.0
+
+
 def rel_velocity(p) -> np.ndarray:
     """Relativistic velocity p/sqrt(1+|p|^2); magnitude strictly below 1."""
     p = np.asarray(p, dtype=float)
-    gamma = np.sqrt(1.0 + np.sum(p * p, axis=-1, keepdims=True))
-    return p / gamma
+    return p / np.sqrt(1.0 + _norm2(p))[..., None]
+
+
+def free_displacement(p, dt: float) -> np.ndarray:
+    """The step of x in a zero field, dt/6 (v + 2v + 2v + v) with
+    v = rel_velocity(p): every RK4 stage sees the same velocity, and summing
+    it in the stage order keeps x bitwise equal to the general path."""
+    v = rel_velocity(p)
+    return dt / 6 * (v + 2 * v + 2 * v + v)
 
 
 def _force_arrays(t, x, p, field: FieldView):
-    gamma2 = 1.0 + np.sum(p * p, axis=-1)
-    gamma = np.sqrt(gamma2)
+    gamma = np.sqrt(1.0 + _norm2(p))
     phat = p / gamma[..., None]
     dt_phi, grad = field.first_derivs(t, x)
-    s_phi = dt_phi + np.sum(phat * grad, axis=-1)
+    s_phi = dt_phi + _dot(phat, grad)
     return -s_phi[..., None] * p - grad / gamma[..., None]
 
 
@@ -163,11 +188,10 @@ def _rk4(t, y, dt, rhs):
 def push(state: PhaseState, dt: float, field: FieldView) -> PhaseState:
     """One RK4 step of the characteristic system (dt may be negative).
 
-    In a ZeroField dp/ds = 0, so every stage sees the same velocity; summing
-    it in the stage order keeps x bitwise equal to the general path.  The
-    momenta are returned as given, not copied (the general path differs only
-    by turning -0.0 into +0.0); this is safe because no vnsim code writes
-    into `ParticleEnsemble.p` or a `PhaseState.p` in place.
+    In a ZeroField dp/ds = 0, so x moves by free_displacement.  The momenta
+    are returned as given, not copied (the general path differs only by
+    turning -0.0 into +0.0); this is safe because no vnsim code writes into
+    `ParticleEnsemble.p` or a `PhaseState.p` in place.
     """
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
@@ -175,8 +199,7 @@ def push(state: PhaseState, dt: float, field: FieldView) -> PhaseState:
     p = np.asarray(state.p, dtype=float)
     t = state.t
     if isinstance(field, ZeroField):
-        v = rel_velocity(p)
-        return PhaseState(x=x + dt / 6 * (v + 2 * v + 2 * v + v), p=p, t=t + dt)
+        return PhaseState(x=x + free_displacement(p, dt), p=p, t=t + dt)
     xn, pn = _rk4(t, (x, p), dt, lambda s, xs, ps: _rhs(s, xs, ps, field))
     return PhaseState(x=xn, p=pn, t=t + dt)
 
@@ -210,12 +233,12 @@ def backward_trace(t: float, x, p, field: FieldView, dt: float):
 
 def _flow_matrix(t, x, p, field: FieldView):
     """6x6 derivative of the characteristic RHS w.r.t. (x, p)."""
-    gamma2 = 1.0 + np.sum(p * p, axis=-1)
+    gamma2 = 1.0 + _norm2(p)
     gamma = np.sqrt(gamma2)
     phat = p / gamma[..., None]
     dt_phi, grad = field.first_derivs(t, x)
     dt_grad, hess = field.second_derivs(t, x)
-    s_phi = dt_phi + np.sum(phat * grad, axis=-1)
+    s_phi = dt_phi + _dot(phat, grad)
 
     eye = np.broadcast_to(np.eye(3), x.shape + (3,))
     # d phat / d p = (I - phat phat^T)/gamma

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import FieldView, rel_velocity, flow_jacobian, backward_trace
+from .characteristics import (FieldView, _norm2, backward_trace, flow_jacobian,
+                              rel_velocity)
 from .profiles import InitialData
 from .vlasov_pic import ParticleEnsemble, evaluate_f
 from .wavefield import (GRAD, HESS, NOW, TIME_D1, TIME_D2, VALUE, FieldGrid,
@@ -157,30 +158,48 @@ def sup_mu(grid: FieldGrid) -> float:
 # Ensemble support measurements
 # ---------------------------------------------------------------------------
 
+def _live(ens: ParticleEnsemble):
+    """(number of weighted particles, their x, their p); the arrays are the
+    ensemble's own, not copies, when every weight is positive."""
+    live = ens.w > 0.0
+    n_live = np.count_nonzero(live)
+    if n_live == ens.n:
+        return n_live, ens.x, ens.p
+    return n_live, ens.x[live], ens.p[live]
+
+
 def momentum_support(ens: ParticleEnsemble) -> float:
     """Max |p| over weighted particles; 0 for an empty ensemble."""
-    live = ens.w > 0.0
-    if not np.any(live):
+    n_live, _, p = _live(ens)
+    if n_live == 0:
         return 0.0
-    return float(np.linalg.norm(ens.p[live], axis=-1).max())
+    # sqrt is monotone, so the root of the largest square is the largest root
+    return float(np.sqrt(_norm2(p).max()))
 
 
 def max_momentum_spread(ens: ParticleEnsemble, cell_size: float) -> float:
     """Max over the occupied cells of a cubic lattice of the bounding-box
-    volume of the momenta of the weighted particles in the cell."""
-    live = ens.w > 0.0
-    if np.count_nonzero(live) < 2:
+    volume of the momenta of the weighted particles in the cell.
+
+    The keys and the segment reductions run on one axis column at a time.
+    The sort need not be stable: a segment's max and min do not depend on
+    the order of its particles.
+    """
+    n_live, x, p = _live(ens)
+    if n_live < 2:
         return 0.0
-    x = ens.x[live]
-    p = ens.p[live]
-    keys = np.floor(x / cell_size).astype(np.int64)
-    flat = (keys[:, 0] * 73856093) ^ (keys[:, 1] * 19349663) ^ (keys[:, 2] * 83492791)
-    order = np.argsort(flat, kind="stable")
-    flat, p = flat[order], p[order]
+    keys = [np.floor(col / cell_size).astype(np.int64) for col in x.T]
+    flat = (keys[0] * 73856093) ^ (keys[1] * 19349663) ^ (keys[2] * 83492791)
+    order = np.argsort(flat)
+    flat = flat[order]
     starts = np.concatenate([[0], np.nonzero(np.diff(flat))[0] + 1])
     # a one-particle segment has zero extent and so zero spread
-    ext = np.maximum.reduceat(p, starts) - np.minimum.reduceat(p, starts)
-    return float(np.prod(ext, axis=1).max(initial=0.0))
+    ext = []
+    for col in p.T:
+        seg = col[order]
+        ext.append(np.maximum.reduceat(seg, starts) - np.minimum.reduceat(seg, starts))
+    e0, e1, e2 = ext
+    return float(((e0 * e1) * e2).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +345,7 @@ def semilag_profile(t: float, field: FieldView, data: InitialData, dt: float,
     X = np.concatenate(xs)
     P = np.concatenate(ps)
     f = evaluate_f(t, X, P, field, data, dt)
-    gamma = np.sqrt(1.0 + np.sum(P * P, axis=-1))
+    gamma = np.sqrt(1.0 + _norm2(P))
     m = n_p**3
     mu = np.empty(n_radii)
     spread = np.empty(n_radii)

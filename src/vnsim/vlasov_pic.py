@@ -96,30 +96,36 @@ def sample_particles(data: InitialData, n_per_dim: int,
 # ---------------------------------------------------------------------------
 
 def deposit_mu(ens: ParticleEnsemble, grid: FieldGrid) -> np.ndarray:
-    """Cloud-in-cell (trilinear) deposit of w/gamma onto the grid, / h^3."""
+    """Cloud-in-cell (trilinear) deposit of w/gamma onto the grid, / h^3.
+
+    The particle arithmetic runs on one axis column at a time; the weight of
+    a corner is ((q wx) wy) wz, and the corners add in x-, y-, z-major order,
+    each over the particles in their order.
+    """
     n = grid.n_nodes
     mu = np.zeros((n, n, n))
     if ens.n == 0:
         return mu
-    gamma = np.sqrt(1.0 + np.sum(ens.p**2, axis=-1))
-    q = ens.w / gamma
-    u = ens.x / grid.h + grid.n_half
-    i0 = np.floor(u).astype(int)
-    # box of the touched nodes, reduced one column at a time: a reduction
-    # over axis 0 of the (N, 3) array is ten times slower
-    box = tuple(slice(col.min(), col.max() + 2) for col in i0.T)
+    q = ens.w / np.sqrt(1.0 + chars._norm2(ens.p))
+    i0, frac = [], []
+    for col in ens.x.T:
+        u = col / grid.h + grid.n_half
+        f = np.floor(u)
+        i0.append(f.astype(int))
+        frac.append(u - f)  # the same bits as u minus the integer floor
+    # box of the touched nodes
+    box = tuple(slice(i.min(), i.max() + 2) for i in i0)
     if any(b.start < 0 or b.stop > n for b in box):
         raise DomainTooSmallError("particle outside deposition grid")
-    frac = u - i0
+    base = (i0[0] * n + i0[1]) * n + i0[2]
+    wx, wy, wz = ((1.0 - f, f) for f in frac)
     flat = mu.ravel()
     for ox in (0, 1):
-        wx = frac[:, 0] if ox else 1.0 - frac[:, 0]
+        qx = q * wx[ox]
         for oy in (0, 1):
-            wy = frac[:, 1] if oy else 1.0 - frac[:, 1]
+            qxy = qx * wy[oy]
             for oz in (0, 1):
-                wz = frac[:, 2] if oz else 1.0 - frac[:, 2]
-                idx = ((i0[:, 0] + ox) * n + i0[:, 1] + oy) * n + i0[:, 2] + oz
-                np.add.at(flat, idx, q * wx * wy * wz)
+                np.add.at(flat, base + ((ox * n + oy) * n + oz), qxy * wz[oz])
     # nodes outside the box stay 0, which the division leaves unchanged
     mu[box] /= grid.h**3
     return mu
@@ -145,6 +151,10 @@ class CoupledState:
     data: InitialData
     coupling: bool = True
     pad: float = 2.0
+    # without coupling: the step of x, built by the first step from ens.p and
+    # dt, which never change then (ens.p is never written in place); it is
+    # not checkpointed, so a resumed run builds it again
+    free_disp: np.ndarray | None = None
 
     @property
     def t(self) -> float:
@@ -187,15 +197,18 @@ def step(state: CoupledState, deposit: bool = True) -> CoupledState:
     grid = state.grid
     dt = grid.dt
     t_new = state.t + dt
-    view = state.field_view
 
-    if ens.n:
+    if not state.coupling:
+        if state.free_disp is None:
+            state.free_disp = chars.free_displacement(ens.p, dt)
+        ens.x = ens.x + state.free_disp
+    elif ens.n:
+        view = state.field_view
         pushed = chars.push(PhaseState(x=ens.x, p=ens.p, t=state.t), dt, view)
         ens.x, ens.p = pushed.x, pushed.p
-        if state.coupling:
-            update_weights(ens, view, t_new)
-    # a domain growth below replaces the levels the view holds; drop them
-    del view
+        update_weights(ens, view, t_new)
+        # a domain growth below replaces the levels the view holds; drop them
+        del view
 
     grid.ensure_extent(state.data.support_radius_R + t_new + state.pad)
     if state.coupling or deposit:

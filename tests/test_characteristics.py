@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -317,3 +319,107 @@ class TestSharedRk4Step:
             ref = reference_flow_jacobian(t, x[row], p[row], fld, 0.25)
             assert jac.shape == ref.shape == x[row].shape[:-1] + (6, 6)
             np.testing.assert_array_equal(jac, ref)
+
+
+# ---------------------------------------------------------------------------
+# Length-3 reductions as ordered columns
+# ---------------------------------------------------------------------------
+
+SPECIAL = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308,
+           1e300, -1e300, 1e-300, -1e-300, 0.7, -1.3]
+
+
+def special_rows(seed=0):
+    """Every row of three SPECIAL values (14^3 of them), in a shuffled order."""
+    rows = np.array(list(itertools.product(SPECIAL, repeat=3)))
+    return rows[np.random.default_rng(seed).permutation(len(rows))]
+
+
+def batches(shape, seed=0):
+    """Arrays of the given shape (..., 3) cut from the special rows, plus
+    random rows with zero and -0.0 components."""
+    rows = special_rows(seed)
+    rng = np.random.default_rng(seed + 100)
+    smooth = rng.normal(scale=0.8, size=(600, 3))
+    smooth[::4, 0] = 0.0
+    smooth[1::5, 1:] = -0.0
+    out = []
+    for source in (rows, smooth):
+        m = int(np.prod(shape[:-1]))
+        if shape == (3,):
+            out.extend(source[::37])
+        elif m == 0:
+            out.append(source[:0].reshape(shape))
+        else:
+            out.extend(source[k:k + m].reshape(shape)
+                       for k in range(0, len(source) - m + 1, m))
+    return out
+
+
+def assert_same_bits(a, b):
+    """Equal values, NaN in the same places, and the same sign on every
+    number; the sign of a NaN is left to numpy's loops, and no output shows
+    it ('%.17g' prints nan)."""
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a, b)  # NaN equals NaN here
+    num = ~np.isnan(a)
+    np.testing.assert_array_equal(np.signbit(a[num]), np.signbit(b[num]))
+
+
+def reference_rel_velocity(p):
+    """rel_velocity with its np.sum reduction, kept as reference."""
+    p = np.asarray(p, dtype=float)
+    return p / np.sqrt(1.0 + np.sum(p * p, axis=-1, keepdims=True))
+
+
+def reference_force(state, field):
+    """force with its np.sum reductions, kept as reference."""
+    p = state.p
+    gamma = np.sqrt(1.0 + np.sum(p * p, axis=-1))
+    phat = p / gamma[..., None]
+    dt_phi, grad = field.first_derivs(state.t, state.x)
+    s_phi = dt_phi + np.sum(phat * grad, axis=-1)
+    return -s_phi[..., None] * p - grad / gamma[..., None]
+
+
+BATCH_SHAPES = [(3,), (50, 3), (0, 3), (4, 7, 3)]
+
+
+class TestColumnReductions:
+    """rel_velocity and force sum over the length-3 axis by columns, in
+    np.sum's order, so they keep the reduction's bits, signed zeros and
+    non-finite values included."""
+
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    def test_rel_velocity(self, shape):
+        cases = batches(shape)
+        assert cases
+        with np.errstate(all="ignore"):
+            for p in cases:
+                assert_same_bits(rel_velocity(p), reference_rel_velocity(p))
+
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    def test_force(self, shape):
+        cases = batches(shape)
+        grads = batches(shape, seed=1)
+        dts = [g[..., 1] for g in batches(shape, seed=2)]
+        assert len(cases) == len(grads) == len(dts)
+        with np.errstate(all="ignore"):
+            for p, grad, dt_phi in zip(cases, grads, dts):
+                fld = AnalyticField(lambda t, x: np.zeros(x.shape[:-1]),
+                                    lambda t, x, v=dt_phi: v,
+                                    lambda t, x, g=grad: g)
+                state = PhaseState(x=np.zeros(shape), p=p, t=0.5)
+                assert_same_bits(force(state, fld), reference_force(state, fld))
+
+    def test_force_of_negative_zero_products(self):
+        # phat . grad is a sum of three -0.0: np.sum gives +0.0, and with
+        # dt phi = -0.0 the sign of S phi, and so of the force, depends on it
+        p = np.array([[-0.5, -0.5, -0.5]])
+        grad = np.zeros((1, 3))
+        fld = AnalyticField(lambda t, x: np.zeros(x.shape[:-1]),
+                            lambda t, x: np.array([-0.0]), lambda t, x: grad)
+        state = PhaseState(x=np.zeros((1, 3)), p=p, t=0.0)
+        got = force(state, fld)
+        assert_same_bits(got, reference_force(state, fld))
+        assert not np.signbit(got).any()

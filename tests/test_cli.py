@@ -10,6 +10,7 @@ import pytest
 from vnsim.cli import (SimConfig, build_initial_data, config_hash,
                        estimate_memory_mb, load_checkpoint, main, parse_config,
                        run_scenario, save_checkpoint, sweep)
+from vnsim.characteristics import PhaseState, ZeroField, push
 from vnsim.errors import ConfigError
 from vnsim.vlasov_pic import init_coupled_state, step
 
@@ -285,6 +286,39 @@ class TestCheckpointResume:
         assert state.grid.phi_m.shape == (5, 5, 5)
         assert main(["resume", "run.csv.ckpt.npz"]) == 0
         assert (tmp_path / "run.csv").read_bytes() == ref
+
+    def test_free_step_is_the_zero_field_push_through_growth_and_resume(
+            self, tmp_path):
+        # a free step adds the displacement built at the run's first step;
+        # pad = 0 grows the cube every 1 / dt = 4 steps, and the resumed
+        # state builds the displacement again from the checkpoint's momenta
+        cfg = parse_config("coupling = 0\nh = 0.5\ndt = 0.25\npad = 0\n"
+                           f"n_per_dim = 5\noutput = {tmp_path / 'f.csv'}\n")
+        state = init_coupled_state(build_initial_data(cfg), cfg.n_per_dim,
+                                   cfg.h, cfg.dt, pad=cfg.pad, coupling=False,
+                                   keep_history=False)
+        ref = PhaseState(x=state.ensemble.x, p=state.ensemble.p, t=0.0)
+        grows = 0
+        for k in range(24):
+            if k == 10:
+                save_checkpoint(cfg.ckpt_path, cfg, state, [])
+                with np.load(cfg.ckpt_path) as z:
+                    assert set(z.files) == {
+                        "config_text", "config_hash", "rows", "ens_x", "ens_p",
+                        "ens_w", "ens_w0", "ens_phi0", "grid_meta", "phi_m",
+                        "phi_0", "phi_p", "mu"}
+                _, state, _ = load_checkpoint(cfg.ckpt_path)
+                assert state.free_disp is None
+            n_half = state.grid.n_half
+            step(state, deposit=k % 3 == 0)
+            grows += state.grid.n_half != n_half
+            ref = push(ref, cfg.dt, ZeroField())
+            assert state.t == ref.t
+            for got, want in ((state.ensemble.x, ref.x), (state.ensemble.p, ref.p)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert state.free_disp.shape == state.ensemble.x.shape
+        assert grows >= 4
 
     @pytest.mark.parametrize("kind", ["csv", "cut", "empty", "npy", "no_mu"])
     def test_resume_of_a_broken_file_exits_two(self, tmp_path, monkeypatch,

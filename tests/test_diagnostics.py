@@ -12,6 +12,7 @@ from vnsim.diagnostics import (ConeWeight, dispersion_check, fit_decay,
 from vnsim.profiles import InitialData, make_bump
 from vnsim.vlasov_pic import ParticleEnsemble
 from vnsim.wavefield import GRAD, HESS, NOW, TIME_D1, TIME_D2, VALUE, difference
+from tests.test_characteristics import special_rows
 from tests.test_wavefield import grid_from_function
 
 
@@ -259,6 +260,14 @@ def reference_max_spread(ens, cell_size):
     return best
 
 
+def reference_momentum_support(ens):
+    """momentum_support as np.linalg.norm over the live rows, kept as reference."""
+    live = ens.w > 0.0
+    if not np.any(live):
+        return 0.0
+    return float(np.linalg.norm(ens.p[live], axis=-1).max())
+
+
 class TestSupportMeasures:
     def test_empty(self):
         ens = make_ensemble(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
@@ -327,6 +336,40 @@ class TestSupportMeasures:
         ref = reference_max_spread(ens, cell_size)
         assert ref > 0.0
         assert max_momentum_spread(ens, cell_size) == ref
+
+    @pytest.mark.parametrize("cell_size", [0.25, 1.0])
+    def test_max_spread_all_live_equals_segment_loop(self, cell_size):
+        # every weight positive: the spread reads the ensemble's own arrays
+        rng = np.random.default_rng(32)
+        x = rng.normal(scale=2.0, size=(3000, 3))
+        p = rng.normal(scale=0.5, size=(3000, 3))
+        ens = make_ensemble(x, p, rng.uniform(0.5, 2.0, 3000))
+        ref = reference_max_spread(ens, cell_size)
+        assert ref > 0.0 and ref != 1.0
+        assert max_momentum_spread(ens, cell_size) == ref
+        assert np.array_equal(ens.x, x) and np.array_equal(ens.p, p)
+
+    @pytest.mark.parametrize("zero_weights", [False, True])
+    def test_momentum_support_equals_norm(self, zero_weights):
+        # the squares sum by columns; rows of signed zeros, infinities,
+        # subnormals and 1e+-300, with and without the rows that hold NaN
+        rows = special_rows()
+        rng = np.random.default_rng(33)
+        for p in (rows, rows[~np.isnan(rows).any(axis=1)],
+                  rows[(np.abs(rows) < 1e300).all(axis=1)],
+                  rng.normal(scale=0.5, size=(500, 3))):
+            w = np.ones(len(p))
+            if zero_weights:
+                w[rng.uniform(size=len(p)) < 0.3] = 0.0
+            ens = make_ensemble(np.zeros(p.shape), p, w)
+            with np.errstate(over="ignore"):
+                ref = reference_momentum_support(ens)
+                got = momentum_support(ens)
+            assert got == ref or (np.isnan(got) and np.isnan(ref))
+        # one particle at a time, so that every row's norm is compared
+        for row in rng.normal(scale=0.5, size=(200, 3)):
+            ens = make_ensemble(np.zeros(3), row, [1.0])
+            assert momentum_support(ens) == reference_momentum_support(ens)
 
     @pytest.mark.xfail(strict=True, reason="cells are grouped by a hash of "
                        "their indices, and cells (-3, -1, 3) and (-3, 1, -3) "

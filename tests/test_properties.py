@@ -1,6 +1,7 @@
 """Property test of the CLI contract over small valid configs: every run
 ends with exit 0, 2 or 3; a rerun writes the same bytes; a resume from a
-mid-run checkpoint writes the same bytes as the run it interrupted."""
+mid-run checkpoint, which rebuilds the state a run keeps outside the
+checkpoint, writes the same bytes as the run it interrupted."""
 
 import os
 import shutil
@@ -17,7 +18,11 @@ import vnsim.cli as cli  # noqa: E402
 
 @st.composite
 def small_configs(draw):
-    """(config text, coupled semilag with history) of a run of a few steps."""
+    """(config text, coupled semilag with history) of a run of a few steps.
+
+    Free runs go on to t = 4, and at pad 0 or 1 their cube grows every few
+    steps; delta = 0 leaves no particles at all.
+    """
     h = draw(st.sampled_from([0.5, 1.0]))
     dt = h / draw(st.sampled_from([2, 4]))  # inside the CFL bound h / sqrt(3)
     coupling, semilag, keep_history = (draw(st.booleans()) for _ in range(3))
@@ -25,12 +30,14 @@ def small_configs(draw):
     # coupled semi-Lagrangian columns trace back through the levels kept
     # every `stride` steps, so records and t_end fall on those levels
     every = stride if coupling and semilag and keep_history else 1
-    n_steps = every * draw(st.integers(-(-2 // every), int(1.5 / dt) // every))
+    t_max = 1.5 if coupling else 4.0
+    n_steps = every * draw(st.integers(-(-2 // every), int(t_max / dt) // every))
     lines = {
         "h": h, "dt": dt, "t_end": n_steps * dt,
         "n_per_dim": draw(st.integers(4, 6)),
-        "pad": draw(st.sampled_from([2, 3, 5])),  # R + pad > 2 h
-        "delta": draw(st.sampled_from([0.5, 1.0, 2.0])),
+        # R + pad > 2 h with coupling
+        "pad": draw(st.sampled_from([2, 3, 5] if coupling else [0, 1, 3])),
+        "delta": draw(st.sampled_from([1.0, 0.5, 2.0, 0.25, 4.0, 0.0])),
         "coupling": int(coupling), "semilag": int(semilag),
         "semilag_radii": draw(st.integers(1, 3)),
         "semilag_np": draw(st.integers(2, 4)),
