@@ -300,10 +300,19 @@ def _format_row(row: dict) -> str:
     return ",".join(FLOAT_FMT % row[c] for c in CSV_COLUMNS)
 
 
-def _has_nan(state: CoupledState) -> bool:
-    # phi_0 is the phi_p that the previous step checked
-    vals = [state.grid.phi_p, state.ensemble.x, state.ensemble.p,
-            state.ensemble.w]
+def _has_nan(state: CoupledState, first: bool = True) -> bool:
+    """Whether a step left a NaN or an infinity in the state.
+
+    phi_0 is the phi_p that the previous check saw, and phi_p is skipped
+    when `fdtd_step` found it all finite.  Without coupling only x changes
+    after set-up, so a check that is not the run's `first` sums x alone.
+    """
+    ens, grid = state.ensemble, state.grid
+    vals = [ens.x]
+    if state.coupling or first:
+        vals += [ens.p, ens.w]
+        if not grid.phi_p_finite():
+            vals.append(grid.phi_p)
     return any(not np.isfinite(np.sum(a)) for a in vals if a.size)
 
 
@@ -424,10 +433,11 @@ def run_scenario(cfg: SimConfig, state: CoupledState | None = None,
                 keep_history=cfg.keep_history, history_stride=cfg.history_stride,
                 history_dtype=np.float32 if cfg.history_float32 else np.float64)
             rows.append(_format_row(_record_row(state, cfg)))
-        for k in range(int(round(state.t / cfg.dt)) + 1, n_steps + 1):
+        first_step = int(round(state.t / cfg.dt)) + 1
+        for k in range(first_step, n_steps + 1):
             record = (k % rec_every == 0) or (k == n_steps)
             step(state, deposit=record)
-            if _has_nan(state):
+            if _has_nan(state, first=k == first_step):
                 save_checkpoint(cfg.ckpt_path, cfg, state, rows)
                 return _abort(cfg, rows, f"NaN detected at t={state.t}; "
                                          f"last state saved to {cfg.ckpt_path}")

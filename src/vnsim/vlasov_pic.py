@@ -98,14 +98,17 @@ def sample_particles(data: InitialData, n_per_dim: int,
 def deposit_mu(ens: ParticleEnsemble, grid: FieldGrid) -> np.ndarray:
     """Cloud-in-cell (trilinear) deposit of w/gamma onto the grid, / h^3.
 
-    The particle arithmetic runs on one axis column at a time; the weight of
-    a corner is ((q wx) wy) wz, and the corners add in x-, y-, z-major order,
-    each over the particles in their order.
+    The result becomes `grid.mu`, exactly +0.0 outside the box of the nodes
+    it touched, which the grid records (`FieldGrid.set_mu`).  It overwrites
+    the previous mu when the grid may reuse that array, else it is new
+    (`FieldGrid.clear_mu`); a particle outside the grid raises before
+    either.  The particle arithmetic runs on one axis column at a time; the
+    weight of a corner is ((q wx) wy) wz, and the corners add in x-, y-,
+    z-major order, each over the particles in their order.
     """
     n = grid.n_nodes
-    mu = np.zeros((n, n, n))
     if ens.n == 0:
-        return mu
+        return grid.clear_mu()
     q = ens.w / np.sqrt(1.0 + chars._norm2(ens.p))
     i0, frac = [], []
     for col in ens.x.T:
@@ -117,6 +120,7 @@ def deposit_mu(ens: ParticleEnsemble, grid: FieldGrid) -> np.ndarray:
     box = tuple(slice(i.min(), i.max() + 2) for i in i0)
     if any(b.start < 0 or b.stop > n for b in box):
         raise DomainTooSmallError("particle outside deposition grid")
+    mu = grid.clear_mu()
     base = (i0[0] * n + i0[1]) * n + i0[2]
     wx, wy, wz = ((1.0 - f, f) for f in frac)
     flat = mu.ravel()
@@ -128,6 +132,7 @@ def deposit_mu(ens: ParticleEnsemble, grid: FieldGrid) -> np.ndarray:
                 np.add.at(flat, base + ((ox * n + oy) * n + oz), qxy * wz[oz])
     # nodes outside the box stay 0, which the division leaves unchanged
     mu[box] /= grid.h**3
+    grid.set_mu(mu, box)
     return mu
 
 
@@ -212,18 +217,17 @@ def step(state: CoupledState, deposit: bool = True) -> CoupledState:
 
     grid.ensure_extent(state.data.support_radius_R + t_new + state.pad)
     if state.coupling or deposit:
-        mu = deposit_mu(ens, grid)
+        deposit_mu(ens, grid)
     else:
-        mu = np.zeros((grid.n_nodes,) * 3)
+        grid.clear_mu()
 
     if state.coupling:
-        fdtd_step(grid, mu,
+        fdtd_step(grid, grid.mu,
                   sponge_radius=state.data.support_radius_R + t_new + 1.0)
         hist = state.hist_full
         if hist is not None and int(round(t_new / dt)) % hist.stride == 0:
             hist.append(t_new, grid.phi_0, grid.h, grid.n_half)
     else:
-        grid.mu = mu
         grid.t = t_new
     return state
 

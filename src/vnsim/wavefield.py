@@ -10,7 +10,10 @@ tracks R + t + pad, which finite propagation speed guarantees.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import sys
+import types
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,12 +39,28 @@ def _cfl_ok(dt: float, h: float) -> bool:
 GROW_CHUNK = 1.0  # a growth's margin beyond the extent asked for
 
 
+def _refs(obj, name: str) -> int:
+    return sys.getrefcount(getattr(obj, name))
+
+
+# the count `_refs` gives for an attribute that nothing else refers to
+_SOLE_REFS = _refs(types.SimpleNamespace(a=np.zeros(1)), "a")
+
+
 @dataclass
 class FieldGrid:
     """Three consecutive time levels of phi on a cube, plus the source level.
 
     Levels phi_m, phi_0, phi_p live at times t-dt, t, t+dt where t is the
     diagnostic center time.  Node i has coordinate (i - n_half)*h.
+
+    The grid reuses an array only while it holds the array's last reference
+    (`reusable`): `fdtd_step` writes the new level into the buffer of the
+    phi_m that falls out, and `deposit_mu` the next source into that of mu.
+    Two facts about arrays are kept with a weak reference to the array, and
+    hold only while it is still the grid's: `mu_box`, the box of nodes
+    outside which mu is exactly +0.0 (`source_box`), and `finite`, the level
+    that `fdtd_step` found all finite (`phi_p_finite`).
     """
 
     h: float
@@ -52,6 +71,8 @@ class FieldGrid:
     phi_0: np.ndarray
     phi_p: np.ndarray
     mu: np.ndarray
+    mu_box: tuple | None = field(default=None, repr=False, compare=False)
+    finite: weakref.ref | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -63,6 +84,49 @@ class FieldGrid:
 
     def node_axis(self) -> np.ndarray:
         return (np.arange(self.n_nodes) - self.n_half) * self.h
+
+    def reusable(self, name: str, shape: tuple) -> np.ndarray | None:
+        """The array self.<name> if it may be overwritten, else None: it has
+        `shape`, is C-contiguous float64 with writeable memory of its own,
+        and this grid holds its only reference."""
+        if _refs(self, name) > _SOLE_REFS:
+            return None
+        a = getattr(self, name)
+        flags = a.flags
+        if (a.shape == shape and a.dtype == np.float64 and flags.c_contiguous
+                and flags.owndata and flags.writeable):
+            return a
+        return None
+
+    def set_mu(self, mu: np.ndarray, box: tuple):
+        """Make `mu` the source level, exactly +0.0 outside the slices `box`."""
+        self.mu = mu
+        self.mu_box = (weakref.ref(mu), box)
+
+    def source_box(self) -> tuple:
+        """Slices of a box outside which mu is exactly +0.0: the one set
+        with mu, else (mu assigned directly, or loaded) the whole array."""
+        if self.mu_box is not None:
+            ref, box = self.mu_box
+            if ref() is self.mu:
+                return box
+        return tuple(slice(0, m) for m in self.mu.shape)
+
+    def clear_mu(self) -> np.ndarray:
+        """Set mu to +0.0 on the current cube and return it: in mu's own
+        buffer if reusable, zeroing only its box, else in new zeros."""
+        shape = (self.n_nodes,) * 3
+        mu = self.reusable("mu", shape)
+        if mu is None:
+            mu = np.zeros(shape)
+        else:
+            mu[self.source_box()] = 0.0
+        self.set_mu(mu, (slice(0, 0),) * 3)
+        return mu
+
+    def phi_p_finite(self) -> bool:
+        """Whether `fdtd_step` found every value of phi_p finite."""
+        return self.finite is not None and self.finite() is self.phi_p
 
     def ensure_extent(self, x_needed: float):
         """Re-embed phi_0 and phi_p, the levels the next step reads, into a
@@ -129,14 +193,17 @@ def _slabs(lo: int, hi: int, plane_nodes: int):
 
 
 def _laplacian(phi: np.ndarray, h: float, planes: tuple | None = None,
-               out: np.ndarray | None = None) -> np.ndarray:
+               out: np.ndarray | None = None,
+               work: np.ndarray | None = None) -> np.ndarray:
     """7-point Laplacian of the x-planes [a, b) = `planes` (all by default),
     0 on the boundary faces; written into `out`, shape (b - a, n, n).
 
     Each neighbour is the raveled level shifted by a flat offset n**2, n or
     1, so every add is one contiguous pass.  The flat range skips the two
     end planes; on the other four faces the shifts wrap into the adjacent
-    row or plane, and those nodes are zeroed afterwards.
+    row or plane, and those nodes are zeroed afterwards.  `work`, if given,
+    is a buffer of (b - a) n**2 floats, neither `phi` nor `out`, that takes
+    the 6 phi term instead of a new array.
     """
     n = phi.shape[0]
     a, b = planes or (0, n)
@@ -150,7 +217,8 @@ def _laplacian(phi: np.ndarray, h: float, planes: tuple | None = None,
         np.add(flat[lo + n * n:hi + n * n], flat[lo - n * n:hi - n * n], out=dst)
         for off in (n, -n, 1, -1):
             dst += flat[lo + off:hi + off]
-        dst -= 6.0 * flat[lo:hi]
+        six = None if work is None else np.ravel(work)[:hi - lo]
+        dst -= np.multiply(6.0, flat[lo:hi], out=six)
         dst /= h**2
     out[[p - a for p in (0, n - 1) if a <= p < b]] = 0.0  # the end planes
     out[:, 0] = out[:, -1] = 0.0
@@ -168,8 +236,14 @@ def fdtd_step(grid: FieldGrid, mu: np.ndarray,
     absorbs the nonphysical precursor that the stencil radiates at speed
     h/dt > 1.  Mutates and returns `grid`.
 
-    The new level is a fresh array: the stored levels are never written in
-    place, because field histories hold references to them.
+    The new level is written into the buffer of phi_m, the level that falls
+    out, when the grid may reuse it (`FieldGrid.reusable`: a level a field
+    history, a view or a caller still holds is never written), and into a
+    new array otherwise.  So after a DomainTooSmallError phi_m may already
+    be overwritten.  `mu` is subtracted only on its box when it is the
+    grid's own mu (`FieldGrid.source_box`); outside it, mu is +0.0 and
+    x - 0.0 keeps every bit of x.  When the new level's max and min are
+    finite, the grid records it as all finite (`FieldGrid.phi_p_finite`).
     """
     if not _cfl_ok(grid.dt, grid.h):
         raise ConfigError("CFL violated")
@@ -178,7 +252,10 @@ def fdtd_step(grid: FieldGrid, mu: np.ndarray,
     phi_p, phi_0 = grid.phi_p, grid.phi_0
     n = phi_p.shape[0]
     c = n // 2  # the plane x = 0, and the row y = 0
-    new = np.empty_like(phi_p)
+    new = grid.reusable("phi_m", phi_p.shape)
+    if new is None:
+        new = np.empty_like(phi_p)
+    bx, by, bz = grid.source_box() if mu is grid.mu else (slice(0, n),) * 3
     # the slabs of the planes [0, c], each with its mirror in [c + 1, n)
     pairs = [((a, b), (max(n - b, c + 1), n - a)) for a, b in _slabs(0, c + 1, n * n)]
     scratch = np.empty((pairs[0][0][1], n, n))
@@ -190,11 +267,14 @@ def fdtd_step(grid: FieldGrid, mu: np.ndarray,
     for (a, b), mirror in pairs:
         slabs = [(lo, hi) for lo, hi in ((a, b), mirror) if lo < hi]
         for lo, hi in slabs:
-            # new = 2 phi_p - phi_0 + dt^2 (lap - mu), in that order
-            buf = _laplacian(phi_p, grid.h, (lo, hi), scratch[:hi - lo])
-            buf -= mu[lo:hi]
-            buf *= grid.dt**2
+            # new = 2 phi_p - phi_0 + dt^2 (lap - mu), in that order; the
+            # slab of `new` is free scratch until its level is written
             out = new[lo:hi]
+            buf = _laplacian(phi_p, grid.h, (lo, hi), scratch[:hi - lo], out)
+            x0, x1 = max(lo, bx.start), min(hi, bx.stop)
+            if x0 < x1:
+                buf[x0 - lo:x1 - lo, by, bz] -= mu[x0:x1, by, bz]
+            buf *= grid.dt**2
             np.multiply(2.0, phi_p[lo:hi], out=out)
             out -= phi_0[lo:hi]
             out += buf
@@ -235,6 +315,8 @@ def fdtd_step(grid: FieldGrid, mu: np.ndarray,
     grid.phi_0 = grid.phi_p
     grid.phi_p = new
     grid.mu = mu
+    grid.finite = (weakref.ref(new) if np.isfinite(top) and np.isfinite(bottom)
+                   else None)
     grid.t += grid.dt
     return grid
 

@@ -423,6 +423,33 @@ class TestNanAbort:
         assert len(rows) == 2
         assert out.read_text().splitlines()[2:] == rows
 
+    @pytest.mark.parametrize("name, at_step", [("p", 1), ("w", 1), ("x", 1),
+                                               ("x", 3)])
+    def test_free_run_checks_all_once_then_x(self, tmp_path, monkeypatch,
+                                             name, at_step):
+        # without coupling only x changes after set-up, so p and w are
+        # checked by the first step's check and x by every one
+        import vnsim.cli as cli
+        out = tmp_path / "free.csv"
+        cfg = parse_config(BASE + f"coupling = 0\noutput = {out}\n")
+        calls = []
+        real_step = cli.step
+
+        def poisoned(state, **kwargs):
+            real_step(state, **kwargs)
+            calls.append(state.t)
+            if len(calls) == at_step:
+                ens = state.ensemble
+                bad = getattr(ens, name).copy()
+                bad[0] = np.nan
+                setattr(ens, name, bad)
+            return state
+
+        monkeypatch.setattr(cli, "step", poisoned)
+        assert run_scenario(cfg) == 3
+        summary = (tmp_path / "free.csv.summary").read_text()
+        assert f"NaN detected at t={0.25 * at_step}" in summary
+
 
 class TestMemoryErrorAbort:
     def test_failed_growth_exits_three_without_traceback(self, tmp_path, monkeypatch,

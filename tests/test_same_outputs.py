@@ -48,3 +48,23 @@ def test_missing_and_shorter_files(tool, tmp_path):
     assert problems[0].startswith("out.csv: first difference at line 5")
     assert problems[1].startswith("out.csv.summary: missing in")
     assert tool.first_difference(b"x\n", b"x") is not None
+
+
+def test_config_keeps_its_keys_but_the_output_paths(tool):
+    text = ("h = 1\noutput = /elsewhere/run.csv  # a comment\n"
+            "summary = s.txt\n# output = kept comment\ncheckpoint_path=c.npz\n")
+    assert tool.in_workdir(text, "out.csv") == (
+        "h = 1\n# output = kept comment\noutput = out.csv\n")
+
+
+def test_config_flag_runs_beside_the_workloads(tool, tmp_path, capsys):
+    # a tree compared with itself, on one small free-transport config only
+    conf = tmp_path / "free.conf"
+    conf.write_text("coupling = 0\nh = 1\ndt = 0.5\nn_per_dim = 4\nt_end = 1\n"
+                    "record_interval = 0.5\nsemilag = 0\n"
+                    f"output = {tmp_path / 'not_here.csv'}\n")
+    root = TOOL.parents[1]
+    assert tool.main(["--parent", str(root), "--seeds", "",
+                      "--config", str(conf)]) == 0
+    assert capsys.readouterr().out == f"{conf}: identical\n"
+    assert not (tmp_path / "not_here.csv").exists()

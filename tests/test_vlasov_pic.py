@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vnsim import diagnostics
 from vnsim.characteristics import ZeroField, rel_velocity
 from vnsim.errors import DomainTooSmallError
 from vnsim.profiles import InitialData, make_bump
@@ -206,6 +207,44 @@ class TestDepositAgainstReference:
                             fn(ens, grid)
                     else:
                         fn(ens, grid)
+
+
+class TestDepositReuse:
+    """deposit_mu overwrites the grid's previous mu, zeroing only its box;
+    the result, and sup_mu, have the bits of a deposit into new zeros."""
+
+    H, N_HALF = 0.25, 7  # n = 15 nodes, cells 0 .. 13
+
+    def grid(self):
+        return FieldGrid(h=self.H, dt=0.15, n_half=self.N_HALF, t=0.0,
+                         phi_m=np.zeros(1), phi_0=np.zeros(1), phi_p=np.zeros(1),
+                         mu=np.zeros(1))
+
+    def test_moved_box_and_empty_ensemble(self):
+        rng = np.random.default_rng(8)
+        grid = self.grid()
+        # cell ranges whose boxes move apart, none, and the whole grid
+        for k, cells in enumerate([(1.0, 4.0), (9.0, 13.0), (5.0, 6.0), None,
+                                   (0.0, 14.0), None]):
+            if cells is None:
+                ens = ensemble_at(np.zeros((0, 3)), rng)
+            else:
+                u = rng.uniform(*cells, (40, 3))
+                ens = ensemble_at((u - self.N_HALF) * self.H, rng)
+            buffer = id(grid.mu)
+            got = deposit_mu(ens, grid)
+            assert got is grid.mu
+            del got
+            if k:
+                assert id(grid.mu) == buffer  # written into the previous mu
+            fresh = self.grid()
+            ref = deposit_mu(ens, fresh)
+            np.testing.assert_array_equal(grid.mu, ref)
+            np.testing.assert_array_equal(np.signbit(grid.mu), np.signbit(ref))
+            np.testing.assert_array_equal(ref, reference_deposit(ens, self.grid()))
+            sup, sup_ref = diagnostics.sup_mu(grid), diagnostics.sup_mu(fresh)
+            assert sup.hex() == sup_ref.hex()
+            assert (sup == 0.0) == (cells is None)
 
 
 class TestDeposit:

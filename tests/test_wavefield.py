@@ -847,3 +847,109 @@ class TestMirroredSponge:
                 np.testing.assert_array_equal(np.signbit(g.phi_p),
                                               np.signbit(ref.phi_p))
                 assert np.isnan(g.phi_p).sum() == 1
+
+
+class TestLevelReuse:
+    """fdtd_step writes the new level into the buffer of the phi_m that falls
+    out when the grid holds its only reference, and subtracts the grid's own
+    mu only on its box; the new level keeps the reference step's bits."""
+
+    N_HALF, H, DT = 6, 0.5, 0.25
+    SHAPE = (2 * N_HALF + 1,) * 3
+    BOX = (slice(4, 7), slice(5, 9), slice(6, 8))
+
+    def grid(self, rng, nan=False):
+        # a checkerboard of +0.0 and -0.0 (the Laplacian of its +0.0 nodes is
+        # -0.0) around random values on the planes 5 .. 7; phi_m is garbage
+        zeros = np.where(np.indices(self.SHAPE).sum(axis=0) % 2, -0.0, 0.0)
+        phi_0, phi_p = zeros.copy(), zeros.copy()
+        middle = (slice(5, 8),) * 3
+        phi_0[middle] = rng.standard_normal((3, 3, 3))
+        phi_p[middle] = rng.standard_normal((3, 3, 3))
+        if nan:
+            phi_p[6, 6, 6] = np.nan
+        return FieldGrid(h=self.H, dt=self.DT, n_half=self.N_HALF, t=0.0,
+                         phi_m=rng.standard_normal(self.SHAPE), phi_0=phi_0,
+                         phi_p=phi_p, mu=np.zeros(1))
+
+    def box_source(self, rng):
+        mu = np.zeros(self.SHAPE)
+        mu[self.BOX] = rng.standard_normal(mu[self.BOX].shape)
+        mu[self.BOX][0, 0, 0] = -0.0
+        return mu
+
+    @pytest.mark.parametrize("nan", [False, True])
+    @pytest.mark.parametrize("sponge", [None, 1.0])
+    def test_reused_buffer_bitwise_with_box_source(self, nan, sponge):
+        rng = np.random.default_rng(21)
+        g = self.grid(rng, nan)
+        ref = copy_grid(g)
+        for _ in range(2):
+            buffer = id(g.phi_m)
+            mu = self.box_source(rng)
+            g.set_mu(mu, self.BOX)
+            assert g.source_box() == self.BOX
+            fdtd_step(g, g.mu, sponge_radius=sponge)
+            reference_fdtd_step(ref, mu, sponge_radius=sponge)
+            assert id(g.phi_p) == buffer  # the level was written into phi_m's buffer
+            assert_same_bits(g.phi_p, ref.phi_p)
+            assert_same_bits(g.phi_0, ref.phi_0)
+            assert g.phi_p_finite() == (not nan)
+        assert np.isnan(g.phi_p).any() == nan
+
+    def test_mu_assigned_directly_is_subtracted_everywhere(self):
+        rng = np.random.default_rng(22)
+        g = self.grid(rng)
+        g.set_mu(self.box_source(rng), self.BOX)
+        ref = copy_grid(g)
+        # a dense source assigned without a box: the recorded box is stale
+        mu = np.zeros(self.SHAPE)
+        mu[3:10, 3:10, 3:10] = rng.standard_normal((7, 7, 7))
+        g.mu = mu
+        assert g.source_box() == (slice(0, 13),) * 3
+        fdtd_step(g, g.mu)
+        reference_fdtd_step(ref, mu)
+        assert_same_bits(g.phi_p, ref.phi_p)
+
+    def test_held_level_is_not_written(self):
+        rng = np.random.default_rng(23)
+        g = self.grid(rng)
+        old = g.phi_m
+        saved = old.copy()
+        fdtd_step(g, self.box_source(rng))
+        assert g.phi_p is not old
+        assert_same_bits(old, saved)
+
+    def test_float64_history_levels_keep_their_bits(self, monkeypatch, tmp_path):
+        import weakref
+
+        from vnsim import cli
+        appended = []  # (history, level) as weak references, the level's copy
+        real_append = GridFieldHistory.append
+
+        def append(self, t, phi, h, n_half):
+            real_append(self, t, phi, h, n_half)
+            level = self._levels[-1][0]
+            appended.append((weakref.ref(self), weakref.ref(level), level.copy()))
+
+        states = []
+        real_init = cli.init_coupled_state
+
+        def init(*args, **kwargs):
+            states.append(real_init(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(GridFieldHistory, "append", append)
+        monkeypatch.setattr(cli, "init_coupled_state", init)
+        cfg = cli.parse_config(
+            "R = 1\nh = 0.5\ndt = 0.25\nt_end = 2\nn_per_dim = 5\npad = 5\n"
+            "keep_history = 1\nhistory_float32 = 0\nhistory_stride = 2\n"
+            f"semilag = 1\nrecord_interval = 1\noutput = {tmp_path / 'h.csv'}\n")
+        assert cli.run_scenario(cfg) == 0
+        hist = states[0].hist_full
+        kept = [(level(), copy) for owner, level, copy in appended
+                if owner() is hist]
+        assert len(kept) == len(hist._levels) == 5
+        for (level, copy), (stored, *_) in zip(kept, hist._levels):
+            assert level is stored
+            assert_same_bits(level, copy)
