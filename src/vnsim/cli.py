@@ -126,8 +126,8 @@ _SCHEMA = {f.name: _converter(f) for f in fields(SimConfig)
 # A run's peak RSS, measured on coupled and free-transport runs (Python 3.11,
 # numpy 2.4): the interpreter with numpy and vnsim; per particle 9 ensemble
 # floats and up to 70 floats of RK4 stage and gather arrays; per semi-
-# Lagrangian trace point up to 80 floats; 8 levels of the final cube (a growth
-# holds 4 old and 2 grown levels, an FDTD step 6, the heap up to 2 freed ones).
+# Lagrangian trace point up to 80 floats; coupled, 8 levels of the final cube
+# (a growth holds 4 old and 2 grown, an FDTD step 6, the heap 2 freed), else 2.
 _BASELINE_MB = 34.0
 _PARTICLE_FLOATS = 9 + 70
 _TRACE_POINT_FLOATS = 80
@@ -141,8 +141,8 @@ def estimate_memory_mb(cfg: SimConfig) -> float:
         # nodes of the cube that the field grid holds at time t
         return (2 * int(np.ceil((cfg.R + t + cfg.pad + GROW_CHUNK) / cfg.h)) + 1) ** 3
 
-    total = _PEAK_LEVELS * cube(cfg.t_end) * 8.0
-    if cfg.keep_history:
+    total = (_PEAK_LEVELS if cfg.coupling else 2) * cube(cfg.t_end) * 8.0
+    if cfg.keep_history and cfg.coupling:
         level_dt = cfg.dt * cfg.history_stride
         itemsize = 4.0 if cfg.history_float32 else 8.0
         n_levels = int(cfg.t_end / level_dt + 1e-9) + 1
@@ -269,15 +269,11 @@ def _record_row(state: CoupledState, cfg: SimConfig) -> dict:
     row["max_spread"] = diag.max_momentum_spread(state.ensemble, cfg.h)
 
     if cfg.semilag:
-        view = None
-        if not state.coupling:
-            view = state.field_view  # zero field, no history needed
-        elif state.hist_full is not None:
-            view = state.hist_full
+        # the zero field without coupling, else the stored levels if any
+        view = state.hist_full if state.coupling else state.field_view
         if view is not None and t > 0:
-            trace_dt = t if not state.coupling else cfg.dt
             _, mu_sl, spread_sl = diag.semilag_profile(
-                t, view, state.data, trace_dt,
+                t, view, state.data, cfg.dt if state.coupling else t,
                 n_radii=cfg.semilag_radii, n_p=cfg.semilag_np)
             row["sup_mu_sl"] = float(mu_sl.max())
             row["spread_sl"] = float(spread_sl.max())
@@ -304,15 +300,15 @@ def _has_nan(state: CoupledState, first: bool = True) -> bool:
     """Whether a step left a NaN or an infinity in the state.
 
     phi_0 is the phi_p that the previous check saw, and phi_p is skipped
-    when `fdtd_step` found it all finite.  Without coupling only x changes
-    after set-up, so a check that is not the run's `first` sums x alone.
+    when `fdtd_step` found it all finite.  Without coupling (no levels) only
+    x changes after set-up, so a check that is not the run's `first` sums x.
     """
     ens, grid = state.ensemble, state.grid
     vals = [ens.x]
     if state.coupling or first:
         vals += [ens.p, ens.w]
-        if not grid.phi_p_finite():
-            vals.append(grid.phi_p)
+    if state.coupling and not grid.phi_p_finite():
+        vals.append(grid.phi_p)
     return any(not np.isfinite(np.sum(a)) for a in vals if a.size)
 
 
@@ -323,6 +319,7 @@ def _has_nan(state: CoupledState, first: bool = True) -> bool:
 def save_checkpoint(path: str, cfg: SimConfig, state: CoupledState, rows: list):
     ens = state.ensemble
     grid = state.grid
+    levels = {k: getattr(grid, k) for k in ("phi_m", "phi_0", "phi_p") if state.coupling}
     # a file object, because np.savez appends ".npz" to a path without it
     with open(path, "wb") as fh:
         np.savez(
@@ -333,7 +330,7 @@ def save_checkpoint(path: str, cfg: SimConfig, state: CoupledState, rows: list):
             ens_x=ens.x, ens_p=ens.p, ens_w=ens.w, ens_w0=ens.w0,
             ens_phi0=ens.phi0_at_x0,
             grid_meta=np.array([grid.h, grid.dt, float(grid.n_half), grid.t]),
-            phi_m=grid.phi_m, phi_0=grid.phi_0, phi_p=grid.phi_p, mu=grid.mu,
+            **levels, mu=grid.mu,
         )
 
 
@@ -341,18 +338,19 @@ def load_checkpoint(path: str):
     """(config, state, rows) from a checkpoint; keys no run reads are ignored."""
     try:
         with np.load(path) as z:
-            text = bytes(z["config_text"]).decode()
+            cfg = parse_config(bytes(z["config_text"]).decode())
             rows = bytes(z["rows"]).decode().split("\n")
             h, dtv, n_half, gt = z["grid_meta"]
+            levels = {k: z[k] for k in ("phi_m", "phi_0", "phi_p") if cfg.coupling}
             grid = FieldGrid(h=float(h), dt=float(dtv), n_half=int(n_half),
-                             t=float(gt), phi_m=z["phi_m"], phi_0=z["phi_0"],
-                             phi_p=z["phi_p"], mu=z["mu"])
+                             t=float(gt), mu=z["mu"], **levels)
             ens = ParticleEnsemble(x=z["ens_x"], p=z["ens_p"], w=z["ens_w"],
                                    w0=z["ens_w0"], phi0_at_x0=z["ens_phi0"])
+    except ConfigError:
+        raise  # a checkpoint whose config is invalid
     except (ValueError, KeyError, TypeError, EOFError,
             zipfile.BadZipFile) as exc:
         raise ConfigError(f"not a vnsim checkpoint: {path}: {exc}") from exc
-    cfg = parse_config(text)
     state = CoupledState(ensemble=ens, grid=grid, hist_full=None,
                          data=build_initial_data(cfg), coupling=cfg.coupling,
                          pad=cfg.pad)
@@ -400,6 +398,8 @@ def _write_summary(cfg: SimConfig, rows: list, status: str, note: str = ""):
                 continue
             lines.append(f"slope_{name} = {FLOAT_FMT % fit.slope}")
             lines.append(f"residual_{name} = {FLOAT_FMT % fit.residual}")
+    if cfg.coupling and cfg.semilag and not cfg.keep_history:
+        lines.append("sl_columns = not measured (coupled runs need keep_history = 1)")
     with open(cfg.summary_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -474,12 +474,9 @@ def sweep(cfg: SimConfig, deltas) -> list:
         sub = parse_config("\n".join(
             base + [f"delta = {float(d)!r}", f"output = {cfg.output}.delta{d:g}.csv"]))
         code = run_scenario(sub)
-        summary = {}
         with open(sub.summary_path) as fh:
-            for line in fh:
-                if "=" in line:
-                    key, _, val = line.partition("=")
-                    summary[key.strip()] = val.strip()
+            summary = {key.strip(): val.strip() for key, _, val in
+                       (line.partition("=") for line in fh if "=" in line)}
         p_max = float(summary.get("p_max_overall", "0"))
         table.append({
             "delta": float(d),

@@ -48,14 +48,11 @@ class BumpProfile:
             coeff = self.amplitude * (-1.0) ** j
             for i in range(j):
                 coeff *= self._m - i
-            e = self._m - j
             if coeff == 0.0:
                 out[j] = np.zeros_like(s)
-            elif e >= 0:
-                out[j] = np.where(inside, coeff * one_ms**e, 0.0)
-            else:
+            else:  # a negative power of 0 outside the ball is masked
                 with np.errstate(divide="ignore"):
-                    out[j] = np.where(inside, coeff * one_ms**e, 0.0)
+                    out[j] = np.where(inside, coeff * one_ms ** (self._m - j), 0.0)
         return z, out
 
     # -- pointwise evaluation ------------------------------------------------
@@ -100,6 +97,11 @@ class BumpProfile:
 
     # -- sup norms of derivative tensors -------------------------------------
 
+    def _sample_radii(self, n: int) -> np.ndarray:
+        """n radii over [0, radius], then |gradient|'s peak, radius/sqrt(2m-1)."""
+        r = np.linspace(0.0, self.radius, n)
+        return np.append(r, self.radius / np.sqrt(2 * self._m - 1))
+
     def _tensor_norms_at_radius(self, r: np.ndarray, max_order: int) -> np.ndarray:
         """Frobenius norms of the derivative tensors at distance r from center.
 
@@ -128,15 +130,13 @@ class BumpProfile:
     def derivative_sup_norms(self, max_order: int, n_samples: int = 4001) -> np.ndarray:
         """Sup over the support of the Frobenius norm of each derivative tensor.
 
-        Dense radial sampling plus the analytic critical radius of the
-        gradient magnitude, radius/sqrt(2m-1).
+        Dense radial sampling plus the critical radius (`_sample_radii`).
         """
         if max_order > self.smoothness_order:
             raise ValueError(
                 f"derivatives of order {max_order} exceed smoothness C^{self.smoothness_order}"
             )
-        r = np.linspace(0.0, self.radius, n_samples)
-        r = np.append(r, self.radius / np.sqrt(2 * self._m - 1))
+        r = self._sample_radii(n_samples)
         return self._tensor_norms_at_radius(r, max_order).max(axis=1)
 
 
@@ -204,9 +204,7 @@ def initial_norm(data: InitialData, sample_spacing: float,
                 f"sample_spacing {sample_spacing} too coarse for {name}: "
                 f"needs >= 8 points across radius {prof.radius}"
             )
-        r = np.linspace(0.0, prof.radius, n)
-        r = np.append(r, prof.radius / np.sqrt(2 * prof._m - 1))
-        norms = prof._tensor_norms_at_radius(r, order)
+        norms = prof._tensor_norms_at_radius(prof._sample_radii(n), order)
         total += float(norms.max(axis=1).sum())
         # modulus of continuity of the sampled curves
         tol += float(np.abs(np.diff(norms[:, :-1], axis=1)).max(initial=0.0))

@@ -184,14 +184,17 @@ def init_coupled_state(data: InitialData, n_per_dim: int, h: float, dt: float,
                        keep_history: bool = True, history_stride: int = 1,
                        history_dtype=np.float64) -> CoupledState:
     ens = sample_particles(data, n_per_dim)
-    # the t=0 deposit feeds the Taylor start
-    grid = make_field_grid(data, h, dt, pad=pad,
-                           source=lambda g: deposit_mu(ens, g),
-                           check_cfl=coupling)
     hist_full = None
-    if keep_history:
-        hist_full = GridFieldHistory(dtype=history_dtype, stride=history_stride)
-        hist_full.append(0.0, grid.phi_0, h, grid.n_half)
+    if coupling:
+        # the t=0 deposit feeds the Taylor start
+        grid = make_field_grid(data, h, dt, pad=pad,
+                               source=lambda g: deposit_mu(ens, g))
+        if keep_history:
+            hist_full = GridFieldHistory(dtype=history_dtype, stride=history_stride)
+            hist_full.append(0.0, grid.phi_0, h, grid.n_half)
+    else:  # no field levels: the grid carries the deposit only
+        grid = FieldGrid.at_start(data.support_radius_R, h, dt, pad)
+        deposit_mu(ens, grid)
     return CoupledState(ensemble=ens, grid=grid, hist_full=hist_full,
                         data=data, coupling=coupling, pad=pad)
 

@@ -51,8 +51,8 @@ _SOLE_REFS = _refs(types.SimpleNamespace(a=np.zeros(1)), "a")
 class FieldGrid:
     """Three consecutive time levels of phi on a cube, plus the source level.
 
-    Levels phi_m, phi_0, phi_p live at times t-dt, t, t+dt where t is the
-    diagnostic center time.  Node i has coordinate (i - n_half)*h.
+    Levels phi_m, phi_0, phi_p live at times t-dt, t, t+dt, t the diagnostic
+    center time, and are None without coupling.  Node i is at (i - n_half)*h.
 
     The grid reuses an array only while it holds the array's last reference
     (`reusable`): `fdtd_step` writes the new level into the buffer of the
@@ -67,12 +67,17 @@ class FieldGrid:
     dt: float
     n_half: int
     t: float
-    phi_m: np.ndarray
-    phi_0: np.ndarray
-    phi_p: np.ndarray
-    mu: np.ndarray
+    phi_m: np.ndarray | None = None
+    phi_0: np.ndarray | None = None
+    phi_p: np.ndarray | None = None
+    mu: np.ndarray | None = None
     mu_box: tuple | None = field(default=None, repr=False, compare=False)
     finite: weakref.ref | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def at_start(cls, R: float, h: float, dt: float, pad: float) -> FieldGrid:
+        """The level-less grid at t = 0 whose cube holds R + pad."""
+        return cls(h=h, dt=dt, n_half=int(np.ceil((R + pad) / h)), t=0.0)
 
     @property
     def n_nodes(self) -> int:
@@ -131,17 +136,18 @@ class FieldGrid:
     def ensure_extent(self, x_needed: float):
         """Re-embed phi_0 and phi_p, the levels the next step reads, into a
         larger cube if x_needed exceeds the current extent; phi_m and mu stay
-        on the old cube until the step replaces them (free transport replaces
-        only mu, and never reads phi_m).  A MemoryError leaves the grid as it
-        was: both grown levels exist before either is swapped in."""
+        on the old cube until the step replaces them.  A grid without levels
+        grows only its n_half.  A MemoryError leaves the grid as it was: both
+        grown levels exist before either is swapped in."""
         if x_needed <= self.x_max:
             return
         new_half = int(np.ceil((x_needed + GROW_CHUNK) / self.h))
-        grown = [np.zeros((2 * new_half + 1,) * 3) for _ in range(2)]
-        inner = slice(new_half - self.n_half, new_half + self.n_half + 1)
-        for new, old in zip(grown, (self.phi_0, self.phi_p)):
-            new[inner, inner, inner] = old
-        self.phi_0, self.phi_p = grown
+        if self.phi_0 is not None:
+            grown = [np.zeros((2 * new_half + 1,) * 3) for _ in range(2)]
+            inner = slice(new_half - self.n_half, new_half + self.n_half + 1)
+            for new, old in zip(grown, (self.phi_0, self.phi_p)):
+                new[inner, inner, inner] = old
+            self.phi_0, self.phi_p = grown
         self.n_half = new_half
 
 
@@ -152,20 +158,16 @@ def _sample_on_nodes(fn, axis: np.ndarray) -> np.ndarray:
 
 
 def make_field_grid(data: InitialData, h: float, dt: float, pad: float = 2.0,
-                    source=None, check_cfl: bool = True) -> FieldGrid:
+                    source=None) -> FieldGrid:
     """Grid at t = 0 with phi(-dt), phi(0), phi(dt) from a 2nd-order Taylor start.
 
     phi(+-dt) = phi0 +- dt*phi1 + dt^2/2 * (lap phi0 - mu(0)), where
-    mu(0) = source(grid) on the grid just sized (0 without a source).
-    `check_cfl=False` is for runs that never advance the field (the grid then
-    only carries deposited source levels).
+    mu(0) = source(grid) on the level-less grid `FieldGrid.at_start` (0
+    without a source).
     """
-    if check_cfl and not _cfl_ok(dt, h):
+    if not _cfl_ok(dt, h):
         raise ConfigError(f"CFL violated: dt={dt} > h/sqrt(3)={h / np.sqrt(3):.6g}")
-    n_half = int(np.ceil((data.support_radius_R + pad) / h))
-    grid = FieldGrid(h=h, dt=dt, n_half=n_half, t=0.0,
-                     phi_m=np.zeros(1), phi_0=np.zeros(1), phi_p=np.zeros(1),
-                     mu=np.zeros(1))
+    grid = FieldGrid.at_start(data.support_radius_R, h, dt, pad)
     axis = grid.node_axis()
     phi0 = _sample_on_nodes(data.phi0_in.value, axis)
     phi1 = _sample_on_nodes(data.phi1_in.value, axis)

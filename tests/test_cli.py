@@ -164,6 +164,25 @@ class TestRunScenario:
         summary = (tmp_path / "small.csv.summary").read_text()
         assert "config_hash" in summary and "status = ok" in summary
 
+    @pytest.mark.parametrize("extra, unmeasured", [
+        ("keep_history = 0\n", True),
+        ("keep_history = 1\nhistory_stride = 2\n", False),
+        ("coupling = 0\n", False)])
+    def test_summary_says_when_sl_columns_are_not_measured(self, tmp_path,
+                                                            extra, unmeasured):
+        # a coupled run traces the *_sl columns only through stored levels;
+        # without them it writes 0 after t = 0, so the summary says why
+        out = tmp_path / "sl.csv"
+        cfg = parse_config(BASE.replace("n_per_dim = 6", "n_per_dim = 5")
+                           .replace("semilag = 0", "semilag = 1")
+                           + extra + f"output = {out}\n")
+        assert run_scenario(cfg) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=2)
+        sl = rows[1:, [2, 5]]  # sup_mu_sl and spread_sl after t = 0
+        assert np.all(sl == 0.0) == unmeasured
+        line = "sl_columns = not measured (coupled runs need keep_history = 1)"
+        assert (line in (tmp_path / "sl.csv.summary").read_text()) == unmeasured
+
     def test_rerun_bitwise_identical(self, tmp_path):
         out = tmp_path / "det.csv"
         cfg = parse_config(BASE + f"output = {out}\n")
@@ -268,23 +287,47 @@ class TestCheckpointResume:
         assert main(["resume", "old.npz"]) == 0
         assert (tmp_path / "run.csv").read_bytes() == ref
 
+    FREE = (BASE.replace("pad = 5", "pad = 0").replace("t_end = 2", "t_end = 2.5")
+            .replace("semilag = 0", "semilag = 1")
+            + "coupling = 0\noutput = run.csv\ncheckpoint_interval = 1\n")
+
     def test_free_transport_resumes_bitwise_after_growth(self, tmp_path, monkeypatch):
         # pad = 0: the cube grows at t = 0.25 and 1.75; the last checkpoint,
-        # at t = 2, holds the phi_m of the t = 0 cube, which free transport
-        # never reads
+        # at t = 2, holds mu on the grown cube and no field levels, which
+        # free transport never has
         monkeypatch.chdir(tmp_path)
-        conf = write_conf(tmp_path, BASE.replace("pad = 5", "pad = 0")
-                          .replace("t_end = 2", "t_end = 2.5")
-                          .replace("semilag = 0", "semilag = 1")
-                          + "coupling = 0\noutput = run.csv\n"
-                          "checkpoint_interval = 1\n")
-        assert main(["run", conf]) == 0
+        assert main(["run", write_conf(tmp_path, self.FREE)]) == 0
         ref = (tmp_path / "run.csv").read_bytes()
         (tmp_path / "run.csv").unlink()
+        with np.load("run.csv.ckpt.npz") as z:
+            assert not {"phi_m", "phi_0", "phi_p"} & set(z.files)
         _, state, _ = load_checkpoint("run.csv.ckpt.npz")
         assert state.t == 2.0 and state.grid.n_half == 8
-        assert state.grid.phi_m.shape == (5, 5, 5)
+        assert state.grid.mu.shape == (17, 17, 17)
+        assert state.grid.phi_m is state.grid.phi_0 is state.grid.phi_p is None
         assert main(["resume", "run.csv.ckpt.npz"]) == 0
+        assert (tmp_path / "run.csv").read_bytes() == ref
+
+    def test_free_checkpoint_with_field_levels_resumes_bitwise(self, tmp_path,
+                                                              monkeypatch):
+        # earlier versions also wrote phi_m (on the t = 0 cube), phi_0 and
+        # phi_p for free runs; load_checkpoint does not read them
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", write_conf(tmp_path, self.FREE)]) == 0
+        ref = (tmp_path / "run.csv").read_bytes()
+        (tmp_path / "run.csv").unlink()
+        with np.load("run.csv.ckpt.npz") as z:
+            arrays = dict(z)
+        rng = np.random.default_rng(0)
+        shape = arrays["mu"].shape
+        arrays.update(phi_m=rng.standard_normal((5, 5, 5)),
+                      phi_0=rng.standard_normal(shape),
+                      phi_p=rng.standard_normal(shape))
+        with open("old.npz", "wb") as fh:
+            np.savez(fh, **arrays)
+        _, state, _ = load_checkpoint("old.npz")
+        assert state.grid.phi_m is state.grid.phi_0 is state.grid.phi_p is None
+        assert main(["resume", "old.npz"]) == 0
         assert (tmp_path / "run.csv").read_bytes() == ref
 
     def test_free_step_is_the_zero_field_push_through_growth_and_resume(
@@ -305,8 +348,7 @@ class TestCheckpointResume:
                 with np.load(cfg.ckpt_path) as z:
                     assert set(z.files) == {
                         "config_text", "config_hash", "rows", "ens_x", "ens_p",
-                        "ens_w", "ens_w0", "ens_phi0", "grid_meta", "phi_m",
-                        "phi_0", "phi_p", "mu"}
+                        "ens_w", "ens_w0", "ens_phi0", "grid_meta", "mu"}
                 _, state, _ = load_checkpoint(cfg.ckpt_path)
                 assert state.free_disp is None
             n_half = state.grid.n_half
@@ -511,7 +553,11 @@ class TestDomainAbort:
         assert captured.out == "" and captured.err == f"aborted: {note}\n"
         summary = (tmp_path / "dom.csv.summary").read_text().splitlines()
         assert summary[1:4] == ["status = aborted", f"note = {note}", "t_final = 0"]
-        assert summary[-1] == "fsc_satisfied = 1" and len(summary) == 7
+        # semilag = 1 and keep_history = 0 are the defaults
+        assert summary[-2:] == [
+            "fsc_satisfied = 1",
+            "sl_columns = not measured (coupled runs need keep_history = 1)"]
+        assert len(summary) == 8
         csv = out.read_text().splitlines()
         assert csv[0] == summary[0].replace("config_hash = ", "# config_hash=")
         assert len(csv) == 3 and csv[2].startswith("0,")

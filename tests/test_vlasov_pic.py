@@ -3,7 +3,7 @@ import pytest
 
 from vnsim import diagnostics
 from vnsim.characteristics import ZeroField, rel_velocity
-from vnsim.errors import DomainTooSmallError
+from vnsim.errors import ConfigError, DomainTooSmallError
 from vnsim.profiles import InitialData, make_bump
 from vnsim.vlasov_pic import (deposit_mu, evaluate_f, init_coupled_state,
                               sample_particles, step, update_weights,
@@ -316,6 +316,22 @@ class TestCoupledLoop:
         np.testing.assert_allclose(state.ensemble.x, x0 + t * rel_velocity(p0),
                                    rtol=1e-12)
         np.testing.assert_allclose(state.ensemble.p, p0, rtol=1e-15)
+
+    def test_only_the_coupled_start_checks_cfl_and_holds_levels(self):
+        # dt = h violates the CFL bound of the leapfrog, which a free run
+        # never takes; its grid holds mu alone, also with keep_history
+        data = small_data()
+        with pytest.raises(ConfigError, match="CFL"):
+            init_coupled_state(data, 4, h=0.5, dt=0.5, pad=2.0)
+        state = init_coupled_state(data, 4, h=0.5, dt=0.5, pad=2.0,
+                                   coupling=False, keep_history=True)
+        g = state.grid
+        assert g.phi_m is g.phi_0 is g.phi_p is state.hist_full is None
+        assert g.mu.shape == (13, 13, 13) and g.mu.max() > 0.0
+        for _ in range(3):
+            step(state)
+        assert g.phi_m is g.phi_0 is g.phi_p is None
+        assert g.mu.shape == (g.n_nodes,) * 3 and g.n_nodes > 13
 
     def test_grid_time_tracks_state(self):
         data = small_data()
