@@ -9,8 +9,7 @@ from .characteristics import (AnalyticField, FieldView, PhaseState, ZeroField,
                               backward_trace, flow_jacobian, force, push,
                               rel_velocity)
 from .wavefield import (FieldGrid, GridFieldHistory, discrete_energy,
-                        fdtd_step, field_derivatives,
-                        kirchhoff_homogeneous, data_term_dt_phi,
+                        fdtd_step, field_derivatives, kirchhoff_homogeneous,
                         make_field_grid, retarded_potential,
                         unit_sphere_quadrature)
 from .vlasov_pic import (CoupledState, ParticleEnsemble, deposit_mu,

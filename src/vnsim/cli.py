@@ -124,14 +124,20 @@ _SCHEMA = {f.name: _converter(f) for f in fields(SimConfig)
 
 
 # A run's peak RSS, measured on coupled and free-transport runs (Python 3.11,
-# numpy 2.4): the interpreter with numpy and vnsim; per particle 9 ensemble
-# floats and up to 70 floats of RK4 stage and gather arrays; per semi-
-# Lagrangian trace point up to 80 floats; coupled, 8 levels of the final cube
-# (a growth holds 4 old and 2 grown, an FDTD step 6, the heap 2 freed), else 2.
+# numpy 2.4): the interpreter with numpy and vnsim; per coupled particle 9
+# ensemble floats and up to 70 floats of RK4 stage and gather arrays; per
+# free particle the lattice sampling's up to 36 floats (a free step holds
+# only 9 + 3 + 3); per semi-Lagrangian trace point up to 80 floats; coupled,
+# 5 levels of the final cube, else 2 (mu on the old and the grown cube).  A
+# growth holds at most 2 old and 2 grown levels, and a step phi_0, phi_p,
+# the new level and mu; the fifth is margin for a freed cube that the heap
+# may keep.
+# Levels that a field history holds are charged by the history term.
 _BASELINE_MB = 34.0
 _PARTICLE_FLOATS = 9 + 70
+_FREE_PARTICLE_FLOATS = 36
 _TRACE_POINT_FLOATS = 80
-_PEAK_LEVELS = 8
+_PEAK_LEVELS = 5
 
 
 def estimate_memory_mb(cfg: SimConfig) -> float:
@@ -149,7 +155,8 @@ def estimate_memory_mb(cfg: SimConfig) -> float:
         total += sum(cube(k * level_dt) for k in range(n_levels)) * itemsize
     # lattice particle fraction inside the unit 6-ball is pi^3/6 / 2^6
     n_part = cfg.n_per_dim**6 * (np.pi**3 / 6.0) / 64.0
-    total += n_part * _PARTICLE_FLOATS * 8.0
+    per_particle = _PARTICLE_FLOATS if cfg.coupling else _FREE_PARTICLE_FLOATS
+    total += n_part * per_particle * 8.0
     if cfg.semilag and (cfg.keep_history or not cfg.coupling):
         total += cfg.semilag_radii * cfg.semilag_np**3 * _TRACE_POINT_FLOATS * 8.0
     return _BASELINE_MB + total / 2**20
@@ -284,11 +291,9 @@ def _record_row(state: CoupledState, cfg: SimConfig) -> dict:
         origin = np.zeros(3)
         row["k_origin"] = float(diag.measure_K(state.grid, origin))
         row["l_origin"] = float(diag.measure_L(state.grid, origin))
-        K, L, r = diag.grid_derivative_maps(state.grid, max_radius=cfg.R + t)
-        if K.size:
-            row["k_cone"] = float(K.max())
-            row["fsc_k_raw"], row["fsc_l_raw"] = diag.fsc_raw_margins(
-                K, L, r, t, cfg.R, cfg.beta)
+        cone = diag.cone_maxima(state.grid, t, cfg.R, cfg.beta)
+        if cone is not None:
+            row["k_cone"], row["fsc_k_raw"], row["fsc_l_raw"] = cone
     return row
 
 

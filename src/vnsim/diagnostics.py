@@ -28,7 +28,7 @@ __all__ = [
     "sup_mu", "momentum_support", "max_momentum_spread",
     "fsc_raw_margins", "fsc_verdict", "fit_decay", "dispersion_check",
     "free_flow_dispersion_ratio", "jacobian_bound", "JacobianBoundReport",
-    "grid_derivative_maps", "semilag_profile",
+    "grid_derivative_maps", "cone_maxima", "semilag_profile",
 ]
 
 
@@ -98,26 +98,35 @@ def measure_L(grid: FieldGrid, probes) -> np.ndarray:
             + np.abs(hess).max(axis=(-1, -2)))
 
 
-def grid_derivative_maps(grid: FieldGrid, max_radius: float | None = None):
-    """K and L on all interior nodes with |x| <= max_radius.
+def _ball_planes(grid: FieldGrid, radius: float) -> tuple:
+    """Index range [lo, hi) of the interior sub-cube, on each axis, that holds
+    the nodes with |x| <= radius: radius / h nodes from the center plus one
+    of margin (r <= radius decides); capped at n so that inf stays an int."""
+    n = grid.n_nodes
+    reach = int(min(np.floor(radius / grid.h), n)) + 1
+    lo = max(2, grid.n_half - reach)
+    return lo, max(lo, min(n - 2, grid.n_half + reach + 1))
+
+
+def grid_derivative_maps(grid: FieldGrid, max_radius: float | None = None,
+                         planes: tuple | None = None):
+    """K and L on all interior nodes with |x| <= max_radius; with `planes`
+    = (a, b), only on those of the x-planes [a, b).
 
     Returns (K, L, r) flat arrays in node order; used for grid-wide sup
     norms and FSC margins.  The stencils run only on the index sub-cube that
     holds the ball, clamped to the interior, one slab of x-planes at a time.
     """
     radius = np.inf if max_radius is None else max_radius  # inf keeps all
-    n = grid.n_nodes
-    # nodes within radius / h of the center on each axis, plus one of margin
-    # (r <= radius decides); capped at n so that inf stays an int
-    reach = int(min(np.floor(radius / grid.h), n)) + 1
-    lo = max(2, grid.n_half - reach)
-    hi = max(lo, min(n - 2, grid.n_half + reach + 1))
-    if hi <= lo:
+    lo, hi = _ball_planes(grid, radius)
+    first, last = planes or (lo, hi)
+    first, last = max(first, lo), min(last, hi)
+    if last <= first:
         return (np.zeros(0),) * 3
     levels = (grid.phi_m, grid.phi_0, grid.phi_p)
     ax = grid.node_axis()
     parts = []
-    for a, b in _slabs(lo, hi, (hi - lo) ** 2):
+    for a, b in _slabs(first, last, (hi - lo) ** 2):
         def on_nodes(k, space):
             """`space` combined on the slab's nodes of the level at time offset k."""
             def shifted(off):
@@ -147,6 +156,23 @@ def grid_derivative_maps(grid: FieldGrid, max_radius: float | None = None):
         sel = r <= radius
         parts.append((K[sel], L[sel], r[sel]))
     return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def cone_maxima(grid: FieldGrid, t: float, R: float, beta: float):
+    """(max K, *fsc_raw_margins) over the interior nodes with |x| <= R + t,
+    bit for bit as from the whole-ball maps, or None when there is no node.
+
+    The maps are made and reduced one slab of x-planes at a time, so no
+    ball-sized array exists; np.maximum keeps a NaN, as .max() does.
+    """
+    lo, hi = _ball_planes(grid, R + t)
+    best = None
+    for planes in _slabs(lo, hi, (hi - lo) ** 2):
+        K, L, r = grid_derivative_maps(grid, max_radius=R + t, planes=planes)
+        if K.size:
+            got = (K.max(), *fsc_raw_margins(K, L, r, t, R, beta))
+            best = got if best is None else tuple(map(np.maximum, best, got))
+    return None if best is None else tuple(float(v) for v in best)
 
 
 def sup_mu(grid: FieldGrid) -> float:

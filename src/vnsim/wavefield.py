@@ -24,7 +24,7 @@ from .profiles import InitialData
 __all__ = [
     "FieldGrid", "make_field_grid", "fdtd_step", "field_derivatives",
     "discrete_energy", "GridFieldHistory", "unit_sphere_quadrature",
-    "kirchhoff_homogeneous", "data_term_dt_phi", "retarded_potential",
+    "kirchhoff_homogeneous", "retarded_potential",
 ]
 
 
@@ -57,6 +57,8 @@ class FieldGrid:
     The grid reuses an array only while it holds the array's last reference
     (`reusable`): `fdtd_step` writes the new level into the buffer of the
     phi_m that falls out, and `deposit_mu` the next source into that of mu.
+    A domain growth drops phi_m and mu (None until the step makes them
+    again), so a coupled grid holds at most four cubes at a time.
     Two facts about arrays are kept with a weak reference to the array, and
     hold only while it is still the grid's: `mu_box`, the box of nodes
     outside which mu is exactly +0.0 (`source_box`), and `finite`, the level
@@ -91,9 +93,10 @@ class FieldGrid:
         return (np.arange(self.n_nodes) - self.n_half) * self.h
 
     def reusable(self, name: str, shape: tuple) -> np.ndarray | None:
-        """The array self.<name> if it may be overwritten, else None: it has
-        `shape`, is C-contiguous float64 with writeable memory of its own,
-        and this grid holds its only reference."""
+        """The array self.<name> if it may be overwritten, else None (also
+        when the grid holds none): it has `shape`, is C-contiguous float64
+        with writeable memory of its own, and this grid holds its only
+        reference."""
         if _refs(self, name) > _SOLE_REFS:
             return None
         a = getattr(self, name)
@@ -135,19 +138,27 @@ class FieldGrid:
 
     def ensure_extent(self, x_needed: float):
         """Re-embed phi_0 and phi_p, the levels the next step reads, into a
-        larger cube if x_needed exceeds the current extent; phi_m and mu stay
-        on the old cube until the step replaces them.  A grid without levels
-        grows only its n_half.  A MemoryError leaves the grid as it was: both
-        grown levels exist before either is swapped in."""
+        larger cube if x_needed exceeds the current extent.  A grid without
+        levels grows only its n_half.
+
+        A MemoryError leaves the grid as it was: both grown levels exist
+        before anything is dropped.  Then phi_m and mu become None, as the
+        step writes both before it reads them, and phi_0 is copied and
+        swapped in before phi_p, so each old level is freed (unless a field
+        history still holds it) before the next copy touches the zeroed,
+        not yet resident pages of its grown level.  The growth so holds at
+        most 2 old and 2 grown levels.
+        """
         if x_needed <= self.x_max:
             return
         new_half = int(np.ceil((x_needed + GROW_CHUNK) / self.h))
         if self.phi_0 is not None:
             grown = [np.zeros((2 * new_half + 1,) * 3) for _ in range(2)]
             inner = slice(new_half - self.n_half, new_half + self.n_half + 1)
-            for new, old in zip(grown, (self.phi_0, self.phi_p)):
-                new[inner, inner, inner] = old
-            self.phi_0, self.phi_p = grown
+            self.phi_m = self.mu = None
+            for name, new in zip(("phi_0", "phi_p"), grown):
+                new[inner, inner, inner] = getattr(self, name)
+                setattr(self, name, new)
         self.n_half = new_half
 
 
@@ -189,7 +200,7 @@ SLAB_NODES = 1 << 16
 
 def _slabs(lo: int, hi: int, plane_nodes: int):
     """Bounds (a, b) of the slabs that cover the planes [lo, hi) in order."""
-    planes = max(1, SLAB_NODES // plane_nodes)
+    planes = max(1, SLAB_NODES // max(1, plane_nodes))
     for a in range(lo, hi, planes):
         yield a, min(a + planes, hi)
 
@@ -608,60 +619,6 @@ def kirchhoff_homogeneous(t: float, x, data: InitialData,
     vals0 = data.phi0_in.value(y) + t * np.sum(dirs * data.phi0_in.gradient(y), axis=-1)
     vals1 = data.phi1_in.value(y)
     return float((np.sum(w * vals0) + t * np.sum(w * vals1)) / (4.0 * np.pi))
-
-
-def _momentum_integral(data: InitialData, y: np.ndarray, omega: np.ndarray,
-                       n_p: int) -> float:
-    """int f_in(y, p) / ((1 + omega.phat) sqrt(1+p^2)) dp by midpoint rule."""
-    c = data.f_in.center
-    cx, cp = c[:3], c[3:]
-    r2 = data.f_in.radius**2 - float(np.sum((y - cx) ** 2))
-    if r2 <= 0.0:
-        return 0.0
-    r = np.sqrt(r2)
-    centers = (np.arange(n_p) + 0.5) * 2 * r / n_p - r
-    pg = np.stack(np.meshgrid(cp[0] + centers, cp[1] + centers, cp[2] + centers,
-                              indexing="ij"), axis=-1).reshape(-1, 3)
-    vol = (2 * r / n_p) ** 3
-    f = data.f_value(np.broadcast_to(y, pg.shape), pg)
-    gamma = np.sqrt(1.0 + np.sum(pg * pg, axis=-1))
-    phat = pg / gamma[:, None]
-    kern = 1.0 / ((1.0 + phat @ omega) * gamma)
-    return float(np.sum(f * kern) * vol)
-
-
-def data_term_dt_phi(t: float, x, data: InitialData, quad=(24, 48),
-                     n_p: int = 12) -> float:
-    """Data part of dt phi: the three sphere integrals over |x-y| = t.
-
-    The kinetic term carries the kernel 1/(1 + omega.phat) with
-    omega = -(x-y)/|x-y|; the field terms are the t-derivative of the
-    homogeneous sphere-mean solution.
-    """
-    x = np.asarray(x, dtype=float)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    dirs, w = unit_sphere_quadrature(*quad)
-    y = x + t * dirs  # omega = -(x-y)/t = dirs
-    xy = -t * dirs    # x - y
-
-    # kinetic data term: -(1/t) oint [int f_in/( (1+omega.phat) gamma) dp] dS_y
-    term1 = 0.0
-    rho = np.linalg.norm(y - data.f_in.center[:3], axis=-1)
-    hit = np.nonzero(rho < data.f_in.radius)[0]
-    for i in hit:
-        term1 += w[i] * _momentum_integral(data, y[i], dirs[i], n_p)
-    term1 *= -(1.0 / t) * t**2  # dS_y = t^2 dOmega
-
-    # field data terms
-    vals2 = data.phi1_in.value(y) - np.sum(data.phi1_in.gradient(y) * xy, axis=-1)
-    term2 = float(np.sum(w * vals2) * t**2 / (4.0 * np.pi * t**2))
-    g0 = data.phi0_in.gradient(y)
-    h0 = data.phi0_in.hessian(y)
-    vals3 = (2.0 * np.sum(g0 * xy, axis=-1)
-             - np.einsum("qi,qij,qj->q", xy, h0, xy))
-    term3 = float(-np.sum(w * vals3) * t**2 / (4.0 * np.pi * t**3))
-    return term1 + term2 + term3
 
 
 def retarded_potential(t: float, x, hist, shell_width: float,

@@ -3,8 +3,9 @@ import pytest
 
 from vnsim import wavefield
 from vnsim.characteristics import ZeroField
-from vnsim.diagnostics import (ConeWeight, dispersion_check, fit_decay,
-                               free_flow_dispersion_ratio, fsc_raw_margins,
+from vnsim.diagnostics import (ConeWeight, cone_maxima, dispersion_check,
+                               fit_decay, free_flow_dispersion_ratio,
+                               fsc_raw_margins,
                                fsc_verdict, grid_derivative_maps, jacobian_bound,
                                max_momentum_spread, measure_K, measure_L,
                                momentum_support,
@@ -218,25 +219,73 @@ def reference_ball_maps(grid, max_radius=None):
     return K.ravel(), L.ravel(), r.ravel()
 
 
+def random_grid():
+    """h = 0.3, n = 23: the full interior has 19 x-planes of 19**2 nodes."""
+    rng = np.random.default_rng(9)
+    return grid_from_function(lambda t, x: rng.standard_normal(x.shape[:-1]),
+                              h=0.3, dt=0.15, n_half=11)
+
+
 class TestGridMapsSlabs:
-    # h = 0.3, n = 23: the full interior has 19 x-planes of 19**2 nodes.
     # SLAB_NODES = 1 gives one plane per slab on every sub-cube, 3 * 19**2
     # three planes of the full interior and a partial last slab.
-    @pytest.mark.parametrize("slab_nodes", [1, 3 * 19**2, None])
+    SLAB_NODES = [1, 3 * 19**2, None]
+
+    @pytest.mark.parametrize("slab_nodes", SLAB_NODES)
     @pytest.mark.parametrize("max_radius", [-1.0, 0.0, 0.3, 3.0, np.inf, None])
     def test_bitwise_equal_to_whole_sub_cube(self, monkeypatch, slab_nodes,
                                              max_radius):
         if slab_nodes is not None:
             monkeypatch.setattr(wavefield, "SLAB_NODES", slab_nodes)
-        rng = np.random.default_rng(9)
-        g = grid_from_function(lambda t, x: rng.standard_normal(x.shape[:-1]),
-                               h=0.3, dt=0.15, n_half=11)
+        g = random_grid()
         got = grid_derivative_maps(g, max_radius=max_radius)
         want = reference_ball_maps(g, max_radius=max_radius)
         for a, b in zip(got, want):
             assert a.dtype == np.float64 and a.ndim == 1
             np.testing.assert_array_equal(a, b)
         assert (got[0].size == 0) == (max_radius is not None and max_radius < 0)
+
+    @pytest.mark.parametrize("slab_nodes", SLAB_NODES)
+    @pytest.mark.parametrize("max_radius", [-1.0, 0.3, 3.0, None])
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_planes_concatenate_to_whole_ball(self, monkeypatch, slab_nodes,
+                                              max_radius, width):
+        # plane ranges of `width` that cover the cube and reach past both
+        # ends; grid_derivative_maps clamps them to the ball's sub-cube
+        if slab_nodes is not None:
+            monkeypatch.setattr(wavefield, "SLAB_NODES", slab_nodes)
+        g = random_grid()
+        parts = [grid_derivative_maps(g, max_radius=max_radius, planes=(a, a + width))
+                 for a in range(-2, g.n_nodes + 2, width)]
+        want = grid_derivative_maps(g, max_radius=max_radius)
+        for col, b in zip(zip(*parts), want):
+            np.testing.assert_array_equal(np.concatenate(col), b)
+
+    @pytest.mark.parametrize("slab_nodes", SLAB_NODES)
+    # R + t: no interior node, one, and many
+    @pytest.mark.parametrize("cone_radius", [-1.0, 0.0, 0.3, 3.0, np.inf])
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_cone_maxima_equal_whole_ball(self, monkeypatch, slab_nodes,
+                                          cone_radius, nan):
+        if slab_nodes is not None:
+            monkeypatch.setattr(wavefield, "SLAB_NODES", slab_nodes)
+        g = random_grid()
+        if nan:
+            # beside the origin, on the plane after the origin's when slabs
+            # are single planes; the stencils carry it into the K and L of
+            # the origin and its neighbours, so every maximum is NaN
+            g.phi_0[12, 11, 11] = np.nan
+        R, beta = 1.0, 0.6
+        t = cone_radius - R
+        got = cone_maxima(g, t, R, beta)
+        K, L, r = grid_derivative_maps(g, max_radius=R + t)
+        if cone_radius < 0:
+            assert got is None and K.size == 0
+            return
+        want = (K.max(), *fsc_raw_margins(K, L, r, t, R, beta))
+        assert all(type(v) is float for v in got)
+        np.testing.assert_array_equal(got, want)
+        assert np.isnan(got).all() == nan
 
 
 def reference_max_spread(ens, cell_size):
