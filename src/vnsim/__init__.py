@@ -17,7 +17,7 @@ from .vlasov_pic import (CoupledState, ParticleEnsemble, deposit_mu,
                          sample_particles, step, update_weights)
 from .diagnostics import (ConeWeight, DecayFit, fsc_raw_margins, fsc_verdict,
                           dispersion_check, fit_decay, jacobian_bound,
-                          measure_K, measure_L, momentum_support,
+                          measure_KL, momentum_support,
                           max_momentum_spread, semilag_profile, sup_mu)
 from .cli import SimConfig, parse_config, run_scenario, sweep, main
 

@@ -156,7 +156,8 @@ def free_displacement(p, dt: float) -> np.ndarray:
     return dt / 6 * (v + 2 * v + 2 * v + v)
 
 
-def _force_arrays(t, x, p, field: FieldView):
+def force(t, x, p, field: FieldView) -> np.ndarray:
+    """Momentum rate -(S phi) p - (1+p^2)^(-1/2) grad phi; x, p float arrays."""
     gamma = np.sqrt(1.0 + _norm2(p))
     phat = p / gamma[..., None]
     dt_phi, grad = field.first_derivs(t, x)
@@ -164,15 +165,8 @@ def _force_arrays(t, x, p, field: FieldView):
     return -s_phi[..., None] * p - grad / gamma[..., None]
 
 
-def force(state: PhaseState, field: FieldView) -> np.ndarray:
-    """Momentum rate -(S phi) p - (1+p^2)^(-1/2) grad phi."""
-    x = np.asarray(state.x, dtype=float)
-    p = np.asarray(state.p, dtype=float)
-    return _force_arrays(state.t, x, p, field)
-
-
 def _rhs(t, x, p, field):
-    return rel_velocity(p), _force_arrays(t, x, p, field)
+    return rel_velocity(p), force(t, x, p, field)
 
 
 def _rk4(t, y, dt, rhs):

@@ -277,7 +277,7 @@ def _record_row(state: CoupledState, cfg: SimConfig) -> dict:
 
     if cfg.semilag:
         # the zero field without coupling, else the stored levels if any
-        view = state.hist_full if state.coupling else state.field_view
+        view = state.hist_full if state.coupling else state.grid.view()
         if view is not None and t > 0:
             _, mu_sl, spread_sl = diag.semilag_profile(
                 t, view, state.data, cfg.dt if state.coupling else t,
@@ -288,9 +288,8 @@ def _record_row(state: CoupledState, cfg: SimConfig) -> dict:
             row["sup_mu_sl"] = row["sup_mu"]
 
     if state.coupling:
-        origin = np.zeros(3)
-        row["k_origin"] = float(diag.measure_K(state.grid, origin))
-        row["l_origin"] = float(diag.measure_L(state.grid, origin))
+        k, l = diag.measure_KL(state.grid, np.zeros(3))
+        row["k_origin"], row["l_origin"] = float(k), float(l)
         cone = diag.cone_maxima(state.grid, t, cfg.R, cfg.beta)
         if cone is not None:
             row["k_cone"], row["fsc_k_raw"], row["fsc_l_raw"] = cone
@@ -302,19 +301,13 @@ def _format_row(row: dict) -> str:
 
 
 def _has_nan(state: CoupledState, first: bool = True) -> bool:
-    """Whether a step left a NaN or an infinity in the state.
-
-    phi_0 is the phi_p that the previous check saw, and phi_p is skipped
-    when `fdtd_step` found it all finite.  Without coupling (no levels) only
-    x changes after set-up, so a check that is not the run's `first` sums x.
-    """
-    ens, grid = state.ensemble, state.grid
-    vals = [ens.x]
-    if state.coupling or first:
-        vals += [ens.p, ens.w]
-    if state.coupling and not grid.phi_p_finite():
-        vals.append(grid.phi_p)
-    return any(not np.isfinite(np.sum(a)) for a in vals if a.size)
+    """Whether a step left a NaN or an infinity in x, in p and w (without
+    coupling only x changes after the run's `first` check), or in the field's
+    new level (`FieldGrid.phi_p_finite`)."""
+    ens = state.ensemble
+    vals = [ens.x] + ([ens.p, ens.w] if state.coupling or first else [])
+    return (any(not np.isfinite(np.sum(a)) for a in vals if a.size)
+            or not state.grid.phi_p_finite())
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +316,6 @@ def _has_nan(state: CoupledState, first: bool = True) -> bool:
 
 def save_checkpoint(path: str, cfg: SimConfig, state: CoupledState, rows: list):
     ens = state.ensemble
-    grid = state.grid
-    levels = {k: getattr(grid, k) for k in ("phi_m", "phi_0", "phi_p") if state.coupling}
     # a file object, because np.savez appends ".npz" to a path without it
     with open(path, "wb") as fh:
         np.savez(
@@ -333,9 +324,7 @@ def save_checkpoint(path: str, cfg: SimConfig, state: CoupledState, rows: list):
             config_hash=np.frombuffer(config_hash(cfg).encode(), dtype=np.uint8),
             rows=np.frombuffer("\n".join(rows).encode(), dtype=np.uint8),
             ens_x=ens.x, ens_p=ens.p, ens_w=ens.w, ens_w0=ens.w0,
-            ens_phi0=ens.phi0_at_x0,
-            grid_meta=np.array([grid.h, grid.dt, float(grid.n_half), grid.t]),
-            **levels, mu=grid.mu,
+            ens_phi0=ens.phi0_at_x0, **state.grid.arrays(),
         )
 
 
@@ -345,10 +334,7 @@ def load_checkpoint(path: str):
         with np.load(path) as z:
             cfg = parse_config(bytes(z["config_text"]).decode())
             rows = bytes(z["rows"]).decode().split("\n")
-            h, dtv, n_half, gt = z["grid_meta"]
-            levels = {k: z[k] for k in ("phi_m", "phi_0", "phi_p") if cfg.coupling}
-            grid = FieldGrid(h=float(h), dt=float(dtv), n_half=int(n_half),
-                             t=float(gt), mu=z["mu"], **levels)
+            grid = FieldGrid.from_arrays(z, levels=cfg.coupling)
             ens = ParticleEnsemble(x=z["ens_x"], p=z["ens_p"], w=z["ens_w"],
                                    w0=z["ens_w0"], phi0_at_x0=z["ens_phi0"])
     except ConfigError:

@@ -24,7 +24,7 @@ from .wavefield import (GRAD, HESS, NOW, TIME_D1, TIME_D2, VALUE, FieldGrid,
                         _slabs, difference, field_derivatives)
 
 __all__ = [
-    "ConeWeight", "DecayFit", "measure_K", "measure_L",
+    "ConeWeight", "DecayFit", "measure_KL",
     "sup_mu", "momentum_support", "max_momentum_spread",
     "fsc_raw_margins", "fsc_verdict", "fit_decay", "dispersion_check",
     "free_flow_dispersion_ratio", "jacobian_bound", "JacobianBoundReport",
@@ -85,16 +85,12 @@ def fit_decay(series, window) -> DecayFit:
 # Field-derivative measurements
 # ---------------------------------------------------------------------------
 
-def measure_K(grid: FieldGrid, probes) -> np.ndarray:
-    """K = |dt phi| + |grad phi| at probe points (Euclidean gradient norm)."""
-    dt_phi, grad, _, _, _ = field_derivatives(grid, probes)
-    return np.abs(dt_phi) + np.linalg.norm(grad, axis=-1)
-
-
-def measure_L(grid: FieldGrid, probes) -> np.ndarray:
-    """L = |dt2 phi| + |dt grad phi| + max |hess entries| at probe points."""
-    _, _, dt2, dt_grad, hess = field_derivatives(grid, probes)
-    return (np.abs(dt2) + np.linalg.norm(dt_grad, axis=-1)
+def measure_KL(grid: FieldGrid, probes) -> tuple:
+    """(K, L) at probe points from one gather: K = |dt phi| + |grad phi|
+    (Euclidean norm), L = |dt2 phi| + |dt grad phi| + max |hess entries|."""
+    dt_phi, grad, dt2, dt_grad, hess = field_derivatives(grid, probes)
+    return (np.abs(dt_phi) + np.linalg.norm(grad, axis=-1),
+            np.abs(dt2) + np.linalg.norm(dt_grad, axis=-1)
             + np.abs(hess).max(axis=(-1, -2)))
 
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import characteristics as chars
-from .characteristics import FieldView, PhaseState, ZeroField
+from .characteristics import FieldView, PhaseState
 from .errors import DomainTooSmallError
 from .profiles import InitialData
-from .wavefield import FieldGrid, GridFieldHistory, fdtd_step, make_field_grid
+from .wavefield import FieldGrid, GridFieldHistory, make_field_grid
 
 __all__ = [
     "ParticleEnsemble", "CoupledState", "sample_particles", "deposit_mu",
@@ -166,18 +166,6 @@ class CoupledState:
         """The run's time, the grid's center level time."""
         return self.grid.t
 
-    @property
-    def field_view(self) -> FieldView:
-        """The grid's own levels phi_0 at t and phi_p at t + dt as a
-        two-level GridFieldHistory; the zero field without coupling."""
-        if not self.coupling:
-            return ZeroField()
-        grid = self.grid
-        view = GridFieldHistory()
-        view.append(grid.t, grid.phi_0, grid.h, grid.n_half)
-        view.append(grid.t + grid.dt, grid.phi_p, grid.h, grid.n_half)
-        return view
-
 
 def init_coupled_state(data: InitialData, n_per_dim: int, h: float, dt: float,
                        pad: float = 2.0, coupling: bool = True,
@@ -191,7 +179,7 @@ def init_coupled_state(data: InitialData, n_per_dim: int, h: float, dt: float,
                                source=lambda g: deposit_mu(ens, g))
         if keep_history:
             hist_full = GridFieldHistory(dtype=history_dtype, stride=history_stride)
-            hist_full.append(0.0, grid.phi_0, h, grid.n_half)
+            grid.keep(hist_full)
     else:  # no field levels: the grid carries the deposit only
         grid = FieldGrid.at_start(data.support_radius_R, h, dt, pad)
         deposit_mu(ens, grid)
@@ -201,8 +189,7 @@ def init_coupled_state(data: InitialData, n_per_dim: int, h: float, dt: float,
 
 def step(state: CoupledState, deposit: bool = True) -> CoupledState:
     """One coupled cycle: push -> weights -> deposit -> field -> advance t."""
-    ens = state.ensemble
-    grid = state.grid
+    ens, grid = state.ensemble, state.grid
     dt = grid.dt
     t_new = state.t + dt
 
@@ -211,7 +198,7 @@ def step(state: CoupledState, deposit: bool = True) -> CoupledState:
             state.free_disp = chars.free_displacement(ens.p, dt)
         ens.x = ens.x + state.free_disp
     elif ens.n:
-        view = state.field_view
+        view = grid.view()
         pushed = chars.push(PhaseState(x=ens.x, p=ens.p, t=state.t), dt, view)
         ens.x, ens.p = pushed.x, pushed.p
         update_weights(ens, view, t_new)
@@ -224,14 +211,7 @@ def step(state: CoupledState, deposit: bool = True) -> CoupledState:
     else:
         grid.clear_mu()
 
-    if state.coupling:
-        fdtd_step(grid, grid.mu,
-                  sponge_radius=state.data.support_radius_R + t_new + 1.0)
-        hist = state.hist_full
-        if hist is not None and int(round(t_new / dt)) % hist.stride == 0:
-            hist.append(t_new, grid.phi_0, grid.h, grid.n_half)
-    else:
-        grid.t = t_new
+    grid.advance(state.data.support_radius_R, state.hist_full)
     return state
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import FieldView
+from .characteristics import FieldView, ZeroField
 from .errors import ConfigError, DomainTooSmallError, OutOfHistoryError
 from .profiles import InitialData
 
@@ -37,6 +37,7 @@ def _cfl_ok(dt: float, h: float) -> bool:
 # ---------------------------------------------------------------------------
 
 GROW_CHUNK = 1.0  # a growth's margin beyond the extent asked for
+LEVELS = ("phi_m", "phi_0", "phi_p")
 
 
 def _refs(obj, name: str) -> int:
@@ -49,7 +50,9 @@ _SOLE_REFS = _refs(types.SimpleNamespace(a=np.zeros(1)), "a")
 
 @dataclass
 class FieldGrid:
-    """Three consecutive time levels of phi on a cube, plus the source level.
+    """Three consecutive time levels of phi on a cube, plus the source level:
+    the run's field, which the loop, the record and the checkpoint reach
+    through `view`, `advance`, `arrays`/`from_arrays` and `phi_p_finite`.
 
     Levels phi_m, phi_0, phi_p live at times t-dt, t, t+dt, t the diagnostic
     center time, and are None without coupling.  Node i is at (i - n_half)*h.
@@ -133,8 +136,48 @@ class FieldGrid:
         return mu
 
     def phi_p_finite(self) -> bool:
-        """Whether `fdtd_step` found every value of phi_p finite."""
-        return self.finite is not None and self.finite() is self.phi_p
+        """Whether phi_p is all finite (so without levels): as `fdtd_step`
+        found it, else by its sum."""
+        p = self.phi_p
+        return (p is None or (self.finite is not None and self.finite() is p)
+                or bool(np.isfinite(np.sum(p))))
+
+    def view(self) -> FieldView:
+        """The push's view: phi_0 at t and phi_p at t + dt as a two-level
+        GridFieldHistory (drop it before a growth), or the zero field."""
+        if self.phi_0 is None:
+            return ZeroField()
+        view = GridFieldHistory()
+        view.append(self.t, self.phi_0, self.h, self.n_half)
+        view.append(self.t + self.dt, self.phi_p, self.h, self.n_half)
+        return view
+
+    def advance(self, R: float, hist: GridFieldHistory | None = None):
+        """`fdtd_step` from mu with the sponge at R + t + 1, t the new time,
+        and the due append to `hist` (`keep`); without levels only t += dt."""
+        if self.phi_0 is None:
+            self.t += self.dt
+        else:
+            fdtd_step(self, self.mu, sponge_radius=R + (self.t + self.dt) + 1.0)
+            self.keep(hist)
+
+    def keep(self, hist: GridFieldHistory | None):
+        """Append phi_0 at t to `hist`, if any, at every stride-th step."""
+        if hist is not None and int(round(self.t / self.dt)) % hist.stride == 0:
+            hist.append(self.t, self.phi_0, self.h, self.n_half)
+
+    def arrays(self) -> dict:
+        """Checkpoint arrays: grid_meta = (h, dt, n_half, t), levels if any, mu."""
+        levels = {k: getattr(self, k) for k in LEVELS if self.phi_0 is not None}
+        return dict(grid_meta=np.array([self.h, self.dt, float(self.n_half), self.t]),
+                    **levels, mu=self.mu)
+
+    @classmethod
+    def from_arrays(cls, z, levels: bool) -> FieldGrid:
+        """The grid of the `arrays()` in z, with its levels only if `levels`."""
+        h, dt, n_half, t = z["grid_meta"]
+        return cls(h=float(h), dt=float(dt), n_half=int(n_half), t=float(t),
+                   mu=z["mu"], **{k: z[k] for k in LEVELS if levels})
 
     def ensure_extent(self, x_needed: float):
         """Re-embed phi_0 and phi_p, the levels the next step reads, into a

@@ -42,7 +42,8 @@ class TestRelVelocity:
 class TestForce:
     def test_zero_field(self):
         state = PhaseState(x=np.ones(3), p=np.ones(3), t=0.5)
-        np.testing.assert_array_equal(force(state, ZeroField()), np.zeros(3))
+        np.testing.assert_array_equal(force(state.t, state.x, state.p, ZeroField()),
+                                      np.zeros(3))
 
     def test_formula(self):
         fld = gaussian_field()
@@ -53,7 +54,7 @@ class TestForce:
         dt_phi, grad = fld.first_derivs(t, x)
         s_phi = dt_phi + (p / gamma) @ grad
         expected = -s_phi * p - grad / gamma
-        np.testing.assert_allclose(force(PhaseState(x=x, p=p, t=t), fld), expected)
+        np.testing.assert_allclose(force(t, x, p, fld), expected)
 
 
 class TestPush:
@@ -251,7 +252,7 @@ def reference_push(state, dt, field):
     x, p, t = state.x, state.p, state.t
 
     def rhs(s, xs, ps):
-        return rel_velocity(ps), force(PhaseState(x=xs, p=ps, t=s), field)
+        return rel_velocity(ps), force(s, xs, ps, field)
 
     k1x, k1p = rhs(t, x, p)
     k2x, k2p = rhs(t + dt / 2, x + dt / 2 * k1x, p + dt / 2 * k1p)
@@ -269,7 +270,7 @@ def reference_flow_jacobian(t, x, p, field, dt):
 
     def rhs(time, xx, pp, jj):
         dx = rel_velocity(pp)
-        dp = force(PhaseState(x=xx, p=pp, t=time), field)
+        dp = force(time, xx, pp, field)
         return dx, dp, _flow_matrix(time, xx, pp, field) @ jj
 
     for step in _backward_steps(t, dt):
@@ -410,7 +411,8 @@ class TestColumnReductions:
                                     lambda t, x, v=dt_phi: v,
                                     lambda t, x, g=grad: g)
                 state = PhaseState(x=np.zeros(shape), p=p, t=0.5)
-                assert_same_bits(force(state, fld), reference_force(state, fld))
+                assert_same_bits(force(state.t, state.x, state.p, fld),
+                                 reference_force(state, fld))
 
     def test_force_of_negative_zero_products(self):
         # phat . grad is a sum of three -0.0: np.sum gives +0.0, and with
@@ -420,6 +422,6 @@ class TestColumnReductions:
         fld = AnalyticField(lambda t, x: np.zeros(x.shape[:-1]),
                             lambda t, x: np.array([-0.0]), lambda t, x: grad)
         state = PhaseState(x=np.zeros((1, 3)), p=p, t=0.0)
-        got = force(state, fld)
+        got = force(state.t, state.x, state.p, fld)
         assert_same_bits(got, reference_force(state, fld))
         assert not np.signbit(got).any()

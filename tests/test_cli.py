@@ -370,7 +370,18 @@ class TestCheckpointResume:
         assert state.free_disp.shape == state.ensemble.x.shape
         assert grows >= 4
 
-    @pytest.mark.parametrize("kind", ["csv", "cut", "empty", "npy", "no_mu"])
+    def test_coupled_checkpoint_keys(self, tmp_path, monkeypatch):
+        # the free run's keys plus the three field levels, and no other
+        monkeypatch.chdir(tmp_path)
+        conf = write_conf(tmp_path, BASE + "output = run.csv\ncheckpoint_interval = 1\n")
+        assert main(["run", conf]) == 0
+        with np.load("run.csv.ckpt.npz") as z:
+            assert set(z.files) == {
+                "config_text", "config_hash", "rows", "ens_x", "ens_p", "ens_w",
+                "ens_w0", "ens_phi0", "grid_meta", "phi_m", "phi_0", "phi_p", "mu"}
+
+    @pytest.mark.parametrize("kind", ["csv", "cut", "empty", "npy", "no_mu",
+                                      "no_level"])
     def test_resume_of_a_broken_file_exits_two(self, tmp_path, monkeypatch,
                                               capsys, kind):
         monkeypatch.chdir(tmp_path)
@@ -388,9 +399,10 @@ class TestCheckpointResume:
         elif kind == "npy":
             with open(bad, "wb") as fh:
                 np.save(fh, np.zeros(3))
-        else:
+        else:  # a coupled checkpoint without mu, or without phi_p
+            drop = "mu" if kind == "no_mu" else "phi_p"
             with np.load("run.csv.ckpt.npz") as z:
-                arrays = {k: v for k, v in z.items() if k != "mu"}
+                arrays = {k: v for k, v in z.items() if k != drop}
             with open(bad, "wb") as fh:
                 np.savez(fh, **arrays)
         capsys.readouterr()

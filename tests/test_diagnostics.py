@@ -7,7 +7,7 @@ from vnsim.diagnostics import (ConeWeight, cone_maxima, dispersion_check,
                                fit_decay, free_flow_dispersion_ratio,
                                fsc_raw_margins,
                                fsc_verdict, grid_derivative_maps, jacobian_bound,
-                               max_momentum_spread, measure_K, measure_L,
+                               max_momentum_spread, measure_KL,
                                momentum_support,
                                semilag_profile, sup_mu)
 from vnsim.profiles import InitialData, make_bump
@@ -73,24 +73,25 @@ class TestMeasureKL:
     def test_zero_field(self):
         g = grid_from_function(lambda t, x: np.zeros(x.shape[:-1]))
         probes = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, -0.5]])
-        np.testing.assert_array_equal(measure_K(g, probes), np.zeros(2))
-        np.testing.assert_array_equal(measure_L(g, probes), np.zeros(2))
+        K, L = measure_KL(g, probes)
+        np.testing.assert_array_equal(K, np.zeros(2))
+        np.testing.assert_array_equal(L, np.zeros(2))
 
     def test_unit_time_derivative(self):
         g = grid_from_function(lambda t, x: t * np.ones(x.shape[:-1]))
-        assert float(measure_K(g, np.zeros(3))) == pytest.approx(1.0)
+        assert float(measure_KL(g, np.zeros(3))[0]) == pytest.approx(1.0)
 
     def test_time_plus_space(self):
         g = grid_from_function(lambda t, x: t + x[..., 0])
-        assert float(measure_K(g, np.zeros(3))) == pytest.approx(2.0)
+        assert float(measure_KL(g, np.zeros(3))[0]) == pytest.approx(2.0)
 
     def test_l_time_squared(self):
         g = grid_from_function(lambda t, x: t**2 * np.ones(x.shape[:-1]))
-        assert float(measure_L(g, np.zeros(3))) == pytest.approx(2.0)
+        assert float(measure_KL(g, np.zeros(3))[1]) == pytest.approx(2.0)
 
     def test_l_space_squared(self):
         g = grid_from_function(lambda t, x: x[..., 0]**2)
-        assert float(measure_L(g, np.zeros(3))) == pytest.approx(2.0)
+        assert float(measure_KL(g, np.zeros(3))[1]) == pytest.approx(2.0)
 
     def test_grid_maps_match_pointwise(self):
         g = grid_from_function(
@@ -98,8 +99,7 @@ class TestMeasureKL:
         K, L, r = grid_derivative_maps(g)
         # probe an interior node: axis index 4 -> coordinate (4-6)*0.5 = -1.0
         probe = np.array([-1.0, -1.0, -1.0])
-        k_probe = float(measure_K(g, probe))
-        l_probe = float(measure_L(g, probe))
+        k_probe, l_probe = map(float, measure_KL(g, probe))
         sel = np.isclose(r, np.sqrt(3.0))
         assert np.any(sel)
         assert np.isclose(K[sel], k_probe).any()
@@ -115,8 +115,9 @@ class TestMeasureKL:
         L = L.reshape((n - 4,) * 3)[:-1, :-1, :-1]
         ax = g.node_axis()[2:-3]
         nodes = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
-        np.testing.assert_allclose(K, measure_K(g, nodes), rtol=1e-12)
-        np.testing.assert_allclose(L, measure_L(g, nodes), rtol=1e-12)
+        K_nodes, L_nodes = measure_KL(g, nodes)
+        np.testing.assert_allclose(K, K_nodes, rtol=1e-12)
+        np.testing.assert_allclose(L, L_nodes, rtol=1e-12)
 
     def test_sup_mu(self):
         g = grid_from_function(lambda t, x: np.zeros(x.shape[:-1]))

@@ -95,6 +95,12 @@ class TestSupNorms:
         brute_h = np.linalg.norm(prof.hessian(pts), axis=(-2, -1)).max()
         assert brute_h <= sups[2] + 1e-12
         assert brute_h >= 0.9 * sups[2]
+        # the radial sampling holds only the gradient's peak radius, so it
+        # misses the third derivative's true peak by a relative ~4e-10
+        brute_t = np.linalg.norm(prof.third_derivative(pts).reshape(len(pts), -1),
+                                 axis=-1).max()
+        assert brute_t <= sups[3] * (1 + 1e-6)
+        assert brute_t >= 0.9 * sups[3]
 
     def test_order_exceeding_smoothness(self):
         prof = make_bump([0.0] * 3, 1.0, 1.0, 2)

@@ -339,7 +339,7 @@ class TestCoupledLoop:
         for _ in range(4):
             step(state)
         assert state.grid.t == pytest.approx(state.t)
-        assert state.field_view.t_max == pytest.approx(state.t + state.grid.dt)
+        assert state.grid.view().t_max == pytest.approx(state.t + state.grid.dt)
 
     def test_spatial_support_within_cone(self):
         data = small_data()
