@@ -158,15 +158,17 @@ def free_displacement(p, dt: float) -> np.ndarray:
 
 def force(t, x, p, field: FieldView) -> np.ndarray:
     """Momentum rate -(S phi) p - (1+p^2)^(-1/2) grad phi; x, p float arrays."""
-    gamma = np.sqrt(1.0 + _norm2(p))
-    phat = p / gamma[..., None]
-    dt_phi, grad = field.first_derivs(t, x)
-    s_phi = dt_phi + _dot(phat, grad)
-    return -s_phi[..., None] * p - grad / gamma[..., None]
+    return _rhs(t, x, p, field)[1]
 
 
 def _rhs(t, x, p, field):
-    return rel_velocity(p), force(t, x, p, field)
+    """(phat, force) at one RK4 stage, gamma and phat computed once; phat
+    has the bits of rel_velocity(p)."""
+    gamma = np.sqrt(1.0 + _norm2(p))[..., None]
+    phat = p / gamma
+    dt_phi, grad = field.first_derivs(t, x)
+    s_phi = dt_phi + _dot(phat, grad)
+    return phat, -s_phi[..., None] * p - grad / gamma
 
 
 def _rk4(t, y, dt, rhs):

@@ -18,8 +18,8 @@ import numpy as np
 from . import diagnostics as diag
 from .errors import ConfigError, DomainTooSmallError
 from .profiles import InitialData, make_bump, validate_membership
-from .vlasov_pic import (CoupledState, init_coupled_state, step,
-                         ParticleEnsemble)
+from .vlasov_pic import (PARTICLE_CHUNK, CoupledState, init_coupled_state,
+                         step, ParticleEnsemble)
 from .wavefield import GROW_CHUNK, FieldGrid, _cfl_ok
 
 FLOAT_FMT = "%.17g"
@@ -124,19 +124,22 @@ _SCHEMA = {f.name: _converter(f) for f in fields(SimConfig)
 
 
 # A run's peak RSS, measured on coupled and free-transport runs (Python 3.11,
-# numpy 2.4): the interpreter with numpy and vnsim; per coupled particle 9
-# ensemble floats and up to 70 floats of RK4 stage and gather arrays; per
-# free particle the lattice sampling's up to 36 floats (a free step holds
-# only 9 + 3 + 3); per semi-Lagrangian trace point up to 80 floats; coupled,
-# 5 levels of the final cube, else 2 (mu on the old and the grown cube).  A
-# growth holds at most 2 old and 2 grown levels, and a step phi_0, phi_p,
-# the new level and mu; the fifth is margin for a freed cube that the heap
-# may keep.
+# numpy 2.4): the interpreter with numpy and vnsim; per particle the lattice
+# sampling's up to 36 floats (a free step holds 9 + 3 + 3, a coupled step 9
+# ensemble floats, 7 of the new x, p and w and about 15 of the deposit);
+# coupled, up to 70 floats of RK4 stage and gather arrays per particle of
+# one PARTICLE_CHUNK; per semi-Lagrangian trace point up to 80 floats on one
+# PARTICLE_CHUNK of points, and 16 of its inputs and outputs on every point;
+# coupled, 5 levels of the final cube, else 2 (mu on the old and the grown
+# cube).  A growth holds at most 2 old and 2 grown levels, and a step phi_0,
+# phi_p, the new level and mu; the fifth is margin for a freed cube that the
+# heap may keep.
 # Levels that a field history holds are charged by the history term.
 _BASELINE_MB = 34.0
-_PARTICLE_FLOATS = 9 + 70
-_FREE_PARTICLE_FLOATS = 36
-_TRACE_POINT_FLOATS = 80
+_PARTICLE_FLOATS = 36
+_PUSH_FLOATS = 70
+_TRACE_CHUNK_FLOATS = 80
+_TRACE_POINT_FLOATS = 16
 _PEAK_LEVELS = 5
 
 
@@ -155,10 +158,13 @@ def estimate_memory_mb(cfg: SimConfig) -> float:
         total += sum(cube(k * level_dt) for k in range(n_levels)) * itemsize
     # lattice particle fraction inside the unit 6-ball is pi^3/6 / 2^6
     n_part = cfg.n_per_dim**6 * (np.pi**3 / 6.0) / 64.0
-    per_particle = _PARTICLE_FLOATS if cfg.coupling else _FREE_PARTICLE_FLOATS
-    total += n_part * per_particle * 8.0
+    total += n_part * _PARTICLE_FLOATS * 8.0
+    if cfg.coupling:
+        total += min(n_part, PARTICLE_CHUNK) * _PUSH_FLOATS * 8.0
     if cfg.semilag and (cfg.keep_history or not cfg.coupling):
-        total += cfg.semilag_radii * cfg.semilag_np**3 * _TRACE_POINT_FLOATS * 8.0
+        n_points = cfg.semilag_radii * cfg.semilag_np**3
+        total += (min(n_points, PARTICLE_CHUNK) * _TRACE_CHUNK_FLOATS
+                  + n_points * _TRACE_POINT_FLOATS) * 8.0
     return _BASELINE_MB + total / 2**20
 
 

@@ -97,10 +97,22 @@ class BumpProfile:
 
     # -- sup norms of derivative tensors -------------------------------------
 
-    def _sample_radii(self, n: int) -> np.ndarray:
-        """n radii over [0, radius], then |gradient|'s peak, radius/sqrt(2m-1)."""
-        r = np.linspace(0.0, self.radius, n)
-        return np.append(r, self.radius / np.sqrt(2 * self._m - 1))
+    def _sample_radii(self, n: int, max_order: int) -> np.ndarray:
+        """n radii over [0, radius], then the critical radii of every order.
+
+        The squared norm of each derivative tensor at r is a polynomial of
+        degree <= 2m in s = r^2/radius^2, so its interpolant on 2m + 1
+        Chebyshev points is exact up to rounding; the real parts of its
+        derivative's roots, clipped to [0, 1], hold every interior peak.
+        """
+        def norm2(s, j):
+            return self._tensor_norms_at_radius(self.radius * np.sqrt(s), j)[j] ** 2
+
+        roots = [np.polynomial.Chebyshev.interpolate(
+                     norm2, 2 * self._m, domain=[0.0, 1.0], args=(j,)).deriv().roots()
+                 for j in range(max_order + 1)]
+        s = np.clip(np.concatenate(roots).real, 0.0, 1.0)
+        return np.append(np.linspace(0.0, self.radius, n), self.radius * np.sqrt(s))
 
     def _tensor_norms_at_radius(self, r: np.ndarray, max_order: int) -> np.ndarray:
         """Frobenius norms of the derivative tensors at distance r from center.
@@ -130,13 +142,14 @@ class BumpProfile:
     def derivative_sup_norms(self, max_order: int, n_samples: int = 4001) -> np.ndarray:
         """Sup over the support of the Frobenius norm of each derivative tensor.
 
-        Dense radial sampling plus the critical radius (`_sample_radii`).
+        Dense radial sampling plus each order's critical radii
+        (`_sample_radii`).
         """
         if max_order > self.smoothness_order:
             raise ValueError(
                 f"derivatives of order {max_order} exceed smoothness C^{self.smoothness_order}"
             )
-        r = self._sample_radii(n_samples)
+        r = self._sample_radii(n_samples, max_order)
         return self._tensor_norms_at_radius(r, max_order).max(axis=1)
 
 
@@ -204,10 +217,10 @@ def initial_norm(data: InitialData, sample_spacing: float,
                 f"sample_spacing {sample_spacing} too coarse for {name}: "
                 f"needs >= 8 points across radius {prof.radius}"
             )
-        norms = prof._tensor_norms_at_radius(prof._sample_radii(n), order)
+        norms = prof._tensor_norms_at_radius(prof._sample_radii(n, order), order)
         total += float(norms.max(axis=1).sum())
         # modulus of continuity of the sampled curves
-        tol += float(np.abs(np.diff(norms[:, :-1], axis=1)).max(initial=0.0))
+        tol += float(np.abs(np.diff(norms[:, :n], axis=1)).max(initial=0.0))
     if with_tolerance:
         return total, tol
     return total

@@ -24,6 +24,12 @@ __all__ = [
 ]
 
 
+# The coupled step pushes and re-weighs, and evaluate_f traces, at most this
+# many particles or points at a time, so the RK4 stage and gather arrays
+# stay one chunk's size; no value depends on it.
+PARTICLE_CHUNK = 1 << 15
+
+
 # ---------------------------------------------------------------------------
 # Particle ensemble
 # ---------------------------------------------------------------------------
@@ -188,7 +194,12 @@ def init_coupled_state(data: InitialData, n_per_dim: int, h: float, dt: float,
 
 
 def step(state: CoupledState, deposit: bool = True) -> CoupledState:
-    """One coupled cycle: push -> weights -> deposit -> field -> advance t."""
+    """One coupled cycle: push -> weights -> deposit -> field -> advance t.
+
+    A coupled ensemble is pushed and re-weighed PARTICLE_CHUNK particles at
+    a time into new x, p and w; every value is per particle, so the bits do
+    not depend on the chunks.
+    """
     ens, grid = state.ensemble, state.grid
     dt = grid.dt
     t_new = state.t + dt
@@ -197,11 +208,20 @@ def step(state: CoupledState, deposit: bool = True) -> CoupledState:
         if state.free_disp is None:
             state.free_disp = chars.free_displacement(ens.p, dt)
         ens.x = ens.x + state.free_disp
-    elif ens.n:
+    else:
         view = grid.view()
-        pushed = chars.push(PhaseState(x=ens.x, p=ens.p, t=state.t), dt, view)
-        ens.x, ens.p = pushed.x, pushed.p
-        update_weights(ens, view, t_new)
+        x, p, w = np.empty_like(ens.x), np.empty_like(ens.p), np.empty_like(ens.w)
+        for a in range(0, ens.n, PARTICLE_CHUNK):
+            s = slice(a, a + PARTICLE_CHUNK)
+            pushed = chars.push(PhaseState(x=ens.x[s], p=ens.p[s], t=state.t),
+                                dt, view)
+            part = update_weights(
+                ParticleEnsemble(x=pushed.x, p=pushed.p, w=ens.w[s], w0=ens.w0[s],
+                                 phi0_at_x0=ens.phi0_at_x0[s]), view, t_new)
+            x[s], p[s], w[s] = part.x, part.p, part.w
+            # hold one chunk's arrays at a time
+            del pushed, part
+        ens.x, ens.p, ens.w = x, p, w
         # a domain growth below replaces the levels the view holds; drop them
         del view
 
@@ -224,10 +244,21 @@ def evaluate_f(t: float, x, p, hist: FieldView, data: InitialData,
     """f(t,x,p) by backward characteristics and the exponential weight law.
 
     Independent of the particle ensemble; reduces to f_in(x - t*phat, p) for
-    a vanishing field.
+    a vanishing field.  x and p broadcast to one shape (..., 3); the points
+    are traced PARTICLE_CHUNK at a time.
     """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
+    x, p = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(p, dtype=float))
+    xs, ps = x.reshape(-1, 3), p.reshape(-1, 3)
+    f = np.empty(len(xs))
+    for a in range(0, len(xs), PARTICLE_CHUNK):
+        s = slice(a, a + PARTICLE_CHUNK)
+        f[s] = _f_along_characteristics(t, xs[s], ps[s], hist, data, dt)
+    return f.reshape(x.shape[:-1])
+
+
+def _f_along_characteristics(t, x, p, hist, data, dt):
+    """evaluate_f on one batch of points, traced together."""
     if t == 0.0:
         return data.f_value(x, p)
     x0, p0 = chars.backward_trace(t, x, p, hist, dt)

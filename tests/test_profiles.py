@@ -82,8 +82,9 @@ class TestBumpEvaluation:
 
 
 class TestSupNorms:
-    def test_sup_norms_vs_sampling(self):
-        prof = make_bump([0.0, 0.0, 0.0], 1.0, 1.0, 3)
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_sup_norms_vs_sampling(self, k):
+        prof = make_bump([0.0, 0.0, 0.0], 1.0, 1.0, k)
         rng = np.random.default_rng(7)
         pts = rng.uniform(-1, 1, size=(20000, 3))
         pts = pts[np.linalg.norm(pts, axis=1) < 1.0]
@@ -95,12 +96,14 @@ class TestSupNorms:
         brute_h = np.linalg.norm(prof.hessian(pts), axis=(-2, -1)).max()
         assert brute_h <= sups[2] + 1e-12
         assert brute_h >= 0.9 * sups[2]
-        # the radial sampling holds only the gradient's peak radius, so it
-        # misses the third derivative's true peak by a relative ~4e-10
+        # the radial samples hold every order's critical radii
         brute_t = np.linalg.norm(prof.third_derivative(pts).reshape(len(pts), -1),
                                  axis=-1).max()
-        assert brute_t <= sups[3] * (1 + 1e-6)
+        assert brute_t <= sups[3] * (1 + 1e-12)
         assert brute_t >= 0.9 * sups[3]
+        # nor do dense radial samples of any order's norm
+        norms = prof._tensor_norms_at_radius(np.linspace(0.0, 1.0, 200001), 3)
+        assert np.all(norms.max(axis=1) <= sups * (1 + 1e-12))
 
     def test_order_exceeding_smoothness(self):
         prof = make_bump([0.0] * 3, 1.0, 1.0, 2)

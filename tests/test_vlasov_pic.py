@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from vnsim import diagnostics
+from vnsim import characteristics, diagnostics, vlasov_pic
 from vnsim.characteristics import ZeroField, rel_velocity
 from vnsim.errors import ConfigError, DomainTooSmallError
 from vnsim.profiles import InitialData, make_bump
@@ -370,6 +372,80 @@ class TestCoupledLoop:
             step(state)
         assert np.all(state.grid.phi_0 == 0.0)
         assert np.all(state.grid.mu == 0.0)
+
+
+def assert_same_bits(got, ref):
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
+# chunk sizes at the edges of N particles or points
+CHUNK_EDGES = {"1": lambda n: 1, "7": lambda n: 7, "N-1": lambda n: n - 1,
+               "N": lambda n: n, "N+1": lambda n: n + 1}
+
+
+class TestParticleChunks:
+    """Pushing, re-weighing and tracing in chunks gives the unchunked bits."""
+
+    @staticmethod
+    def coupled_run(keep_history=False):
+        # h = 0.25, pad = 3: the cube grows in the first step, so the second
+        # pushes on the grown levels
+        state = init_coupled_state(small_data(), 4, h=0.25, dt=0.125, pad=3.0,
+                                   keep_history=keep_history)
+        n_half = state.grid.n_half
+        for _ in range(2):
+            step(state)
+        assert state.grid.n_half > n_half
+        return state
+
+    @pytest.fixture(scope="class")
+    def unchunked(self):
+        return self.coupled_run(keep_history=True)
+
+    @pytest.mark.parametrize("edge", CHUNK_EDGES)
+    def test_step(self, monkeypatch, unchunked, edge):
+        n = unchunked.ensemble.n
+        chunk = CHUNK_EDGES[edge](n)
+        monkeypatch.setattr(vlasov_pic, "PARTICLE_CHUNK", chunk)
+        calls = []
+        push = characteristics.push
+        monkeypatch.setattr(characteristics, "push",
+                            lambda *a: calls.append(1) or push(*a))
+        ens = self.coupled_run().ensemble
+        assert len(calls) == 2 * -(-n // chunk)
+        for name in ("x", "p", "w"):
+            assert_same_bits(getattr(ens, name), getattr(unchunked.ensemble, name))
+
+    @pytest.mark.parametrize("edge", CHUNK_EDGES)
+    def test_evaluate_f(self, monkeypatch, unchunked, edge):
+        # 24 points inside the support and 24 outside it, so that some
+        # chunks hold no point where f > 0
+        rng = np.random.default_rng(11)
+        x = np.concatenate([rng.uniform(-0.5, 0.5, (24, 3)),
+                            rng.uniform(2.0, 2.5, (24, 3))])
+        p = rng.uniform(-0.5, 0.5, (48, 3))
+        args = (unchunked.t, x, p, unchunked.hist_full, unchunked.data,
+                unchunked.grid.dt)
+        ref = evaluate_f(*args)
+        assert np.any(ref > 0.0) and np.any(ref[24:] == 0.0)
+        monkeypatch.setattr(vlasov_pic, "PARTICLE_CHUNK", CHUNK_EDGES[edge](len(x)))
+        assert_same_bits(evaluate_f(*args), ref)
+
+    def test_step_holds_one_chunk_of_push_arrays(self, monkeypatch):
+        # traced peak of one coupled step per particle: the new x, p and w
+        # and the deposit; a whole-ensemble push reaches about 57 floats
+        monkeypatch.setattr(vlasov_pic, "PARTICLE_CHUNK", 512)
+        state = init_coupled_state(small_data(), 7, h=0.5, dt=0.25, pad=5.0)
+        step(state)  # the first step also makes the grid's reused buffers
+        tracemalloc.start()
+        try:
+            step(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.ensemble.n > 16 * 512
+        assert peak < 30 * 8 * state.ensemble.n
 
 
 class TestEvaluateF:
