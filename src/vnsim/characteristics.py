@@ -62,6 +62,13 @@ class FieldView:
         hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
         return dt_grad, hess
 
+    def derivative_bound(self, t0: float, t1: float) -> float:
+        """An upper bound on |dt phi| + |grad phi| (Euclidean) as first_derivs
+        returns them, at any point and any time in [t0, t1]: inf unless the
+        view knows better.  `backward_trace` drops no point under a bound
+        that is not finite."""
+        return np.inf
+
 
 class ZeroField(FieldView):
     """phi identically 0 (free transport)."""
@@ -77,6 +84,9 @@ class ZeroField(FieldView):
     def second_derivs(self, t, x):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape), np.zeros(x.shape + (3,))
+
+    def derivative_bound(self, t0, t1):
+        return 0.0
 
 
 class AnalyticField(FieldView):
@@ -211,16 +221,87 @@ def _backward_steps(t: float, dt: float):
     return steps
 
 
-def backward_trace(t: float, x, p, field: FieldView, dt: float):
+def _misses(t: float, steps: list, field: FieldView, center, radius: float):
+    """The drop rule of `backward_trace`: misses(j, x, p) marks the points
+    of the state after j steps whose foot provably lies outside the ball
+    |(X(0), P(0)) - center| < radius; None when the field's bounds are not
+    finite.
+
+    Step i, of length h_i, runs under K_i = field.derivative_bound over its
+    stage times, and |F| <= K (1 + |p|).  So an RK4 step changes P by at
+    most (1 + |P|) (e^(K h) - 1): its stages sum to the quartic Taylor
+    polynomial of that bound; the weighted mean of its stages' change of P,
+    which moves x through the 1-Lipschitz phat, is smaller.  With S_j, A_j
+    the sums of h_i and K_i h_i over the steps i >= j, and
+    E_j = sum_(i >= j) h_i (e^(K_j h_j + ... + K_i h_i) - 1),
+        |P(0) - P_j| <= (1 + |P_j|) (e^A_j - 1),
+        |X(0) - (X_j - S_j phat(P_j))| <= (1 + |P_j|) E_j.
+    A point is dropped when these lower bounds on |X(0) - c_x| and
+    |P(0) - c_p|, less a rounding slack that grows with the number of steps,
+    put it outside radius**2 (1 + 1e-9), where f_in is +0.0.
+    """
+    K, s = [], t
+    for step in steps:  # the stage times of push, from s down to s + step
+        K.append(field.derivative_bound(s + step, s))
+        s = s + step
+    n = len(steps)
+    h = -np.array(steps, dtype=float)
+    u = np.array(K, dtype=float) * h
+    S, A, E = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n - 1, -1, -1):
+            S[j], A[j] = S[j + 1] + h[j], A[j + 1] + u[j]
+            E[j] = np.exp(u[j]) * E[j + 1] + np.expm1(u[j]) * S[j]
+    # E_0 exceeds every other term, and an inf or NaN K makes it NaN
+    if not np.isfinite(E[0]):
+        return None
+    slack = 1e-12 * (n + 1)
+    grow = np.exp(A)
+    center = np.asarray(center, dtype=float)
+    limit = radius**2 * (1.0 + 1e-9)
+
+    def misses(j, x, p):
+        one_p = 1.0 + np.sqrt(_norm2(p))
+        free = x - S[j] * rel_velocity(p) - center[:3]
+        dx = (np.sqrt(_norm2(free)) - one_p * E[j]
+              - slack * (1.0 + np.sqrt(_norm2(x)) + S[j]
+                         + one_p * (E[j] + S[j] * grow[j])))
+        dp = (np.sqrt(_norm2(p - center[3:]))
+              - one_p * (np.expm1(A[j]) + slack * grow[j]))
+        return np.maximum(dx, 0.0) ** 2 + np.maximum(dp, 0.0) ** 2 > limit
+
+    return misses
+
+
+def backward_trace(t: float, x, p, field: FieldView, dt: float, support=None):
     """Trace the characteristic through (t, x, p) back to s = 0.
 
     Returns (X(0), P(0)); the inputs may be batched with last axis 3.
+
+    With `support` = (center, radius), a ball in (x, p) outside which f_in
+    vanishes, x and p are one batch of shape (N, 3).  Before the first step
+    and after every step the trace drops the points whose foot provably
+    misses the ball (`_misses`, from the field's `derivative_bound`), and
+    returns (X(0), P(0), kept): the feet of the points whose indices into
+    the batch are `kept`.  Every step still goes through `push`, also on an
+    empty batch; a kept point's foot has the bits of the unpruned trace, as
+    every value is per point.
     """
+    steps = _backward_steps(t, dt)
     state = PhaseState(x=np.asarray(x, dtype=float),
                        p=np.asarray(p, dtype=float), t=t)
-    for step in _backward_steps(t, dt):
-        state = push(state, step, field)
-    return state.x, state.p
+    misses = None if support is None else _misses(t, steps, field, *support)
+    kept = None if support is None else np.arange(len(state.x))
+    for j in range(len(steps) + 1):
+        if misses is not None:
+            keep = ~misses(j, state.x, state.p)
+            state = PhaseState(x=state.x[keep], p=state.p[keep], t=state.t)
+            kept = kept[keep]
+        if j < len(steps):
+            state = push(state, steps[j], field)
+    if support is None:
+        return state.x, state.p
+    return state.x, state.p, kept
 
 
 # ---------------------------------------------------------------------------

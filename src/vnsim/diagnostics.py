@@ -353,7 +353,10 @@ def semilag_profile(t: float, field: FieldView, data: InitialData, dt: float,
 
     All probe/momentum pairs are batched into one characteristic integration,
     which is what makes late-time measurements affordable on stored-history
-    fields.  Returns (radii, mu, spread) arrays of length n_radii.
+    fields; `evaluate_f` traces to s = 0 only the pairs whose characteristic
+    may reach f_in's support (about 1 in 100 on the acceptance grid) and
+    gives the others +0.0, the value a full trace gives.  Returns (radii,
+    mu, spread) arrays of length n_radii.
     """
     probes = _radial_probes(t, data, n_radii)
     xs, ps, vols, steps = [], [], [], []

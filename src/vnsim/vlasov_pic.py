@@ -245,7 +245,10 @@ def evaluate_f(t: float, x, p, hist: FieldView, data: InitialData,
 
     Independent of the particle ensemble; reduces to f_in(x - t*phat, p) for
     a vanishing field.  x and p broadcast to one shape (..., 3); the points
-    are traced PARTICLE_CHUNK at a time.
+    are traced PARTICLE_CHUNK at a time.  f is evaluated only at the points
+    whose characteristic `backward_trace` cannot show to miss f_in's
+    support; the others read +0.0, which is what f_in's +0.0 times the
+    finite weight factor gives.
     """
     x, p = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(p, dtype=float))
@@ -261,10 +264,13 @@ def _f_along_characteristics(t, x, p, hist, data, dt):
     """evaluate_f on one batch of points, traced together."""
     if t == 0.0:
         return data.f_value(x, p)
-    x0, p0 = chars.backward_trace(t, x, p, hist, dt)
+    support = (data.f_in.center, data.f_in.radius)
+    x0, p0, kept = chars.backward_trace(t, x, p, hist, dt, support=support)
     f0 = data.f_value(x0, p0)
-    if not np.any(f0 > 0.0):
-        return f0
-    phi_now = hist.phi(t, x)
-    phi_init = hist.phi(0.0, x0)  # the run's own field at t = 0
-    return f0 * np.exp(4.0 * (phi_now - phi_init))
+    if np.any(f0 > 0.0):
+        phi_now = hist.phi(t, x[kept])
+        phi_init = hist.phi(0.0, x0)  # the run's own field at t = 0
+        f0 = f0 * np.exp(4.0 * (phi_now - phi_init))
+    f = np.zeros(len(x))
+    f[kept] = f0
+    return f

@@ -540,11 +540,19 @@ class GridFieldHistory(FieldView):
 
     dt phi is the forward difference of the bracketing levels.  A run that
     keeps every `stride`-th level of its field records the stride here.
+    Levels are never changed once stored: `derivative_bound` caches maxima
+    per level and per bracket.
     """
+
+    # a level whose |phi| reaches this gets no finite bound: e^(4 (phi - phi'))
+    # of the weight law then stays finite wherever a trace drops a point
+    PHI_CAP = 80.0
 
     def __init__(self, dtype=np.float64, stride: int = 1):
         self._times: list[float] = []
         self._levels: list[tuple[np.ndarray, float, int]] = []  # (phi, h, n_half)
+        self._maxima: dict[int, tuple[float, float]] = {}  # level -> node maxima
+        self._bounds: dict[tuple, float] = {}  # (k0, k1) -> derivative bound
         self.dtype = dtype
         self.stride = stride
 
@@ -563,6 +571,12 @@ class GridFieldHistory(FieldView):
     def covers(self, t: float) -> bool:
         return bool(self._times) and self.t_min - 1e-9 <= t <= self.t_max + 1e-9
 
+    def _index(self, t: float) -> int:
+        """The bracket [k, k + 1] that t selects, t clamped to the history."""
+        t = min(max(t, self.t_min), self.t_max)
+        k = int(np.searchsorted(self._times, t, side="right")) - 1
+        return min(max(k, 0), len(self._times) - 2)
+
     def _bracket(self, t: float):
         if not self._times:
             raise OutOfHistoryError("no field levels stored")
@@ -571,11 +585,72 @@ class GridFieldHistory(FieldView):
                 f"t={t} outside stored history [{self.t_min}, {self.t_max}]")
         if len(self._times) == 1:
             return 0, 0, 0.0
+        k = self._index(t)
         t = min(max(t, self.t_min), self.t_max)
-        k = int(np.searchsorted(self._times, t, side="right")) - 1
-        k = min(max(k, 0), len(self._times) - 2)
         t0, t1 = self._times[k], self._times[k + 1]
         return k, k + 1, (t - t0) / (t1 - t0)
+
+    def derivative_bound(self, t0, t1):
+        """Max of the bracket bounds over the brackets that a time in
+        [t0, t1] selects (a NaN level makes it NaN); inf without levels."""
+        if not self._times:
+            return np.inf
+        if len(self._times) == 1:
+            return self._bracket_bound(0, 0)
+        ks = range(self._index(min(t0, t1)), self._index(max(t0, t1)) + 1)
+        return float(np.max([self._bracket_bound(k, k + 1) for k in ks]))
+
+    def _bracket_bound(self, k0: int, k1: int) -> float:
+        """1.01 (max |grad| + max |dt phi| + rounding slack) on the bracket of
+        levels k0 <= k1, from node maxima.
+
+        The gather is a convex combination of node stencils (0 outside the
+        valid cells), so |grad| is at most the larger level's max Euclidean
+        central-difference gradient / h, and |dt phi| the max |L1 - L0| / tau
+        over nodes when both levels share one geometry; after a growth
+        (max |L0| + max |L1|) / tau, and 0 on a single level.  The slack
+        covers the rounding of the two sampled values whose difference is
+        dt phi; the factor 1.01 that of the float32 stencils.
+        """
+        if (k0, k1) not in self._bounds:
+            (f0, h0, n0), (f1, h1, n1) = self._levels[k0], self._levels[k1]
+            (g0, m0), (g1, m1) = self._node_maxima(k0), self._node_maxima(k1)
+            dt_phi = 0.0
+            if k1 != k0:
+                diff = m0 + m1
+                if (h0, n0, f0.shape) == (h1, n1, f1.shape):
+                    diff = 0.0
+                    for a, b in _slabs(0, f0.shape[0], f0[0].size):
+                        diff = np.maximum(diff, np.abs(
+                            f1[a:b] - f0[a:b].astype(float)).max())
+                tau = self._times[k1] - self._times[k0]
+                dt_phi = (diff + 1e-12 * (m0 + m1)) / tau
+            bound = 1.01 * (np.maximum(g0, g1) + dt_phi)
+            self._bounds[k0, k1] = float(
+                np.inf if np.maximum(m0, m1) >= self.PHI_CAP else bound)
+        return self._bounds[k0, k1]
+
+    def _node_maxima(self, k: int) -> tuple:
+        """(max Euclidean central-difference gradient / h over the nodes
+        1..n-2 of each axis, which the valid cells' corners are, and max
+        |phi| over all nodes) of level k, slab by slab in float64; a NaN
+        node makes both NaN."""
+        if k not in self._maxima:
+            phi, h, _ = self._levels[k]
+            n = phi.shape[0]
+            g2, top = 0.0, 0.0
+            for a, b in _slabs(0, n, n * n):
+                top = np.maximum(top, np.abs(phi[a:b]).max())
+                lo, hi = max(a, 1), min(b, n - 1)
+                if lo >= hi:
+                    continue
+                s = phi[lo - 1:hi + 1].astype(float)
+                gx = s[2:, 1:-1, 1:-1] - s[:-2, 1:-1, 1:-1]
+                gy = s[1:-1, 2:, 1:-1] - s[1:-1, :-2, 1:-1]
+                gz = s[1:-1, 1:-1, 2:] - s[1:-1, 1:-1, :-2]
+                g2 = np.maximum(g2, (gx * gx + gy * gy + gz * gz).max())
+            self._maxima[k] = (float(0.5 * np.sqrt(g2) / h), float(top))
+        return self._maxima[k]
 
     def _at_bracket(self, t: float, x, stencils):
         """Stencils at x on the two levels bracketing t, each divided by its

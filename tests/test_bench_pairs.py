@@ -56,3 +56,24 @@ def test_improvements_are_within_bound(tool):
     assert all(out[m["name"]]["within_bound"] for m in END_TO_END)
     assert all(out[m["name"]]["change_wins"] == 3 for m in END_TO_END)
     assert tool._breaches(out) == []
+
+
+STAT = """cpu  100 5 30 4000 20 2 3 40 0 0
+cpu0 50 2 15 2000 10 1 2 20 0 0
+cpu1 50 3 15 2000 10 1 1 20 0 0
+intr 12345
+"""
+
+
+def test_cpu_ticks_of_proc_stat(tool):
+    before = tool.cpu_ticks(STAT)
+    assert before == {"busy": 140, "steal": 40, "idle": 4020}
+    after = tool.cpu_ticks(STAT.replace("cpu  100 5 30 4000 20 2 3 40",
+                                        "cpu  160 5 50 4100 20 2 3 60"))
+    over = tool.ticks_over(before, after)
+    assert over == {"busy": 80, "steal": 20, "idle": 100, "steal_share": 0.2}
+    # a kernel without the steal column, and a missing reading
+    assert tool.cpu_ticks("cpu 1 2 3 4\n")["steal"] == 0
+    assert tool.ticks_over(None, after) is None
+    with pytest.raises(ValueError):
+        tool.cpu_ticks("cpu0 1 2 3 4\n")

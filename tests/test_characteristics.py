@@ -118,6 +118,22 @@ class TestBackwardTrace:
                                    rtol=1e-13)
         np.testing.assert_allclose(pb, [0.5, 0, 0])
 
+    @pytest.mark.parametrize("fld, drops", [(ZeroField(), True),
+                                            (gaussian_field(amp=0.05), False)])
+    def test_support_keeps_the_feet_of_the_unpruned_trace(self, fld, drops):
+        # a field without a finite derivative_bound drops nothing
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-2.0, 2.0, (400, 3))
+        p = rng.uniform(-1.0, 1.0, (400, 3))
+        center, radius = np.array([0.5, 0, 0, 0.2, 0, 0]), 0.8
+        xb, pb = backward_trace(1.3, x, p, fld, 0.25)
+        xk, pk, kept = backward_trace(1.3, x, p, fld, 0.25, support=(center, radius))
+        assert_bitwise_equal_states(xk, pk, xb[kept], pb[kept])
+        inside = np.linalg.norm(np.concatenate([xb, pb], axis=-1) - center,
+                                axis=-1) < radius
+        assert set(np.flatnonzero(inside)) <= set(kept)
+        assert 0 < len(kept) < 400 if drops else len(kept) == 400
+
     def test_time_range_enforced(self):
         fld = gaussian_field()
         fld.t_range = (0.0, 1.0)

@@ -199,6 +199,23 @@ class TestRunScenario:
         run_scenario(cfg)
         assert out.read_bytes() == first
 
+    def test_semilag_history_matches_the_pinned_csv(self, tmp_path, monkeypatch):
+        # late-time *_sl columns, traced through a float32 history of every
+        # 4th level, against the CSV this config wrote before backward traces
+        # dropped the points that miss f's support
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.conf").write_text(
+            (root / "tools" / "semilag_history.conf").read_text())
+        assert main(["run", "run.conf"]) == 0
+        got = (tmp_path / "semilag_history.csv").read_text().splitlines()
+        pinned = (root / "tests" / "data" / "semilag_history.csv").read_text()
+        pinned = pinned.splitlines()
+        assert got[:2] == pinned[:2] and len(got) == len(pinned) == 9
+        np.testing.assert_allclose(
+            np.loadtxt(got[2:], delimiter=","),
+            np.loadtxt(pinned[2:], delimiter=","), rtol=1e-7, atol=0)
+
 
 class TestCheckpointResume:
     def test_resume_reproduces_series(self, tmp_path):

@@ -8,6 +8,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -21,7 +22,9 @@ def small_configs(draw):
     """(config text, coupled semilag with history) of a run of a few steps.
 
     Free runs go on to t = 4, and at pad 0 or 1 their cube grows every few
-    steps; delta = 0 leaves no particles at all.
+    steps; delta = 0 leaves no particles at all.  f's support ball may be
+    smaller than R and off the origin (inside the ball of radius R), so
+    the backward traces drop points near its edge.
     """
     h = draw(st.sampled_from([0.5, 1.0]))
     dt = h / draw(st.sampled_from([2, 4]))  # inside the CFL bound h / sqrt(3)
@@ -32,7 +35,14 @@ def small_configs(draw):
     every = stride if coupling and semilag and keep_history else 1
     t_max = 1.5 if coupling else 4.0
     n_steps = every * draw(st.integers(-(-2 // every), int(t_max / dt) // every))
+    f_radius = draw(st.sampled_from([1.0, 0.8, 0.5, 0.3]))
+    direction = np.array(draw(st.lists(st.integers(-3, 3), min_size=6,
+                                       max_size=6)), dtype=float)
+    reach = 0.999 * (1.0 - f_radius) * draw(st.sampled_from([1.0, 0.5]))
+    f_center = reach * direction / max(np.linalg.norm(direction), 1.0)
     lines = {
+        "f_center": ",".join(repr(float(c)) for c in f_center),
+        "f_radius": f_radius,
         "h": h, "dt": dt, "t_end": n_steps * dt,
         "n_per_dim": draw(st.integers(4, 6)),
         # R + pad > 2 h with coupling

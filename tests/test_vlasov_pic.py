@@ -10,7 +10,7 @@ from vnsim.profiles import InitialData, make_bump
 from vnsim.vlasov_pic import (deposit_mu, evaluate_f, init_coupled_state,
                               sample_particles, step, update_weights,
                               ParticleEnsemble)
-from vnsim.wavefield import FieldGrid, make_field_grid
+from vnsim.wavefield import FieldGrid, GridFieldHistory, make_field_grid
 
 
 def small_data(f_amp=0.02, phi_amp=0.01, R=1.0):
@@ -490,3 +490,155 @@ class TestEvaluateF:
         c = state.grid.n_half
         mu_dep = state.grid.mu[c, c, c]
         assert mu_dep == pytest.approx(mu_sl, rel=0.25)
+
+
+def reference_f_along_characteristics(t, x, p, hist, data, dt):
+    """evaluate_f without the drop rule: every point is traced to s = 0 in
+    one batch, and f_in times the weight factor read at all of them."""
+    x, p = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(p, dtype=float))
+    if t == 0.0:
+        return data.f_value(x, p)
+    x0, p0 = characteristics.backward_trace(t, x, p, hist, dt)
+    f0 = data.f_value(x0, p0)
+    if not np.any(f0 > 0.0):
+        return f0
+    return f0 * np.exp(4.0 * (hist.phi(t, x) - hist.phi(0.0, x0)))
+
+
+DATA = {"centred": small_data, "off-centre": off_centre_data}
+
+
+def in_support(data, count, seed):
+    """`count` random phase points inside f_in's support ball."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((count, 6))
+    z *= (0.999 * rng.uniform(0, 1, (count, 1)) ** (1 / 6)
+          / np.linalg.norm(z, axis=-1, keepdims=True))
+    z = data.f_in.center + data.f_in.radius * z
+    return z[:, :3], z[:, 3:]
+
+
+def trace_points(t, hist, data, dt, seed=21):
+    """Points at time t: the forward images of 200 points of f_in's support,
+    which land in or near it, and 2000 random ones in the light cone."""
+    x, p = in_support(data, 200, seed)
+    state = characteristics.PhaseState(x=x, p=p, t=0.0)
+    while state.t < t - 1e-9:
+        state = characteristics.push(state, min(dt, t - state.t), hist)
+    rng = np.random.default_rng(seed + 1)
+    reach = data.support_radius_R + t
+    return (np.concatenate([state.x, rng.uniform(-reach, reach, (2000, 3))]),
+            np.concatenate([state.p, rng.uniform(-2.0, 2.0, (2000, 3))]))
+
+
+class TestSupportDrop:
+    """evaluate_f traces only the points whose characteristic may reach
+    f_in's support, with the bits of the unpruned reference."""
+
+    @pytest.fixture(scope="class")
+    def histories(self):
+        """float32 histories with stride 1, 2 and 4 of one run to t = 2."""
+        state = init_coupled_state(small_data(), 4, h=0.5, dt=0.25, pad=5.0,
+                                   keep_history=True, history_stride=1)
+        while state.t < 2.0 - 1e-9:
+            step(state)
+        full = state.hist_full
+        out = {}
+        for stride in (1, 2, 4):
+            hist = GridFieldHistory(dtype=np.float32, stride=stride)
+            for k in range(0, len(full._times), stride):
+                hist.append(full._times[k], *full._levels[k])
+            out[stride] = hist
+        return out
+
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    @pytest.mark.parametrize("data", DATA)
+    @pytest.mark.parametrize("dt", [0.25, 0.3])  # 2 = 6 * 0.3 + 0.2
+    def test_evaluate_f_bits(self, histories, stride, data, dt):
+        hist, data = histories[stride], DATA[data]()
+        x, p = trace_points(2.0, hist, data, dt)
+        ref = reference_f_along_characteristics(2.0, x, p, hist, data, dt)
+        assert np.count_nonzero(ref > 0.0) > 100
+        assert_same_bits(evaluate_f(2.0, x, p, hist, data, dt), ref)
+
+    def test_small_chunks(self, monkeypatch, histories):
+        data = off_centre_data()
+        x, p = trace_points(2.0, histories[4], data, 0.25)
+        ref = reference_f_along_characteristics(2.0, x, p, histories[4], data, 0.25)
+        monkeypatch.setattr(vlasov_pic, "PARTICLE_CHUNK", 7)
+        assert_same_bits(evaluate_f(2.0, x, p, histories[4], data, 0.25), ref)
+
+    @pytest.mark.parametrize("stride", [1, 4])
+    @pytest.mark.parametrize("data", DATA)
+    def test_semilag_profile_bits(self, monkeypatch, histories, stride, data):
+        args = (2.0, histories[stride], DATA[data](), 0.25)
+        got = diagnostics.semilag_profile(*args, n_radii=8, n_p=8)
+        monkeypatch.setattr(diagnostics, "evaluate_f",
+                            reference_f_along_characteristics)
+        ref = diagnostics.semilag_profile(*args, n_radii=8, n_p=8)
+        assert np.any(ref[1] > 0.0)
+        for a, b in zip(got, ref):
+            assert_same_bits(a, b)
+
+    def test_nan_level_drops_nothing(self, histories):
+        hist = GridFieldHistory(dtype=np.float32)
+        for t, (level, h, n_half) in zip(histories[4]._times,
+                                          histories[4]._levels):
+            hist.append(t, level.copy(), h, n_half)
+        n_half = hist._levels[-1][2]
+        hist._levels[-1][0][n_half, n_half, n_half] = np.nan
+        data = small_data()
+        x, p = trace_points(2.0, histories[4], data, 0.25)
+        with np.errstate(invalid="ignore"):  # the gather's cast of NaN feet
+            ref = reference_f_along_characteristics(2.0, x, p, hist, data, 0.25)
+            got = evaluate_f(2.0, x, p, hist, data, 0.25)
+        # points near the origin at t = 2, whose weight factor is NaN, read
+        # NaN also where f_in's +0.0 is the factor's other side
+        assert np.isnan(ref).any() and np.any(ref > 0.0)
+        assert_same_bits(got, ref)
+
+    def test_strong_field_and_large_momenta(self):
+        # phi = 0.2 x: the force grows with |p| here, so a rule that bounds
+        # the momentum's change without the factor 1 + |P| drops feet inside
+        hist = GridFieldHistory()
+        ax = (np.arange(25) - 12) * 0.5
+        level = np.broadcast_to(0.2 * ax[:, None, None], (25, 25, 25))
+        hist.append(0.0, level, 0.5, 12)
+        hist.append(2.0, level, 0.5, 12)
+        data = InitialData(f_in=make_bump([0, 0, 0, 1.5, 0, 0], 0.5, 0.02, 2),
+                           phi0_in=make_bump([0.0] * 3, 1.0, 0.0, 3),
+                           phi1_in=make_bump([0.0] * 3, 1.0, 0.0, 2),
+                           support_radius_R=1.0)
+        x, p = trace_points(2.0, hist, data, 0.25)
+        ref = reference_f_along_characteristics(2.0, x, p, hist, data, 0.25)
+        assert np.count_nonzero(ref > 0.0) > 100
+        assert_same_bits(evaluate_f(2.0, x, p, hist, data, 0.25), ref)
+
+    def test_feet_within_rounding_of_the_support_edge(self):
+        # far from the origin and over 4000 steps the traced foot and the
+        # free-flight formula part by far more than the 1e-9 margin on r^2
+        data = InitialData(f_in=make_bump([1e6, 0, 0, 0.2, 0, 0], 1.0, 0.02, 2),
+                           phi0_in=make_bump([0.0] * 3, 1.0, 0.0, 3),
+                           phi1_in=make_bump([0.0] * 3, 1.0, 0.0, 2),
+                           support_radius_R=1.0)
+        rng = np.random.default_rng(8)
+        d = rng.standard_normal((4000, 6))
+        d /= np.linalg.norm(d, axis=-1, keepdims=True)
+        z = data.f_in.center + d * (1.0 + rng.uniform(-1e-6, 1e-6, (4000, 1)))
+        t, dt = 100.0, 0.025
+        p = z[:, 3:]
+        x = z[:, :3] + t * rel_velocity(p)
+        ref = reference_f_along_characteristics(t, x, p, ZeroField(), data, dt)
+        assert np.any(ref > 0.0)
+        assert_same_bits(evaluate_f(t, x, p, ZeroField(), data, dt), ref)
+
+    def test_every_step_pushes_an_empty_batch(self, monkeypatch, histories):
+        sizes = []
+        push = characteristics.push
+        monkeypatch.setattr(characteristics, "push",
+                            lambda s, *a: sizes.append(len(s.x)) or push(s, *a))
+        x = np.full((50, 3), 3.0)  # no characteristic from here reaches f_in
+        f = evaluate_f(2.0, x, np.zeros((50, 3)), histories[1], small_data(), 0.25)
+        assert_same_bits(f, np.zeros(50))
+        assert sizes == [0] * 8

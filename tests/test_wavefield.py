@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vnsim import wavefield
-from vnsim.characteristics import AnalyticField
+from vnsim.characteristics import AnalyticField, ZeroField
 from vnsim.errors import ConfigError, DomainTooSmallError, OutOfHistoryError
 from vnsim.profiles import InitialData, make_bump
 from vnsim.wavefield import (FieldGrid, GridFieldHistory,
@@ -458,6 +458,78 @@ class TestGridFieldHistory:
         _, hess = hist.second_derivs(1.0, x)
         np.testing.assert_allclose(hess, [[2, 0, 0], [0, 0, 0.3], [0, 0.3, 0]],
                                    atol=1e-12)
+
+
+class TestDerivativeBound:
+    """derivative_bound(t0, t1) is at least |dt phi| + |grad phi| as
+    first_derivs returns them, at any point and any time in [t0, t1]."""
+
+    TIMES = (0.0, 0.5, 1.0, 1.5)
+    N_HALF = (8, 8, 10, 10)  # the grid grows between t = 0.5 and t = 1
+    H = 0.5
+
+    def history(self, dtype, count=4):
+        rng = np.random.default_rng(7)
+        hist = GridFieldHistory(dtype=dtype)
+        for k in range(count):
+            nh = self.N_HALF[k]
+            # later levels are larger, so the first bracket's bound is too
+            # small for the later ones
+            hist.append(self.TIMES[k],
+                        (1 + 2 * k) * rng.standard_normal((2 * nh + 1,) * 3),
+                        self.H, nh)
+        return hist
+
+    def points(self, n_half, seed=3):
+        """Random points over the smaller cube and beyond, and nodes."""
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-(n_half + 2) * self.H, (n_half + 2) * self.H, (3000, 3))
+        x[:1000] = self.H * rng.integers(-n_half, n_half + 1, (1000, 3))
+        return x
+
+    @staticmethod
+    def sampled(hist, t, x):
+        dt_phi, grad = hist.first_derivs(t, x)
+        return np.abs(dt_phi) + np.linalg.norm(grad, axis=-1)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("t0, t1", [(0.0, 0.5), (0.1, 0.3), (0.5, 1.0),
+                                        (0.75, 1.25), (0.0, 1.5), (1.5, 1.5)])
+    def test_bound_holds_at_points_and_bracket_times(self, dtype, t0, t1):
+        hist = self.history(dtype)
+        bound = hist.derivative_bound(t0, t1)
+        assert bound == hist.derivative_bound(t1, t0)
+        # the ends, inner times and every level time in [t0, t1]
+        times = {t0, t1, *np.linspace(t0, t1, 5)[1:-1],
+                 *(tk for tk in self.TIMES if t0 <= tk <= t1)}
+        x = self.points(max(self.N_HALF))
+        top = max(self.sampled(hist, t, x).max() for t in times)
+        assert top <= bound < 3 * top
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_single_level(self, dtype):
+        hist = self.history(dtype, count=1)
+        x = self.points(self.N_HALF[0])
+        top = self.sampled(hist, 0.0, x).max()
+        assert top <= hist.derivative_bound(0.0, 0.0) < 3 * top
+
+    def test_a_nan_node_gives_no_finite_bound(self):
+        hist = self.history(np.float32, count=3)
+        hist._levels[1][0][0, 5, 5] = np.nan
+        assert np.isnan(hist.derivative_bound(0.0, 0.25))
+        assert np.isnan(hist.derivative_bound(0.75, 1.0))
+
+    def test_large_phi_gives_no_finite_bound(self):
+        hist = GridFieldHistory()
+        hist.append(0.0, np.full((9, 9, 9), GridFieldHistory.PHI_CAP), 0.5, 4)
+        hist.append(1.0, np.zeros((9, 9, 9)), 0.5, 4)
+        assert hist.derivative_bound(0.0, 1.0) == np.inf
+
+    def test_other_views(self):
+        assert ZeroField().derivative_bound(0.0, 5.0) == 0.0
+        assert GridFieldHistory().derivative_bound(0.0, 1.0) == np.inf
+        fld = AnalyticField(lambda t, x: 0 * x[..., 0])
+        assert fld.derivative_bound(0.0, 1.0) == np.inf
 
 
 def gather(arr, idx):

@@ -11,7 +11,10 @@ the machine's speed splits evenly. The file keeps the final JSON line of
 every run, and per spec the medians and quartiles of each metric on each
 side, how many pairs the change won on each end-to-end metric, and whether
 the change's median stays within that metric's `bound` of BENCHMARK.json
-(relative to the parent's median, in the metric's worse direction).
+(relative to the parent's median, in the metric's worse direction). It
+also keeps the machine's busy, steal and idle CPU ticks of /proc/stat over
+the whole run, where that file exists: time stolen by other guests of the
+host slows both sides and widens their spread.
 """
 
 from __future__ import annotations
@@ -45,6 +48,36 @@ def _run(checkout: Path, workload: str, seed: int, trace: int,
     res = json.loads(lines[-1])
     res["metrics"] = {name: m["value"] for name, m in res["metrics"].items()}
     return res
+
+
+def cpu_ticks(stat_text: str) -> dict:
+    """Busy (user, nice, system, irq, softirq), steal and idle (idle,
+    iowait) ticks of all CPUs, from the text of /proc/stat."""
+    for line in stat_text.splitlines():
+        name, *values = line.split()
+        if name == "cpu":
+            user, nice, system, idle, iowait, irq, softirq, steal = (
+                int(v) for v in (values + ["0"] * 8)[:8])
+            return {"busy": user + nice + system + irq + softirq,
+                    "steal": steal, "idle": idle + iowait}
+    raise ValueError("no aggregate cpu line in /proc/stat")
+
+
+def _read_cpu_ticks() -> dict | None:
+    try:
+        return cpu_ticks(Path("/proc/stat").read_text())
+    except OSError:
+        return None
+
+
+def ticks_over(before: dict | None, after: dict | None) -> dict | None:
+    """The ticks between two readings, and steal's share of busy + steal."""
+    if before is None or after is None:
+        return None
+    out = {k: after[k] - before[k] for k in before}
+    used = out["busy"] + out["steal"]
+    out["steal_share"] = out["steal"] / used if used else 0.0
+    return out
 
 
 def _summarise(runs: list, end_to_end: list) -> dict:
@@ -89,6 +122,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
     runs, summary = [], []
+    ticks_before = _read_cpu_ticks()
     for spec in args.specs:
         workload, seed, pairs, *trace = spec.split(":")
         seed, pairs, trace = int(seed), int(pairs), int(trace[0]) if trace else 0
@@ -113,6 +147,7 @@ def main(argv=None) -> int:
               + (f"bound breached: {', '.join(breaches)}" if breaches
                  else "every end-to-end metric within its bound"), flush=True)
 
+    cpu = ticks_over(ticks_before, _read_cpu_ticks())
     parent_rev = _git_rev(checkouts["parent"])
     report = {
         "command": f"python3 tools/bench_pairs.py --parent <checkout of "
@@ -122,6 +157,7 @@ def main(argv=None) -> int:
         "parent": parent_rev,
         "machine": f"{platform.machine()}, {platform.system()}, Python "
                    f"{platform.python_version()}, numpy {np.__version__}",
+        "cpu_ticks": cpu,
         "summary": summary,
         "runs": runs,
     }
