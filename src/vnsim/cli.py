@@ -18,8 +18,8 @@ import numpy as np
 from . import diagnostics as diag
 from .errors import ConfigError, DomainTooSmallError
 from .profiles import InitialData, make_bump, validate_membership
-from .vlasov_pic import (PARTICLE_CHUNK, CoupledState, init_coupled_state,
-                         step, ParticleEnsemble)
+from .vlasov_pic import (PAIR_CHUNK, PARTICLE_CHUNK, CoupledState,
+                         init_coupled_state, step, ParticleEnsemble)
 from .wavefield import GROW_CHUNK, FieldGrid, _cfl_ok
 
 FLOAT_FMT = "%.17g"
@@ -124,21 +124,28 @@ _SCHEMA = {f.name: _converter(f) for f in fields(SimConfig)
 
 
 # A run's peak RSS, measured on coupled and free-transport runs (Python 3.11,
-# numpy 2.4): the interpreter with numpy and vnsim; per particle the lattice
-# sampling's up to 36 floats (a free step holds 9 + 3 + 3, a coupled step 9
-# ensemble floats, 7 of the new x, p and w and about 15 of the deposit);
-# coupled, up to 70 floats of RK4 stage and gather arrays per particle of
-# one PARTICLE_CHUNK; per semi-Lagrangian trace point up to 80 floats on one
-# PARTICLE_CHUNK of points, and 16 of its inputs and outputs on every point;
-# coupled, 5 levels of the final cube, else 2 (mu on the old and the grown
-# cube).  A growth holds at most 2 old and 2 grown levels, and a step phi_0,
-# phi_p, the new level and mu; the fifth is margin for a freed cube that the
-# heap may keep.
+# numpy 2.4), as the sum of what each phase holds at its peak:
+# - the interpreter with numpy and vnsim;
+# - the sampler's pair mask: a float and a bool per pair of one PAIR_CHUNK;
+# - 20 floats per particle, the most a phase holds.  A free step holds 9
+#   ensemble floats, 3 of the displacement and about 8 of the deposit; a
+#   coupled step the 9 and then 7 of the new x, p and w, or the deposit's 8;
+#   the sampler 8 of kept pieces and 3 of one joined field;
+# - coupled, up to 70 floats of RK4 stage and gather arrays per particle of
+#   one PARTICLE_CHUNK;
+# - per semi-Lagrangian trace point, 16 floats of its inputs and outputs,
+#   and on one PARTICLE_CHUNK of points up to 10 more of the trace, charged
+#   20;
+# - coupled, 5 levels of the final cube, else 2 (mu on the old and the grown
+#   cube).  A growth holds at most 2 old and 2 grown levels, and a step
+#   phi_0, phi_p, the new level and mu; the fifth is margin for a freed cube
+#   that the heap may keep.
 # Levels that a field history holds are charged by the history term.
 _BASELINE_MB = 34.0
-_PARTICLE_FLOATS = 36
+_PAIR_BYTES = 9
+_PARTICLE_FLOATS = 20
 _PUSH_FLOATS = 70
-_TRACE_CHUNK_FLOATS = 80
+_TRACE_CHUNK_FLOATS = 20
 _TRACE_POINT_FLOATS = 16
 _PEAK_LEVELS = 5
 
@@ -158,7 +165,8 @@ def estimate_memory_mb(cfg: SimConfig) -> float:
         total += sum(cube(k * level_dt) for k in range(n_levels)) * itemsize
     # lattice particle fraction inside the unit 6-ball is pi^3/6 / 2^6
     n_part = cfg.n_per_dim**6 * (np.pi**3 / 6.0) / 64.0
-    total += n_part * _PARTICLE_FLOATS * 8.0
+    total += (min(cfg.n_per_dim**6, PAIR_CHUNK) * _PAIR_BYTES
+              + n_part * _PARTICLE_FLOATS * 8.0)
     if cfg.coupling:
         total += min(n_part, PARTICLE_CHUNK) * _PUSH_FLOATS * 8.0
     if cfg.semilag and (cfg.keep_history or not cfg.coupling):

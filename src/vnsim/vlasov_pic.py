@@ -24,10 +24,15 @@ __all__ = [
 ]
 
 
-# The coupled step pushes and re-weighs, and evaluate_f traces, at most this
-# many particles or points at a time, so the RK4 stage and gather arrays
-# stay one chunk's size; no value depends on it.
+# The coupled step pushes and re-weighs, evaluate_f traces, the sampler
+# evaluates f_in, the deposit and the free step read at most this many
+# particles or points at a time, so their temporaries stay one chunk's
+# size; no value depends on it.
 PARTICLE_CHUNK = 1 << 15
+
+# The sampler's pair mask covers at most this many (x cell, p cell) pairs at
+# a time, as long as one x cell has no more p cells.
+PAIR_CHUNK = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -50,14 +55,17 @@ class ParticleEnsemble:
 
 
 def sample_particles(data: InitialData, n_per_dim: int,
-                     chunk: int = 2**22) -> ParticleEnsemble:
+                     chunk: int = PAIR_CHUNK) -> ParticleEnsemble:
     """Deterministic lattice over the phase-space support, one particle per
     cell center; zero-weight cells are dropped.
 
     Particles are in row-major (x cell, p cell) order.  f_in is evaluated
     only on the cells whose offsets from the bump centre lie in the support
     ball, with a relative slack of 1e-9 on r^2 so that every cell that
-    rounding puts inside is a candidate; `f > 0` still decides.
+    rounding puts inside is a candidate; `f > 0` still decides.  The pair
+    mask covers `chunk` (x cell, p cell) pairs at a time; f_in and phi0_in
+    are evaluated on PARTICLE_CHUNK candidates at a time, and every value is
+    per cell, so the bits do not depend on either chunk.
     """
     if n_per_dim < 4:
         raise ValueError("n_per_dim must be >= 4")
@@ -66,7 +74,7 @@ def sample_particles(data: InitialData, n_per_dim: int,
     s = 2.0 * r / n_per_dim
     centers = -r + (np.arange(n_per_dim) + 0.5) * s
 
-    xs, ps, ws = [], [], []
+    pieces = []  # (x, p, f, phi0_in(x)) of the kept cells of each batch
     # the x and p lattices are the same offsets from the centre
     grid3 = np.stack(np.meshgrid(centers, centers, centers, indexing="ij"),
                      axis=-1).reshape(-1, 3)
@@ -76,25 +84,33 @@ def sample_particles(data: InitialData, n_per_dim: int,
     chunk_size = max(1, chunk // pgrid.shape[0])
     for i0 in range(0, grid3.shape[0], chunk_size):
         xc = grid3[i0:i0 + chunk_size] + prof.center[0:3]
+        # The float sum behind this mask is the sampler's largest temporary
+        # (24 MB at n_per_dim = 12) and stays whole on purpose: freeing an
+        # array this large raises glibc's dynamic mmap and trim thresholds,
+        # so the run's later large temporaries reuse heap pages.  A mask of
+        # one x cell at a time took the coupled_push benchmark from 13k to
+        # 51k minor page faults, and free_stream's peak RSS from 76 to 86 MiB.
         ix, ip = np.nonzero(z2[i0:i0 + chunk_size, None] + z2[None, :]
                             < r**2 * (1 + 1e-9))
-        xx, pp = xc[ix], pgrid[ip]
-        f = data.f_value(xx, pp)
-        keep = f > 0.0
-        if np.any(keep):
-            xs.append(xx[keep])
-            ps.append(pp[keep])
-            ws.append(f[keep])
-    if xs:
-        x = np.concatenate(xs)
-        p = np.concatenate(ps)
-        w = np.concatenate(ws) * s**6
-    else:
-        x = np.zeros((0, 3))
-        p = np.zeros((0, 3))
-        w = np.zeros(0)
-    return ParticleEnsemble(x=x, p=p, w=w, w0=w.copy(),
-                            phi0_at_x0=data.phi0_in.value(x))
+        for a in range(0, len(ix), PARTICLE_CHUNK):
+            xx = xc[ix[a:a + PARTICLE_CHUNK]]
+            pp = pgrid[ip[a:a + PARTICLE_CHUNK]]
+            f = data.f_value(xx, pp)
+            keep = f > 0.0
+            if np.any(keep):
+                xk = xx[keep]
+                pieces.append((xk, pp[keep], f[keep], data.phi0_in.value(xk)))
+        del ix, ip
+    if not pieces:
+        return ParticleEnsemble(x=np.zeros((0, 3)), p=np.zeros((0, 3)),
+                                w=np.zeros(0), w0=np.zeros(0),
+                                phi0_at_x0=np.zeros(0))
+    # one field at a time, each freeing its pieces before the next is joined
+    columns = list(zip(*pieces))
+    del pieces
+    x, p, w, phi0 = (np.concatenate(columns.pop(0)) for _ in range(4))
+    w *= s**6
+    return ParticleEnsemble(x=x, p=p, w=w, w0=w.copy(), phi0_at_x0=phi0)
 
 
 # ---------------------------------------------------------------------------
@@ -108,34 +124,52 @@ def deposit_mu(ens: ParticleEnsemble, grid: FieldGrid) -> np.ndarray:
     it touched, which the grid records (`FieldGrid.set_mu`).  It overwrites
     the previous mu when the grid may reuse that array, else it is new
     (`FieldGrid.clear_mu`); a particle outside the grid raises before
-    either.  The particle arithmetic runs on one axis column at a time; the
-    weight of a corner is ((q wx) wy) wz, and the corners add in x-, y-,
-    z-major order, each over the particles in their order.
+    either.  The weight of a corner is ((q wx) wy) wz, and the corners add
+    in x-, y-, z-major order, each over the particles in their order.
+
+    The particles are read PARTICLE_CHUNK at a time, one axis column at a
+    time, into the cell index, the y and z fractions and q wx of both x
+    corners; with q wx wy of one (x, y) corner pair, that is 7 floats per
+    particle over the whole ensemble.  Each corner's adds run chunk by chunk
+    in particle order, so no node's order of adds depends on the chunks.
     """
     n = grid.n_nodes
     if ens.n == 0:
         return grid.clear_mu()
-    q = ens.w / np.sqrt(1.0 + chars._norm2(ens.p))
-    i0, frac = [], []
-    for col in ens.x.T:
-        u = col / grid.h + grid.n_half
-        f = np.floor(u)
-        i0.append(f.astype(int))
-        frac.append(u - f)  # the same bits as u minus the integer floor
+    base = np.empty(ens.n, dtype=int)
+    fy, fz, qx = np.empty(ens.n), np.empty(ens.n), np.empty((2, ens.n))
+    ranges = []  # per chunk, each axis's lowest and highest cell
+    for a in range(0, ens.n, PARTICLE_CHUNK):
+        s = slice(a, a + PARTICLE_CHUNK)
+        q = ens.w[s] / np.sqrt(1.0 + chars._norm2(ens.p[s]))
+        i0, frac = [], []
+        for col in ens.x[s].T:
+            u = col / grid.h + grid.n_half
+            f = np.floor(u)
+            i0.append(f.astype(int))
+            frac.append(u - f)  # the same bits as u minus the integer floor
+        ranges.append([(i.min(), i.max()) for i in i0])
+        base[s] = (i0[0] * n + i0[1]) * n + i0[2]
+        qx[0, s], qx[1, s] = q * (1.0 - frac[0]), q * frac[0]
+        fy[s], fz[s] = frac[1], frac[2]
     # box of the touched nodes
-    box = tuple(slice(i.min(), i.max() + 2) for i in i0)
+    ranges = np.array(ranges)
+    box = tuple(slice(lo, hi + 2) for lo, hi in
+                zip(ranges[:, :, 0].min(axis=0), ranges[:, :, 1].max(axis=0)))
     if any(b.start < 0 or b.stop > n for b in box):
         raise DomainTooSmallError("particle outside deposition grid")
     mu = grid.clear_mu()
-    base = (i0[0] * n + i0[1]) * n + i0[2]
-    wx, wy, wz = ((1.0 - f, f) for f in frac)
     flat = mu.ravel()
+    qxy = np.empty(ens.n)
     for ox in (0, 1):
-        qx = q * wx[ox]
         for oy in (0, 1):
-            qxy = qx * wy[oy]
+            np.multiply(qx[ox], fy if oy else 1.0 - fy, out=qxy)
             for oz in (0, 1):
-                np.add.at(flat, base + ((ox * n + oy) * n + oz), qxy * wz[oz])
+                corner = (ox * n + oy) * n + oz
+                for a in range(0, ens.n, PARTICLE_CHUNK):
+                    s = slice(a, a + PARTICLE_CHUNK)
+                    wz = fz[s] if oz else 1.0 - fz[s]
+                    np.add.at(flat, base[s] + corner, qxy[s] * wz)
     # nodes outside the box stay 0, which the division leaves unchanged
     mu[box] /= grid.h**3
     grid.set_mu(mu, box)
@@ -206,7 +240,10 @@ def step(state: CoupledState, deposit: bool = True) -> CoupledState:
 
     if not state.coupling:
         if state.free_disp is None:
-            state.free_disp = chars.free_displacement(ens.p, dt)
+            state.free_disp = np.empty_like(ens.p)
+            for a in range(0, ens.n, PARTICLE_CHUNK):
+                s = slice(a, a + PARTICLE_CHUNK)
+                state.free_disp[s] = chars.free_displacement(ens.p[s], dt)
         ens.x = ens.x + state.free_disp
     else:
         view = grid.view()

@@ -358,15 +358,21 @@ def fdtd_step(grid: FieldGrid, mu: np.ndarray,
             bottom = np.minimum(bottom, out.min())
     # The discrete stencil leaks an exponentially small tail one cell per
     # step ahead of the physical cone; only a significant boundary value
-    # means the domain is genuinely too small.
-    edge = max(np.abs(new[:2]).max(initial=0), np.abs(new[-2:]).max(initial=0),
-               np.abs(new[:, :2]).max(initial=0), np.abs(new[:, -2:]).max(initial=0),
-               np.abs(new[:, :, :2]).max(initial=0), np.abs(new[:, :, -2:]).max(initial=0))
+    # means the domain is genuinely too small.  A NaN or an infinity makes
+    # the scale NaN or inf, which no edge value exceeds; on a finite level
+    # max |v| over the two planes next to each face is max(max v, -min v),
+    # read plane by plane without a copy.
     scale = float(max(top, -bottom))
-    if scale > 0.0 and edge > 1e-4 * scale:
-        raise DomainTooSmallError(
-            f"field reached within 2 cells of the boundary (t={grid.t + grid.dt:.3f})"
-        )
+    if 0.0 < scale < np.inf:
+        edge = 0.0
+        for axis in range(3):
+            planes = np.moveaxis(new, axis, 0)
+            for plane in (*planes[:2], *planes[-2:]):
+                edge = max(edge, plane.max(), -plane.min())
+        if edge > 1e-4 * scale:
+            raise DomainTooSmallError(
+                f"field reached within 2 cells of the boundary "
+                f"(t={grid.t + grid.dt:.3f})")
     grid.phi_m = grid.phi_0
     grid.phi_0 = grid.phi_p
     grid.phi_p = new
@@ -452,6 +458,11 @@ def sample_levels(levels, h: float, n_half: int, x, stencils) -> np.ndarray:
     n = levels[0].shape[0]
     u = x.reshape(-1, 3) / h
     u += n_half
+    # a NaN, infinite or huge coordinate moves to a cell off the grid, so
+    # the cast never sees it and its weights stay finite; a sampled point's
+    # coordinate lies in [1, n - 2) and keeps its bits
+    np.fmax(u, -1.0, out=u)
+    np.minimum(u, n, out=u)
     i0 = np.floor(u).astype(np.intp)
     valid = np.logical_and.reduce([(c >= 1) & (c <= n - 3) for c in i0.T])
     width = len(levels) * len(stencils)

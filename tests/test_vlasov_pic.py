@@ -165,6 +165,36 @@ def reference_deposit(ens, grid):
     return mu
 
 
+def reference_deposit_mu(ens, grid):
+    """deposit_mu as it read whole-ensemble columns, kept as reference."""
+    n = grid.n_nodes
+    if ens.n == 0:
+        return grid.clear_mu()
+    q = ens.w / np.sqrt(1.0 + characteristics._norm2(ens.p))
+    i0, frac = [], []
+    for col in ens.x.T:
+        u = col / grid.h + grid.n_half
+        f = np.floor(u)
+        i0.append(f.astype(int))
+        frac.append(u - f)
+    box = tuple(slice(i.min(), i.max() + 2) for i in i0)
+    if any(b.start < 0 or b.stop > n for b in box):
+        raise DomainTooSmallError("particle outside deposition grid")
+    mu = grid.clear_mu()
+    base = (i0[0] * n + i0[1]) * n + i0[2]
+    wx, wy, wz = ((1.0 - f, f) for f in frac)
+    flat = mu.ravel()
+    for ox in (0, 1):
+        qx = q * wx[ox]
+        for oy in (0, 1):
+            qxy = qx * wy[oy]
+            for oz in (0, 1):
+                np.add.at(flat, base + ((ox * n + oy) * n + oz), qxy * wz[oz])
+    mu[box] /= grid.h**3
+    grid.set_mu(mu, box)
+    return mu
+
+
 def ensemble_at(x, rng):
     x = np.asarray(x, float)
     p = rng.uniform(-0.5, 0.5, x.shape)
@@ -432,6 +462,86 @@ class TestParticleChunks:
         monkeypatch.setattr(vlasov_pic, "PARTICLE_CHUNK", CHUNK_EDGES[edge](len(x)))
         assert_same_bits(evaluate_f(*args), ref)
 
+    @pytest.mark.parametrize("edge", CHUNK_EDGES)
+    def test_deposit(self, monkeypatch, edge):
+        # 300 clouds over 2 x 2 x 2 cells: each node sums about 100 of them,
+        # so a change in any node's order of adds would show in its bits
+        rng = np.random.default_rng(12)
+        ens = ensemble_at((rng.uniform(6.0, 8.0, (300, 3)) - 7) * 0.25, rng)
+        ref_grid = FieldGrid.at_start(1.0, 0.25, 0.15, 0.75)
+        ref = reference_deposit_mu(ens, ref_grid)
+        monkeypatch.setattr(vlasov_pic, "PARTICLE_CHUNK", CHUNK_EDGES[edge](ens.n))
+        grid = FieldGrid.at_start(1.0, 0.25, 0.15, 0.75)
+        assert_same_bits(deposit_mu(ens, grid), ref)
+        assert grid.source_box() == ref_grid.source_box()
+        # a particle of the last chunk outside the grid raises before mu
+        # changes
+        ens.x[-1, 2] = 5.0
+        with pytest.raises(DomainTooSmallError):
+            deposit_mu(ens, grid)
+        assert_same_bits(grid.mu, ref)
+
+    @pytest.mark.parametrize("edge", CHUNK_EDGES)
+    @pytest.mark.parametrize("make", [small_data, off_centre_data])
+    def test_sampler(self, monkeypatch, edge, make):
+        data, n_per_dim = make(), 5
+        ref = reference_sample_particles(data, n_per_dim)
+        # the candidates: every (x cell, p cell) pair in the lattice ball
+        r = data.f_in.radius
+        centers = -r + (np.arange(n_per_dim) + 0.5) * (2.0 * r / n_per_dim)
+        z2 = np.add.outer(np.add.outer(centers**2, centers**2), centers**2).ravel()
+        candidates = np.count_nonzero(np.add.outer(z2, z2) < r**2 * (1 + 1e-9))
+        monkeypatch.setattr(vlasov_pic, "PARTICLE_CHUNK",
+                            CHUNK_EDGES[edge](candidates))
+        for chunk in (2**22, 2**10):  # one pair mask, and one per 8 x cells
+            got = sample_particles(data, n_per_dim, chunk=chunk)
+            for name in TestSamplingAgainstReference.FIELDS:
+                assert_same_bits(getattr(got, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("edge", CHUNK_EDGES)
+    def test_free_displacement(self, monkeypatch, edge):
+        state = init_coupled_state(small_data(), 5, h=0.5, dt=0.25, pad=2.0,
+                                   coupling=False)
+        ref = characteristics.free_displacement(state.ensemble.p, 0.25)
+        x = state.ensemble.x
+        monkeypatch.setattr(vlasov_pic, "PARTICLE_CHUNK",
+                            CHUNK_EDGES[edge](state.ensemble.n))
+        step(state)
+        assert_same_bits(state.free_disp, ref)
+        assert_same_bits(state.ensemble.x, x + ref)
+
+    def test_deposit_holds_seven_floats_per_particle(self, monkeypatch):
+        # above the live ensemble: the cell index, 2 fractions, q wx of both
+        # x corners, q wx wy and 1 - wy, about 7 floats per particle; whole
+        # columns reach 17
+        monkeypatch.setattr(vlasov_pic, "PARTICLE_CHUNK", 512)
+        ens = sample_particles(small_data(), 8)
+        grid = FieldGrid.at_start(1.0, 0.5, 0.25, 2.0)
+        deposit_mu(ens, grid)  # makes the mu that the next deposit reuses
+        tracemalloc.start()
+        try:
+            deposit_mu(ens, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.n > 16 * 512
+        assert peak <= 9 * 8 * ens.n
+
+    def test_sampler_candidates_in_chunks(self, monkeypatch):
+        # with a small pair mask, the peak is the kept pieces, 8 floats per
+        # particle, and the joined x: about 11 floats, against 22 when f_in
+        # and phi0_in read every candidate at once
+        monkeypatch.setattr(vlasov_pic, "PARTICLE_CHUNK", 512)
+        data = small_data()
+        tracemalloc.start()
+        try:
+            ens = sample_particles(data, 8, chunk=2**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.n > 16 * 512
+        assert peak <= 13 * 8 * ens.n
+
     def test_step_holds_one_chunk_of_push_arrays(self, monkeypatch):
         # traced peak of one coupled step per particle: the new x, p and w
         # and the deposit; a whole-ensemble push reaches about 57 floats
@@ -581,6 +691,7 @@ class TestSupportDrop:
         for a, b in zip(got, ref):
             assert_same_bits(a, b)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_level_drops_nothing(self, histories):
         hist = GridFieldHistory(dtype=np.float32)
         for t, (level, h, n_half) in zip(histories[4]._times,
@@ -590,9 +701,9 @@ class TestSupportDrop:
         hist._levels[-1][0][n_half, n_half, n_half] = np.nan
         data = small_data()
         x, p = trace_points(2.0, histories[4], data, 0.25)
-        with np.errstate(invalid="ignore"):  # the gather's cast of NaN feet
-            ref = reference_f_along_characteristics(2.0, x, p, hist, data, 0.25)
-            got = evaluate_f(2.0, x, p, hist, data, 0.25)
+        # no NaN foot is cast to a cell index, so nothing warns
+        ref = reference_f_along_characteristics(2.0, x, p, hist, data, 0.25)
+        got = evaluate_f(2.0, x, p, hist, data, 0.25)
         # points near the origin at t = 2, whose weight factor is NaN, read
         # NaN also where f_in's +0.0 is the factor's other side
         assert np.isnan(ref).any() and np.any(ref > 0.0)

@@ -320,6 +320,29 @@ class TestFdtdSlabs:
         assert np.isnan(g.phi_p[6, 6, 6])
         np.testing.assert_array_equal(g.phi_p, ref.phi_p)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300])
+    @pytest.mark.parametrize("node", [(6, 6, 6), (6, 0, 6), (6, 6, 12)],
+                             ids=["centre", "y-face", "z-face"])
+    def test_non_finite_level_raises_as_the_reference(self, value, node):
+        # a field at the z = 1 plane, and a source value that puts a NaN,
+        # an infinity or a huge finite value into the new level at `node`:
+        # only a finite level can raise, and then as the reference does
+        n = 13
+        g = FieldGrid(h=0.5, dt=0.25, n_half=6, t=0.0, phi_m=np.zeros((n,) * 3),
+                      phi_0=np.zeros((n,) * 3), phi_p=np.zeros((n,) * 3),
+                      mu=np.zeros((n,) * 3))
+        g.phi_p[6, 6, 1] = 1.0
+        mu = np.zeros((n,) * 3)
+        mu[node] = value
+        outcomes = []
+        for step_fn, grid in ((fdtd_step, g), (reference_fdtd_step, copy_grid(g))):
+            try:
+                step_fn(grid, mu, sponge_radius=1.0)
+                outcomes.append(False)
+            except DomainTooSmallError:
+                outcomes.append(True)
+        assert outcomes == [np.isfinite(value) and node != (6, 6, 6)] * 2
+
     def test_slabs_cover_the_planes_in_order(self, monkeypatch):
         monkeypatch.setattr(wavefield, "SLAB_NODES", 3 * 49)
         assert list(wavefield._slabs(2, 9, 49)) == [(2, 5), (5, 8), (8, 9)]
@@ -756,6 +779,28 @@ class TestSampleLevelsAgainstReference:
         assert outside.sum() > 100 and (~outside).sum() > 100
         assert np.all(got[..., outside] == 0.0)
         assert not np.any(np.signbit(got[..., outside]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("points", [500, 3000], ids=["gather", "table"])
+    def test_non_finite_points_sample_zero(self, points):
+        # no cast of a NaN, an infinity or a cell beyond intp: under
+        # -W error such a cast's RuntimeWarning fails the test
+        levels = random_levels(np.float64, 2)
+        st = STENCIL_SETS["second"]
+        x = points_with_outside(points)
+        bad = [np.nan, np.inf, -np.inf, 1e300]
+        rows = np.arange(5, 5 + 4 * len(bad) * 3, 3)
+        for k, row in enumerate(rows):
+            x[row, k % 3] = bad[k % len(bad)]
+        x[rows[-1]] = np.nan
+        ref = reference_sample_levels(levels, 0.5, N_HALF,
+                                      np.delete(x, rows, axis=0), st)
+        got = wavefield.sample_levels(levels, 0.5, N_HALF, x, st)
+        assert_same_bits(np.delete(got, rows, axis=-1), ref)
+        assert_same_bits(got[..., rows], np.zeros(got.shape[:-1] + (len(rows),)))
+        # and with no point inside
+        got = wavefield.sample_levels(levels, 0.5, N_HALF, x[rows], st)
+        assert_same_bits(got, np.zeros(got.shape))
 
     @pytest.mark.parametrize("chunk", [1, 3, None])
     @pytest.mark.parametrize("extra", [-1, 0, 1])
