@@ -136,10 +136,11 @@ _SCHEMA = {f.name: _converter(f) for f in fields(SimConfig)
 # - per semi-Lagrangian trace point, 16 floats of its inputs and outputs,
 #   and on one PARTICLE_CHUNK of points up to 10 more of the trace, charged
 #   20;
-# - coupled, 5 levels of the final cube, else 2 (mu on the old and the grown
-#   cube).  A growth holds at most 2 old and 2 grown levels, and a step
-#   phi_0, phi_p, the new level and mu; the fifth is margin for a freed cube
-#   that the heap may keep.
+# - coupled, 4 levels of the final cube: a step holds phi_0, phi_p, the new
+#   level and the source box (8.7 % of a level at coupled_fine's last step),
+#   a growth at most 2 old and 2 grown levels; the rest is margin for a
+#   freed cube that the heap may keep.  Free, twice the source box of the
+#   particles within R + t: a deposit makes its box while mu holds the last.
 # Levels that a field history holds are charged by the history term.
 _BASELINE_MB = 34.0
 _PAIR_BYTES = 9
@@ -147,7 +148,7 @@ _PARTICLE_FLOATS = 20
 _PUSH_FLOATS = 70
 _TRACE_CHUNK_FLOATS = 20
 _TRACE_POINT_FLOATS = 16
-_PEAK_LEVELS = 5
+_PEAK_LEVELS = 4
 
 
 def estimate_memory_mb(cfg: SimConfig) -> float:
@@ -157,7 +158,8 @@ def estimate_memory_mb(cfg: SimConfig) -> float:
         # nodes of the cube that the field grid holds at time t
         return (2 * int(np.ceil((cfg.R + t + cfg.pad + GROW_CHUNK) / cfg.h)) + 1) ** 3
 
-    total = (_PEAK_LEVELS if cfg.coupling else 2) * cube(cfg.t_end) * 8.0
+    total = 8.0 * (_PEAK_LEVELS * cube(cfg.t_end) if cfg.coupling else
+                   2 * (2 * int(np.ceil((cfg.R + cfg.t_end) / cfg.h)) + 2) ** 3)
     if cfg.keep_history and cfg.coupling:
         level_dt = cfg.dt * cfg.history_stride
         itemsize = 4.0 if cfg.history_float32 else 8.0
@@ -450,9 +452,10 @@ def run_scenario(cfg: SimConfig, state: CoupledState | None = None,
                 rows.append(_format_row(_record_row(state, cfg)))
             if ckpt_every and k % ckpt_every == 0:
                 save_checkpoint(cfg.ckpt_path, cfg, state, rows)
-    except (DomainTooSmallError, MemoryError) as exc:
+    except (DomainTooSmallError, MemoryError, FloatingPointError) as exc:
         # no checkpoint of a half-done step; the last periodic one stays valid
-        reason = "domain" if isinstance(exc, DomainTooSmallError) else "out of memory"
+        reason = ("domain" if isinstance(exc, DomainTooSmallError) else
+                  "out of memory" if isinstance(exc, MemoryError) else "NaN detected")
         return _abort(cfg, rows, f"{reason}: {exc}")
 
     _write_output(cfg, rows)

@@ -120,25 +120,38 @@ def sample_particles(data: InitialData, n_per_dim: int,
 def deposit_mu(ens: ParticleEnsemble, grid: FieldGrid) -> np.ndarray:
     """Cloud-in-cell (trilinear) deposit of w/gamma onto the grid, / h^3.
 
-    The result becomes `grid.mu`, exactly +0.0 outside the box of the nodes
-    it touched, which the grid records (`FieldGrid.set_mu`).  It overwrites
-    the previous mu when the grid may reuse that array, else it is new
-    (`FieldGrid.clear_mu`); a particle outside the grid raises before
-    either.  The weight of a corner is ((q wx) wy) wz, and the corners add
-    in x-, y-, z-major order, each over the particles in their order.
+    The result becomes `grid.mu` on the box of the nodes it touches, whose
+    first node is `grid.mu_origin`; an empty ensemble clears mu.  The cell
+    index is monotone in the coordinate, so the box comes first, from each
+    axis's smallest and largest coordinate: a NaN or an infinity raises
+    FloatingPointError, and a particle outside the grid DomainTooSmallError,
+    before any cast or allocation.  The weight of a corner is ((q wx) wy) wz,
+    and the corners add in x-, y-, z-major order, each over the particles in
+    their order.
 
     The particles are read PARTICLE_CHUNK at a time, one axis column at a
-    time, into the cell index, the y and z fractions and q wx of both x
-    corners; with q wx wy of one (x, y) corner pair, that is 7 floats per
-    particle over the whole ensemble.  Each corner's adds run chunk by chunk
-    in particle order, so no node's order of adds depends on the chunks.
+    time, into the cell index (in the box's strides, from the cube's node 0;
+    each corner's offset subtracts the box's first node), the y and z
+    fractions and q wx of both x corners; with q wx wy of one (x, y) corner
+    pair, that is 7 floats per particle over the whole ensemble.  Each
+    corner's adds run chunk by chunk in particle order, so no node's order
+    of adds depends on the chunks.
     """
-    n = grid.n_nodes
     if ens.n == 0:
         return grid.clear_mu()
+    # each axis's smallest and largest coordinate, column by column (8x faster
+    # than over axis 0 of (N, 3)); a NaN or an infinity survives min and max
+    ends = np.array([(col.min(), col.max()) for col in ens.x.T])
+    lo, hi = np.floor(ends.T / grid.h + grid.n_half)
+    if not np.isfinite(lo).all() or not np.isfinite(hi).all():
+        raise FloatingPointError("a particle coordinate is NaN or infinite")
+    if lo.min() < 0 or hi.max() + 2 > grid.n_nodes:
+        raise DomainTooSmallError("particle outside deposition grid")
+    origin, shape = lo.astype(int), (hi - lo).astype(int) + 2
+    _, ny, nz = shape
+    first = (origin[0] * ny + origin[1]) * nz + origin[2]
     base = np.empty(ens.n, dtype=int)
     fy, fz, qx = np.empty(ens.n), np.empty(ens.n), np.empty((2, ens.n))
-    ranges = []  # per chunk, each axis's lowest and highest cell
     for a in range(0, ens.n, PARTICLE_CHUNK):
         s = slice(a, a + PARTICLE_CHUNK)
         q = ens.w[s] / np.sqrt(1.0 + chars._norm2(ens.p[s]))
@@ -148,31 +161,23 @@ def deposit_mu(ens: ParticleEnsemble, grid: FieldGrid) -> np.ndarray:
             f = np.floor(u)
             i0.append(f.astype(int))
             frac.append(u - f)  # the same bits as u minus the integer floor
-        ranges.append([(i.min(), i.max()) for i in i0])
-        base[s] = (i0[0] * n + i0[1]) * n + i0[2]
+        base[s] = (i0[0] * ny + i0[1]) * nz + i0[2]
         qx[0, s], qx[1, s] = q * (1.0 - frac[0]), q * frac[0]
         fy[s], fz[s] = frac[1], frac[2]
-    # box of the touched nodes
-    ranges = np.array(ranges)
-    box = tuple(slice(lo, hi + 2) for lo, hi in
-                zip(ranges[:, :, 0].min(axis=0), ranges[:, :, 1].max(axis=0)))
-    if any(b.start < 0 or b.stop > n for b in box):
-        raise DomainTooSmallError("particle outside deposition grid")
-    mu = grid.clear_mu()
+    mu = np.zeros(shape)
     flat = mu.ravel()
     qxy = np.empty(ens.n)
     for ox in (0, 1):
         for oy in (0, 1):
             np.multiply(qx[ox], fy if oy else 1.0 - fy, out=qxy)
             for oz in (0, 1):
-                corner = (ox * n + oy) * n + oz
+                corner = (ox * ny + oy) * nz + oz - first
                 for a in range(0, ens.n, PARTICLE_CHUNK):
                     s = slice(a, a + PARTICLE_CHUNK)
                     wz = fz[s] if oz else 1.0 - fz[s]
                     np.add.at(flat, base[s] + corner, qxy[s] * wz)
-    # nodes outside the box stay 0, which the division leaves unchanged
-    mu[box] /= grid.h**3
-    grid.set_mu(mu, box)
+    mu /= grid.h**3
+    grid.mu, grid.mu_origin = mu, tuple(origin.tolist())
     return mu
 
 

@@ -56,16 +56,16 @@ class FieldGrid:
 
     Levels phi_m, phi_0, phi_p live at times t-dt, t, t+dt, t the diagnostic
     center time, and are None without coupling.  Node i is at (i - n_half)*h.
+    The source is held on its box only: mu[j] is the source at node
+    mu_origin + j, and it is exactly +0.0 outside the box (`source_box`); a
+    whole cube is the box at origin (0, 0, 0).
 
-    The grid reuses an array only while it holds the array's last reference
-    (`reusable`): `fdtd_step` writes the new level into the buffer of the
-    phi_m that falls out, and `deposit_mu` the next source into that of mu.
-    A domain growth drops phi_m and mu (None until the step makes them
-    again), so a coupled grid holds at most four cubes at a time.
-    Two facts about arrays are kept with a weak reference to the array, and
-    hold only while it is still the grid's: `mu_box`, the box of nodes
-    outside which mu is exactly +0.0 (`source_box`), and `finite`, the level
-    that `fdtd_step` found all finite (`phi_p_finite`).
+    `fdtd_step` writes the new level into the buffer of the phi_m that falls
+    out while the grid holds its only reference (`reusable`).  A domain
+    growth drops phi_m and mu (None until the step makes them again), so a
+    coupled step holds three level cubes and the source box.  `finite`, a
+    weak reference, marks the level that `fdtd_step` found all finite
+    (`phi_p_finite`) while it is still phi_p.
     """
 
     h: float
@@ -76,7 +76,7 @@ class FieldGrid:
     phi_0: np.ndarray | None = None
     phi_p: np.ndarray | None = None
     mu: np.ndarray | None = None
-    mu_box: tuple | None = field(default=None, repr=False, compare=False)
+    mu_origin: tuple = (0, 0, 0)
     finite: weakref.ref | None = field(default=None, repr=False, compare=False)
 
     @classmethod
@@ -109,31 +109,20 @@ class FieldGrid:
             return a
         return None
 
-    def set_mu(self, mu: np.ndarray, box: tuple):
-        """Make `mu` the source level, exactly +0.0 outside the slices `box`."""
-        self.mu = mu
-        self.mu_box = (weakref.ref(mu), box)
-
     def source_box(self) -> tuple:
-        """Slices of a box outside which mu is exactly +0.0: the one set
-        with mu, else (mu assigned directly, or loaded) the whole array."""
-        if self.mu_box is not None:
-            ref, box = self.mu_box
-            if ref() is self.mu:
-                return box
-        return tuple(slice(0, m) for m in self.mu.shape)
+        """The slices of the cube that mu covers; a ValueError if mu is not
+        a 3-D box that fits the cube at mu_origin."""
+        box = tuple(slice(o, o + m) for o, m in zip(self.mu_origin, self.mu.shape))
+        if (np.shape(self.mu_origin) != (3,) or self.mu.ndim != 3
+                or any(b.start < 0 or b.stop > self.n_nodes for b in box)):
+            raise ValueError(f"mu of shape {self.mu.shape} at {self.mu_origin} "
+                             f"does not fit the cube of {self.n_nodes}^3 nodes")
+        return box
 
     def clear_mu(self) -> np.ndarray:
-        """Set mu to +0.0 on the current cube and return it: in mu's own
-        buffer if reusable, zeroing only its box, else in new zeros."""
-        shape = (self.n_nodes,) * 3
-        mu = self.reusable("mu", shape)
-        if mu is None:
-            mu = np.zeros(shape)
-        else:
-            mu[self.source_box()] = 0.0
-        self.set_mu(mu, (slice(0, 0),) * 3)
-        return mu
+        """Set mu to +0.0 everywhere, as the empty box, and return it."""
+        self.mu, self.mu_origin = np.zeros((0, 0, 0)), (0, 0, 0)
+        return self.mu
 
     def phi_p_finite(self) -> bool:
         """Whether phi_p is all finite (so without levels): as `fdtd_step`
@@ -158,7 +147,7 @@ class FieldGrid:
         if self.phi_0 is None:
             self.t += self.dt
         else:
-            fdtd_step(self, self.mu, sponge_radius=R + (self.t + self.dt) + 1.0)
+            fdtd_step(self, sponge_radius=R + (self.t + self.dt) + 1.0)
             self.keep(hist)
 
     def keep(self, hist: GridFieldHistory | None):
@@ -167,17 +156,23 @@ class FieldGrid:
             hist.append(self.t, self.phi_0, self.h, self.n_half)
 
     def arrays(self) -> dict:
-        """Checkpoint arrays: grid_meta = (h, dt, n_half, t), levels if any, mu."""
+        """Checkpoint arrays: grid_meta = (h, dt, n_half, t), levels if any,
+        mu and mu_origin."""
         levels = {k: getattr(self, k) for k in LEVELS if self.phi_0 is not None}
         return dict(grid_meta=np.array([self.h, self.dt, float(self.n_half), self.t]),
-                    **levels, mu=self.mu)
+                    **levels, mu=self.mu, mu_origin=np.array(self.mu_origin))
 
     @classmethod
     def from_arrays(cls, z, levels: bool) -> FieldGrid:
-        """The grid of the `arrays()` in z, with its levels only if `levels`."""
+        """The grid of the `arrays()` in z, with its levels only if `levels`;
+        without mu_origin, mu is the whole cube.  A ValueError if mu does
+        not fit the cube."""
         h, dt, n_half, t = z["grid_meta"]
-        return cls(h=float(h), dt=float(dt), n_half=int(n_half), t=float(t),
-                   mu=z["mu"], **{k: z[k] for k in LEVELS if levels})
+        grid = cls(h=float(h), dt=float(dt), n_half=int(n_half), t=float(t), mu=z["mu"],
+                   mu_origin=tuple(int(o) for o in z.get("mu_origin", (0, 0, 0))),
+                   **{k: z[k] for k in LEVELS if levels})
+        grid.source_box()
+        return grid
 
     def ensure_extent(self, x_needed: float):
         """Re-embed phi_0 and phi_p, the levels the next step reads, into a
@@ -186,7 +181,8 @@ class FieldGrid:
 
         A MemoryError leaves the grid as it was: both grown levels exist
         before anything is dropped.  Then phi_m and mu become None, as the
-        step writes both before it reads them, and phi_0 is copied and
+        step writes both before it reads them (also mu without levels, which
+        would still hold the old cube's indices), and phi_0 is copied and
         swapped in before phi_p, so each old level is freed (unless a field
         history still holds it) before the next copy touches the zeroed,
         not yet resident pages of its grown level.  The growth so holds at
@@ -195,13 +191,13 @@ class FieldGrid:
         if x_needed <= self.x_max:
             return
         new_half = int(np.ceil((x_needed + GROW_CHUNK) / self.h))
-        if self.phi_0 is not None:
-            grown = [np.zeros((2 * new_half + 1,) * 3) for _ in range(2)]
-            inner = slice(new_half - self.n_half, new_half + self.n_half + 1)
-            self.phi_m = self.mu = None
-            for name, new in zip(("phi_0", "phi_p"), grown):
-                new[inner, inner, inner] = getattr(self, name)
-                setattr(self, name, new)
+        grown = [np.zeros((2 * new_half + 1,) * 3) for _ in range(2)
+                 if self.phi_0 is not None]
+        inner = slice(new_half - self.n_half, new_half + self.n_half + 1)
+        self.phi_m = self.mu = None
+        for name, new in zip(("phi_0", "phi_p"), grown):
+            new[inner, inner, inner] = getattr(self, name)
+            setattr(self, name, new)
         self.n_half = new_half
 
 
@@ -212,12 +208,12 @@ def _sample_on_nodes(fn, axis: np.ndarray) -> np.ndarray:
 
 
 def make_field_grid(data: InitialData, h: float, dt: float, pad: float = 2.0,
-                    source=None) -> FieldGrid:
+                    source=FieldGrid.clear_mu) -> FieldGrid:
     """Grid at t = 0 with phi(-dt), phi(0), phi(dt) from a 2nd-order Taylor start.
 
     phi(+-dt) = phi0 +- dt*phi1 + dt^2/2 * (lap phi0 - mu(0)), where
-    mu(0) = source(grid) on the level-less grid `FieldGrid.at_start` (0
-    without a source).
+    source(grid) sets mu(0) on the level-less grid `FieldGrid.at_start` (by
+    default +0.0 everywhere).
     """
     if not _cfl_ok(dt, h):
         raise ConfigError(f"CFL violated: dt={dt} > h/sqrt(3)={h / np.sqrt(3):.6g}")
@@ -226,12 +222,13 @@ def make_field_grid(data: InitialData, h: float, dt: float, pad: float = 2.0,
     phi0 = _sample_on_nodes(data.phi0_in.value, axis)
     phi1 = _sample_on_nodes(data.phi1_in.value, axis)
     lap0 = _sample_on_nodes(data.phi0_in.laplacian, axis)
-    mu0 = np.zeros_like(phi0) if source is None else source(grid)
-    acc = 0.5 * dt**2 * (lap0 - mu0)
+    source(grid)
+    # outside its box mu is +0.0, and lap0 - 0.0 keeps every bit of lap0
+    lap0[grid.source_box()] -= grid.mu
+    acc = 0.5 * dt**2 * lap0
     grid.phi_0 = phi0
     grid.phi_m = phi0 - dt * phi1 + acc
     grid.phi_p = phi0 + dt * phi1 + acc
-    grid.mu = mu0
     return grid
 
 
@@ -282,36 +279,32 @@ def _laplacian(phi: np.ndarray, h: float, planes: tuple | None = None,
     return out
 
 
-def fdtd_step(grid: FieldGrid, mu: np.ndarray,
-              sponge_radius: float | None = None) -> FieldGrid:
+def fdtd_step(grid: FieldGrid, sponge_radius: float | None = None) -> FieldGrid:
     """Advance the center time by dt with the 7-point leapfrog update.
 
-    `mu` is the source at the grid's upper level time t+dt.  With
-    `sponge_radius` set, the region beyond it is gently damped each step;
-    the exact solution vanishes beyond |x| = R + t, so the sponge only
-    absorbs the nonphysical precursor that the stencil radiates at speed
-    h/dt > 1.  Mutates and returns `grid`.
+    The grid's mu is the source at its upper level time t+dt, subtracted on
+    its box (`FieldGrid.source_box`); outside it, mu is +0.0 and x - 0.0
+    keeps every bit of x.  With `sponge_radius` set, the region beyond it
+    is gently damped each step; the exact solution vanishes beyond
+    |x| = R + t, so the sponge only absorbs the nonphysical precursor that
+    the stencil radiates at speed h/dt > 1.  Mutates and returns `grid`.
 
     The new level is written into the buffer of phi_m, the level that falls
     out, when the grid may reuse it (`FieldGrid.reusable`: a level a field
     history, a view or a caller still holds is never written), and into a
     new array otherwise.  So after a DomainTooSmallError phi_m may already
-    be overwritten.  `mu` is subtracted only on its box when it is the
-    grid's own mu (`FieldGrid.source_box`); outside it, mu is +0.0 and
-    x - 0.0 keeps every bit of x.  When the new level's max and min are
-    finite, the grid records it as all finite (`FieldGrid.phi_p_finite`).
+    be overwritten.  When the new level's max and min are finite, the grid
+    records it as all finite (`FieldGrid.phi_p_finite`).
     """
     if not _cfl_ok(grid.dt, grid.h):
         raise ConfigError("CFL violated")
-    if mu.shape != grid.phi_p.shape:
-        raise DomainTooSmallError("source level shape does not match grid")
+    mu, (bx, by, bz) = grid.mu, grid.source_box()
     phi_p, phi_0 = grid.phi_p, grid.phi_0
     n = phi_p.shape[0]
     c = n // 2  # the plane x = 0, and the row y = 0
     new = grid.reusable("phi_m", phi_p.shape)
     if new is None:
         new = np.empty_like(phi_p)
-    bx, by, bz = grid.source_box() if mu is grid.mu else (slice(0, n),) * 3
     # the slabs of the planes [0, c], each with its mirror in [c + 1, n)
     pairs = [((a, b), (max(n - b, c + 1), n - a)) for a, b in _slabs(0, c + 1, n * n)]
     scratch = np.empty((pairs[0][0][1], n, n))
@@ -329,7 +322,7 @@ def fdtd_step(grid: FieldGrid, mu: np.ndarray,
             buf = _laplacian(phi_p, grid.h, (lo, hi), scratch[:hi - lo], out)
             x0, x1 = max(lo, bx.start), min(hi, bx.stop)
             if x0 < x1:
-                buf[x0 - lo:x1 - lo, by, bz] -= mu[x0:x1, by, bz]
+                buf[x0 - lo:x1 - lo, by, bz] -= mu[x0 - bx.start:x1 - bx.start]
             buf *= grid.dt**2
             np.multiply(2.0, phi_p[lo:hi], out=out)
             out -= phi_0[lo:hi]
@@ -376,7 +369,6 @@ def fdtd_step(grid: FieldGrid, mu: np.ndarray,
     grid.phi_m = grid.phi_0
     grid.phi_0 = grid.phi_p
     grid.phi_p = new
-    grid.mu = mu
     grid.finite = (weakref.ref(new) if np.isfinite(top) and np.isfinite(bottom)
                    else None)
     grid.t += grid.dt

@@ -328,7 +328,8 @@ class TestCheckpointResume:
             assert not {"phi_m", "phi_0", "phi_p"} & set(z.files)
         _, state, _ = load_checkpoint("run.csv.ckpt.npz")
         assert state.t == 2.0 and state.grid.n_half == 8
-        assert state.grid.mu.shape == (17, 17, 17)
+        state.grid.source_box()  # mu fits the grown cube
+        assert 0 < state.grid.mu.size < 17 ** 3
         assert state.grid.phi_m is state.grid.phi_0 is state.grid.phi_p is None
         assert main(["resume", "run.csv.ckpt.npz"]) == 0
         assert (tmp_path / "run.csv").read_bytes() == ref
@@ -373,7 +374,8 @@ class TestCheckpointResume:
                 with np.load(cfg.ckpt_path) as z:
                     assert set(z.files) == {
                         "config_text", "config_hash", "rows", "ens_x", "ens_p",
-                        "ens_w", "ens_w0", "ens_phi0", "grid_meta", "mu"}
+                        "ens_w", "ens_w0", "ens_phi0", "grid_meta", "mu",
+                        "mu_origin"}
                 _, state, _ = load_checkpoint(cfg.ckpt_path)
                 assert state.free_disp is None
             n_half = state.grid.n_half
@@ -395,10 +397,40 @@ class TestCheckpointResume:
         with np.load("run.csv.ckpt.npz") as z:
             assert set(z.files) == {
                 "config_text", "config_hash", "rows", "ens_x", "ens_p", "ens_w",
-                "ens_w0", "ens_phi0", "grid_meta", "phi_m", "phi_0", "phi_p", "mu"}
+                "ens_w0", "ens_phi0", "grid_meta", "phi_m", "phi_0", "phi_p", "mu",
+                "mu_origin"}
+            # the source's box, which is smaller than a level
+            assert z["mu_origin"].shape == (3,) and z["mu"].ndim == 3
+            assert 0 < z["mu"].size < z["phi_0"].size
+
+    @pytest.mark.parametrize("coupling", [1, 0])
+    def test_checkpoint_with_mu_on_the_cube_resumes_bitwise(self, tmp_path,
+                                                            monkeypatch, coupling):
+        # earlier versions wrote mu on the whole cube and no mu_origin
+        monkeypatch.chdir(tmp_path)
+        # the last checkpoint is at t = 1.5 (coupled) or 2, so the resume steps
+        text = (BASE + "output = run.csv\ncheckpoint_interval = 0.75\n"
+                if coupling else self.FREE)
+        assert main(["run", write_conf(tmp_path, text)]) == 0
+        ref = (tmp_path / "run.csv").read_bytes()
+        (tmp_path / "run.csv").unlink()
+        with np.load("run.csv.ckpt.npz") as z:
+            arrays = dict(z)
+        n = 2 * int(arrays["grid_meta"][2]) + 1
+        cube = np.zeros((n, n, n))
+        cube[tuple(slice(o, o + m) for o, m in
+                   zip(arrays.pop("mu_origin"), arrays["mu"].shape))] = arrays["mu"]
+        assert cube.any() and arrays["mu"].size < cube.size
+        arrays["mu"] = cube
+        with open("old.npz", "wb") as fh:
+            np.savez(fh, **arrays)
+        _, state, _ = load_checkpoint("old.npz")
+        assert state.grid.mu_origin == (0, 0, 0) and state.grid.mu.shape == (n, n, n)
+        assert main(["resume", "old.npz"]) == 0
+        assert (tmp_path / "run.csv").read_bytes() == ref
 
     @pytest.mark.parametrize("kind", ["csv", "cut", "empty", "npy", "no_mu",
-                                      "no_level"])
+                                      "no_level", "mu_outside", "mu_2d"])
     def test_resume_of_a_broken_file_exits_two(self, tmp_path, monkeypatch,
                                               capsys, kind):
         monkeypatch.chdir(tmp_path)
@@ -416,10 +448,15 @@ class TestCheckpointResume:
         elif kind == "npy":
             with open(bad, "wb") as fh:
                 np.save(fh, np.zeros(3))
-        else:  # a coupled checkpoint without mu, or without phi_p
-            drop = "mu" if kind == "no_mu" else "phi_p"
+        else:  # a coupled checkpoint without mu or phi_p, or whose mu does
+            # not fit the cube at its origin
+            drop = {"no_mu": "mu", "no_level": "phi_p"}.get(kind)
             with np.load("run.csv.ckpt.npz") as z:
                 arrays = {k: v for k, v in z.items() if k != drop}
+            if kind == "mu_outside":
+                arrays["mu_origin"] = arrays["mu_origin"] + arrays["phi_p"].shape[0] // 2
+            elif kind == "mu_2d":
+                arrays["mu"] = arrays["mu"][0]
             with open(bad, "wb") as fh:
                 np.savez(fh, **arrays)
         capsys.readouterr()
@@ -501,6 +538,42 @@ class TestNanAbort:
         # the rows recorded before the abort: t = 0 and t = 0.5
         assert len(rows) == 2
         assert out.read_text().splitlines()[2:] == rows
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("coupling", [1, 0])
+    def test_nan_position_aborts_in_the_deposit_without_checkpoint(
+            self, tmp_path, monkeypatch, capsys, coupling):
+        # a NaN position reaches the step's deposit before the run's NaN
+        # check, which raises before any cast could warn: exit 3 as "NaN
+        # detected", and no checkpoint of the half-done step
+        import vnsim.cli as cli
+        out = tmp_path / "dep.csv"
+        cfg = parse_config(BASE + f"coupling = {coupling}\noutput = {out}\n"
+                           "checkpoint_interval = 0.5\n")
+        calls, saved = [], []
+        real_step, real_save = cli.step, cli.save_checkpoint
+
+        def poisoned(state, **kwargs):
+            calls.append(state.t)
+            if len(calls) == 4:  # a record step, so a free run deposits
+                x = state.ensemble.x.copy()
+                x[0] = np.nan
+                state.ensemble.x = x
+            return real_step(state, **kwargs)
+
+        def spy(path, cfg, state, rows):
+            saved.append(state.t)
+            real_save(path, cfg, state, rows)
+
+        monkeypatch.setattr(cli, "step", poisoned)
+        monkeypatch.setattr(cli, "save_checkpoint", spy)
+        assert run_scenario(cfg) == 3
+        note = "NaN detected: a particle coordinate is NaN or infinite"
+        assert capsys.readouterr().err == f"aborted: {note}\n"
+        assert f"note = {note}" in (tmp_path / "dep.csv.summary").read_text()
+        assert saved == [0.5]
+        _, state, rows = load_checkpoint(cfg.ckpt_path)
+        assert state.t == 0.5 and len(rows) == 2
 
     @pytest.mark.parametrize("name, at_step", [("p", 1), ("w", 1), ("x", 1),
                                                ("x", 3)])

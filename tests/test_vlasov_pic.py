@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vnsim import characteristics, diagnostics, vlasov_pic
+from vnsim import characteristics, diagnostics, vlasov_pic, wavefield
 from vnsim.characteristics import ZeroField, rel_velocity
 from vnsim.errors import ConfigError, DomainTooSmallError
 from vnsim.profiles import InitialData, make_bump
@@ -166,10 +166,11 @@ def reference_deposit(ens, grid):
 
 
 def reference_deposit_mu(ens, grid):
-    """deposit_mu as it read whole-ensemble columns, kept as reference."""
+    """deposit_mu as it read whole-ensemble columns into the whole cube,
+    kept as reference: (the cube, the box of the nodes it touched)."""
     n = grid.n_nodes
     if ens.n == 0:
-        return grid.clear_mu()
+        return np.zeros((n, n, n)), (slice(0, 0),) * 3
     q = ens.w / np.sqrt(1.0 + characteristics._norm2(ens.p))
     i0, frac = [], []
     for col in ens.x.T:
@@ -180,7 +181,7 @@ def reference_deposit_mu(ens, grid):
     box = tuple(slice(i.min(), i.max() + 2) for i in i0)
     if any(b.start < 0 or b.stop > n for b in box):
         raise DomainTooSmallError("particle outside deposition grid")
-    mu = grid.clear_mu()
+    mu = np.zeros((n, n, n))
     base = (i0[0] * n + i0[1]) * n + i0[2]
     wx, wy, wz = ((1.0 - f, f) for f in frac)
     flat = mu.ravel()
@@ -191,8 +192,15 @@ def reference_deposit_mu(ens, grid):
             for oz in (0, 1):
                 np.add.at(flat, base + ((ox * n + oy) * n + oz), qxy * wz[oz])
     mu[box] /= grid.h**3
-    grid.set_mu(mu, box)
-    return mu
+    return mu, box
+
+
+def embedded(grid):
+    """The grid's source on its whole cube: its box at its origin, +0.0
+    elsewhere."""
+    cube = np.zeros((grid.n_nodes,) * 3)
+    cube[grid.source_box()] = grid.mu
+    return cube
 
 
 def ensemble_at(x, rng):
@@ -221,7 +229,8 @@ class TestDepositAgainstReference:
             u[0] = lo
             x = (u - self.N_HALF) * self.H
             ens = ensemble_at(x, rng)
-            np.testing.assert_array_equal(deposit_mu(ens, grid),
+            assert deposit_mu(ens, grid) is grid.mu
+            np.testing.assert_array_equal(embedded(grid),
                                           reference_deposit(ens, grid))
 
     def test_outside_error_at_the_same_edges(self):
@@ -234,16 +243,18 @@ class TestDepositAgainstReference:
                 u[1, axis] = u_edge
                 ens = ensemble_at((u - self.N_HALF) * self.H, rng)
                 for fn in (deposit_mu, reference_deposit):
+                    before = grid.mu
                     if raises:
                         with pytest.raises(DomainTooSmallError):
                             fn(ens, grid)
+                        assert grid.mu is before
                     else:
                         fn(ens, grid)
 
 
-class TestDepositReuse:
-    """deposit_mu overwrites the grid's previous mu, zeroing only its box;
-    the result, and sup_mu, have the bits of a deposit into new zeros."""
+class TestDepositSequence:
+    """Each deposit on one grid, embedded at its origin, and sup_mu have the
+    bits of a deposit on a new grid, as the box moves and empties."""
 
     H, N_HALF = 0.25, 7  # n = 15 nodes, cells 0 .. 13
 
@@ -256,27 +267,38 @@ class TestDepositReuse:
         rng = np.random.default_rng(8)
         grid = self.grid()
         # cell ranges whose boxes move apart, none, and the whole grid
-        for k, cells in enumerate([(1.0, 4.0), (9.0, 13.0), (5.0, 6.0), None,
-                                   (0.0, 14.0), None]):
+        for cells in [(1.0, 4.0), (9.0, 13.0), (5.0, 6.0), None, (0.0, 14.0), None]:
             if cells is None:
                 ens = ensemble_at(np.zeros((0, 3)), rng)
             else:
                 u = rng.uniform(*cells, (40, 3))
                 ens = ensemble_at((u - self.N_HALF) * self.H, rng)
-            buffer = id(grid.mu)
             got = deposit_mu(ens, grid)
             assert got is grid.mu
-            del got
-            if k:
-                assert id(grid.mu) == buffer  # written into the previous mu
             fresh = self.grid()
-            ref = deposit_mu(ens, fresh)
-            np.testing.assert_array_equal(grid.mu, ref)
-            np.testing.assert_array_equal(np.signbit(grid.mu), np.signbit(ref))
-            np.testing.assert_array_equal(ref, reference_deposit(ens, self.grid()))
+            deposit_mu(ens, fresh)
+            assert grid.mu_origin == fresh.mu_origin
+            assert_same_bits(got, fresh.mu)
+            assert_same_bits(embedded(grid), reference_deposit_mu(ens, self.grid())[0])
+            np.testing.assert_array_equal(embedded(grid), reference_deposit(ens, self.grid()))
+            assert (got.size == 0) == (cells is None)
             sup, sup_ref = diagnostics.sup_mu(grid), diagnostics.sup_mu(fresh)
             assert sup.hex() == sup_ref.hex()
             assert (sup == 0.0) == (cells is None)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_raises_before_any_cast(self, value):
+        # min and max carry the value to the box, which raises before a
+        # cast could warn "invalid value encountered in cast"
+        rng = np.random.default_rng(9)
+        grid = self.grid()
+        before = grid.mu
+        ens = ensemble_at(rng.uniform(-0.5, 0.5, (40, 3)), rng)
+        ens.x[17, 1] = value
+        with pytest.raises(FloatingPointError, match="NaN or infinite"):
+            deposit_mu(ens, grid)
+        assert grid.mu is before
 
 
 class TestDeposit:
@@ -297,7 +319,8 @@ class TestDeposit:
             w=np.array([2.0]), w0=np.array([2.0]), phi0_at_x0=np.zeros(1))
         mu = deposit_mu(ens, grid)
         c = grid.n_half
-        assert mu[c, c, c] == pytest.approx(2.0 / grid.h**3)
+        assert mu.shape == (2, 2, 2) and grid.mu_origin == (c, c, c)
+        assert embedded(grid)[c, c, c] == pytest.approx(2.0 / grid.h**3)
         assert mu.sum() == pytest.approx(2.0 / grid.h**3)
 
     def test_particle_outside_grid(self):
@@ -308,6 +331,20 @@ class TestDeposit:
             w=np.ones(1), w0=np.ones(1), phi0_at_x0=np.zeros(1))
         with pytest.raises(DomainTooSmallError):
             deposit_mu(ens, grid)
+
+    def test_taylor_start_subtracts_the_box_source_bitwise(self):
+        # the levels as they were made from mu on the whole cube
+        data, h, dt = small_data(), 0.5, 0.25
+        ens = sample_particles(data, 6)
+        grid = make_field_grid(data, h, dt, pad=2.0,
+                               source=lambda g: deposit_mu(ens, g))
+        assert 0 < grid.mu.size < grid.n_nodes ** 3
+        ax = grid.node_axis()
+        pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
+        phi0, phi1 = data.phi0_in.value(pts), data.phi1_in.value(pts)
+        acc = 0.5 * dt**2 * (data.phi0_in.laplacian(pts) - embedded(grid))
+        assert_same_bits(grid.phi_m, phi0 - dt * phi1 + acc)
+        assert_same_bits(grid.phi_p, phi0 + dt * phi1 + acc)
 
     def test_nonnegative(self):
         data = small_data()
@@ -359,11 +396,13 @@ class TestCoupledLoop:
                                    coupling=False, keep_history=True)
         g = state.grid
         assert g.phi_m is g.phi_0 is g.phi_p is state.hist_full is None
-        assert g.mu.shape == (13, 13, 13) and g.mu.max() > 0.0
+        assert g.n_nodes == 13 and g.mu.max() > 0.0
+        g.source_box()  # fits the cube
         for _ in range(3):
             step(state)
         assert g.phi_m is g.phi_0 is g.phi_p is None
-        assert g.mu.shape == (g.n_nodes,) * 3 and g.n_nodes > 13
+        assert g.n_nodes > 13 and g.mu.max() > 0.0
+        g.source_box()
 
     def test_grid_time_tracks_state(self):
         data = small_data()
@@ -383,7 +422,7 @@ class TestCoupledLoop:
 
     def test_levels_share_the_cube_after_every_growth(self):
         # h = 0.25, pad = 3: the cube grows at steps 1 and 11, and the step
-        # replaces the phi_m and mu that the growth left on the old cube
+        # replaces the phi_m and mu that the growth dropped
         state = init_coupled_state(small_data(), 4, h=0.25, dt=0.125, pad=3.0)
         grows = 0
         for _ in range(12):
@@ -391,8 +430,10 @@ class TestCoupledLoop:
             step(state)
             g = state.grid
             grows += g.n_half != n_half
-            shapes = {a.shape for a in (g.phi_m, g.phi_0, g.phi_p, g.mu)}
+            shapes = {a.shape for a in (g.phi_m, g.phi_0, g.phi_p)}
             assert shapes == {(g.n_nodes,) * 3}
+            box = g.source_box()  # fits the cube, and is smaller
+            assert 0 < g.mu.size < g.n_nodes ** 3 and box[0].start > 0
         assert grows == 2
 
     def test_zero_amplitude_run_stays_zero(self):
@@ -468,18 +509,19 @@ class TestParticleChunks:
         # so a change in any node's order of adds would show in its bits
         rng = np.random.default_rng(12)
         ens = ensemble_at((rng.uniform(6.0, 8.0, (300, 3)) - 7) * 0.25, rng)
-        ref_grid = FieldGrid.at_start(1.0, 0.25, 0.15, 0.75)
-        ref = reference_deposit_mu(ens, ref_grid)
+        ref, ref_box = reference_deposit_mu(ens, FieldGrid.at_start(1.0, 0.25, 0.15, 0.75))
         monkeypatch.setattr(vlasov_pic, "PARTICLE_CHUNK", CHUNK_EDGES[edge](ens.n))
         grid = FieldGrid.at_start(1.0, 0.25, 0.15, 0.75)
-        assert_same_bits(deposit_mu(ens, grid), ref)
-        assert grid.source_box() == ref_grid.source_box()
+        mu = deposit_mu(ens, grid)
+        assert grid.source_box() == ref_box
+        assert_same_bits(embedded(grid), ref)
         # a particle of the last chunk outside the grid raises before mu
         # changes
         ens.x[-1, 2] = 5.0
         with pytest.raises(DomainTooSmallError):
             deposit_mu(ens, grid)
-        assert_same_bits(grid.mu, ref)
+        assert grid.mu is mu
+        assert_same_bits(embedded(grid), ref)
 
     @pytest.mark.parametrize("edge", CHUNK_EDGES)
     @pytest.mark.parametrize("make", [small_data, off_centre_data])
@@ -512,12 +554,11 @@ class TestParticleChunks:
 
     def test_deposit_holds_seven_floats_per_particle(self, monkeypatch):
         # above the live ensemble: the cell index, 2 fractions, q wx of both
-        # x corners, q wx wy and 1 - wy, about 7 floats per particle; whole
-        # columns reach 17
+        # x corners, q wx wy and 1 - wy, about 7 floats per particle, and
+        # the box of at most 13^3 nodes; whole columns reach 17
         monkeypatch.setattr(vlasov_pic, "PARTICLE_CHUNK", 512)
         ens = sample_particles(small_data(), 8)
         grid = FieldGrid.at_start(1.0, 0.5, 0.25, 2.0)
-        deposit_mu(ens, grid)  # makes the mu that the next deposit reuses
         tracemalloc.start()
         try:
             deposit_mu(ens, grid)
@@ -526,6 +567,27 @@ class TestParticleChunks:
             tracemalloc.stop()
         assert ens.n > 16 * 512
         assert peak <= 9 * 8 * ens.n
+
+    def test_growth_step_holds_three_level_cubes_and_the_box(self, monkeypatch):
+        # a growth step makes all it holds of the field: the grown phi_0 and
+        # phi_p, the source box and the new level (the growth dropped
+        # phi_m), besides one chunk of push arrays and one plane of the
+        # FDTD scratch; a source on the whole cube made it four cubes
+        monkeypatch.setattr(wavefield, "SLAB_NODES", 1)
+        state = init_coupled_state(small_data(), 4, h=0.25, dt=0.125, pad=3.0,
+                                   keep_history=False)
+        n_half = state.grid.n_half
+        tracemalloc.start()
+        try:
+            step(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        g = state.grid
+        cube, push = 8 * g.n_nodes ** 3, 70 * 8 * state.ensemble.n
+        assert g.n_half > n_half and 0 < 8 * g.mu.nbytes < cube
+        assert push < cube / 2  # a fourth cube would not fit in the margin
+        assert peak <= 3 * cube + g.mu.nbytes + push
 
     def test_sampler_candidates_in_chunks(self, monkeypatch):
         # with a small pair mask, the peak is the kept pieces, 8 floats per
@@ -598,7 +660,7 @@ class TestEvaluateF:
         mu_sl = semilag_profile(t, state.hist_full, data, state.grid.dt,
                                 n_radii=1, n_p=14)[1][0]
         c = state.grid.n_half
-        mu_dep = state.grid.mu[c, c, c]
+        mu_dep = embedded(state.grid)[c, c, c]
         assert mu_dep == pytest.approx(mu_sl, rel=0.25)
 
 

@@ -114,35 +114,49 @@ class TestGridBasics:
         for name in before:
             assert getattr(g, name) is None
 
+    def test_growth_drops_mu_without_levels(self):
+        # a free grid's mu would otherwise keep the old cube's indices
+        g = FieldGrid.at_start(1.0, 0.5, 0.25, 0.0)
+        g.mu, g.mu_origin = np.ones((2, 2, 2)), (1, 1, 1)
+        g.ensure_extent(4.0)
+        assert g.mu is None and g.phi_0 is None and g.n_half == 10
+
 
 class TestFdtdStep:
     def test_energy_conserved_homogeneous(self):
         g = make_field_grid(wave_data(), h=0.5, dt=0.25, pad=6.0)
-        zero = np.zeros_like(g.phi_0)
-        fdtd_step(g, zero)
+        assert g.mu.size == 0  # no source: +0.0 everywhere
+        fdtd_step(g)
         e0 = discrete_energy(g)
         for _ in range(10):
-            fdtd_step(g, zero)
+            fdtd_step(g)
         assert discrete_energy(g) == pytest.approx(e0, rel=1e-12)
 
     def test_boundary_activation_raises(self):
         g = make_field_grid(wave_data(), h=0.5, dt=0.25, pad=0.5)
-        zero = np.zeros_like(g.phi_0)
         with pytest.raises(DomainTooSmallError):
             for _ in range(40):
-                fdtd_step(g, zero)
+                fdtd_step(g)
 
-    def test_shape_mismatch(self):
+    @pytest.mark.parametrize("shape, origin", [((3, 3, 3), (11, 0, 0)),
+                                               ((3, 3, 3), (0, -1, 0)),
+                                               ((14, 1, 1), (0, 0, 0)),
+                                               ((13, 13), (0, 0, 0))])
+    def test_source_box_outside_the_cube_raises(self, shape, origin):
         g = make_field_grid(wave_data(), h=0.5, dt=0.25)
-        with pytest.raises(DomainTooSmallError):
-            fdtd_step(g, np.zeros((3, 3, 3)))
+        assert g.n_nodes == 13
+        g.mu, g.mu_origin = np.zeros(shape), origin
+        levels = (g.phi_m, g.phi_0, g.phi_p)
+        with pytest.raises(ValueError, match="does not fit"):
+            fdtd_step(g)
+        assert all(a is b for a, b in zip((g.phi_m, g.phi_0, g.phi_p), levels))
+        assert g.t == 0.0
 
     def test_sponge_only_acts_outside(self):
         g = make_field_grid(wave_data(), h=0.5, dt=0.25, pad=6.0)
-        zero = np.zeros_like(g.phi_0)
         g2 = make_field_grid(wave_data(), h=0.5, dt=0.25, pad=6.0)
-        fdtd_step(g, zero)
-        fdtd_step(g2, zero, sponge_radius=2.0)
+        fdtd_step(g)
+        fdtd_step(g2, sponge_radius=2.0)
         c = g.n_half
         np.testing.assert_array_equal(g.phi_p[c - 2:c + 3, c - 2:c + 3, c - 2:c + 3],
                                       g2.phi_p[c - 2:c + 3, c - 2:c + 3, c - 2:c + 3])
@@ -185,7 +199,14 @@ def reference_fdtd_step(grid, mu, sponge_radius=None):
 
 def copy_grid(g):
     return FieldGrid(h=g.h, dt=g.dt, n_half=g.n_half, t=g.t, phi_m=g.phi_m.copy(),
-                     phi_0=g.phi_0.copy(), phi_p=g.phi_p.copy(), mu=g.mu.copy())
+                     phi_0=g.phi_0.copy(), phi_p=g.phi_p.copy(), mu=g.mu.copy(),
+                     mu_origin=g.mu_origin)
+
+
+def step_with(grid, mu, sponge_radius=None):
+    """fdtd_step with the cube `mu` as the grid's source, the box at origin 0."""
+    grid.mu, grid.mu_origin = mu, (0, 0, 0)
+    return fdtd_step(grid, sponge_radius=sponge_radius)
 
 
 def steps_through_sponge_shell(n_half, sponge):
@@ -206,7 +227,7 @@ def steps_through_sponge_shell(n_half, sponge):
         mu = rng.standard_normal(shape) * inside
         kept = (g.phi_0, g.phi_p)
         saved = tuple(a.copy() for a in kept)
-        fdtd_step(g, mu, sponge_radius=sponge)
+        step_with(g, mu, sponge)
         reference_fdtd_step(ref, mu, sponge_radius=sponge)
         np.testing.assert_array_equal(g.phi_p, ref.phi_p)
         np.testing.assert_array_equal(np.signbit(g.phi_p), np.signbit(ref.phi_p))
@@ -237,7 +258,7 @@ def boundary_outcomes():
                 node[axis] = index
                 g.phi_p[tuple(node)] = 1.0
                 outcome = []
-                for step_fn, grid in ((fdtd_step, g), (reference_fdtd_step,
+                for step_fn, grid in ((step_with, g), (reference_fdtd_step,
                                                        copy_grid(g))):
                     try:
                         step_fn(grid, np.zeros((n,) * 3), sponge_radius=1.0)
@@ -315,7 +336,7 @@ class TestFdtdSlabs:
         mu = np.zeros((n,) * 3)
         mu[6, 6, 6] = np.nan
         ref = copy_grid(g)
-        fdtd_step(g, mu, sponge_radius=1.0)
+        step_with(g, mu, 1.0)
         reference_fdtd_step(ref, mu, sponge_radius=1.0)
         assert np.isnan(g.phi_p[6, 6, 6])
         np.testing.assert_array_equal(g.phi_p, ref.phi_p)
@@ -335,7 +356,7 @@ class TestFdtdSlabs:
         mu = np.zeros((n,) * 3)
         mu[node] = value
         outcomes = []
-        for step_fn, grid in ((fdtd_step, g), (reference_fdtd_step, copy_grid(g))):
+        for step_fn, grid in ((step_with, g), (reference_fdtd_step, copy_grid(g))):
             try:
                 step_fn(grid, mu, sponge_radius=1.0)
                 outcomes.append(False)
@@ -409,7 +430,7 @@ class TestKirchhoff:
         h, dt, t_end = 0.25, 0.125, 1.0
         g = make_field_grid(data, h, dt, pad=3.0)
         for _ in range(int(round(t_end / dt))):
-            fdtd_step(g, np.zeros_like(g.phi_0))
+            fdtd_step(g)
         hist = GridFieldHistory()
         hist.append(g.t, g.phi_0, g.h, g.n_half)
         probes = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [-1.0, 0.5, 0.5]])
@@ -937,7 +958,7 @@ class TestMirroredSponge:
                 # raising DomainTooSmallError, so every node is compared
                 mu = rng.standard_normal((n,) * 3)
                 mu[0, 0, 0] = np.nan
-                fdtd_step(g, mu, sponge_radius=sponge)
+                step_with(g, mu, sponge)
                 reference_fdtd_step(ref, mu, sponge_radius=sponge)
                 np.testing.assert_array_equal(g.phi_p, ref.phi_p)
                 np.testing.assert_array_equal(np.signbit(g.phi_p),
@@ -947,12 +968,16 @@ class TestMirroredSponge:
 
 class TestLevelReuse:
     """fdtd_step writes the new level into the buffer of the phi_m that falls
-    out when the grid holds its only reference, and subtracts the grid's own
-    mu only on its box; the new level keeps the reference step's bits."""
+    out when the grid holds its only reference, and subtracts the grid's
+    source on its box; the new level keeps the bits of the reference step
+    with the source embedded in a cube of +0.0."""
 
     N_HALF, H, DT = 6, 0.5, 0.25
     SHAPE = (2 * N_HALF + 1,) * 3
     BOX = (slice(4, 7), slice(5, 9), slice(6, 8))
+    # a box in both slabs of a mirrored pair, one off the centre on every
+    # axis, one node; each stays 3 nodes off the faces, so no step raises
+    BOXES = [BOX, (slice(5, 9), slice(3, 5), slice(7, 10)), (slice(6, 7),) * 3]
 
     def grid(self, rng, nan=False):
         # a checkerboard of +0.0 and -0.0 (the Laplacian of its +0.0 nodes is
@@ -966,53 +991,49 @@ class TestLevelReuse:
             phi_p[6, 6, 6] = np.nan
         return FieldGrid(h=self.H, dt=self.DT, n_half=self.N_HALF, t=0.0,
                          phi_m=rng.standard_normal(self.SHAPE), phi_0=phi_0,
-                         phi_p=phi_p, mu=np.zeros(1))
+                         phi_p=phi_p, mu=np.zeros((0, 0, 0)))
 
-    def box_source(self, rng):
-        mu = np.zeros(self.SHAPE)
-        mu[self.BOX] = rng.standard_normal(mu[self.BOX].shape)
-        mu[self.BOX][0, 0, 0] = -0.0
-        return mu
+    def set_source(self, g, rng, box=BOX, nan=False):
+        """Random values, one -0.0 and maybe a NaN as g's source on `box`;
+        returns the cube of +0.0 that embeds them."""
+        mu = rng.standard_normal(tuple(b.stop - b.start for b in box))
+        mu[0, 0, 0] = -0.0
+        if nan:
+            mu[-1, -1, -1] = np.nan
+        g.mu, g.mu_origin = mu, tuple(b.start for b in box)
+        assert g.source_box() == box
+        cube = np.zeros(self.SHAPE)
+        cube[box] = mu
+        return cube
 
-    @pytest.mark.parametrize("nan", [False, True])
+    @pytest.mark.parametrize("nan", [None, "level", "source"])
     @pytest.mark.parametrize("sponge", [None, 1.0])
-    def test_reused_buffer_bitwise_with_box_source(self, nan, sponge):
+    @pytest.mark.parametrize("box", range(3))
+    @pytest.mark.parametrize("planes", [1, None])
+    def test_reused_buffer_bitwise_with_box_source(self, monkeypatch, nan,
+                                                   sponge, box, planes):
+        patch_slabs(monkeypatch, planes, self.SHAPE[0])
         rng = np.random.default_rng(21)
-        g = self.grid(rng, nan)
+        g = self.grid(rng, nan == "level")
         ref = copy_grid(g)
         for _ in range(2):
             buffer = id(g.phi_m)
-            mu = self.box_source(rng)
-            g.set_mu(mu, self.BOX)
-            assert g.source_box() == self.BOX
-            fdtd_step(g, g.mu, sponge_radius=sponge)
-            reference_fdtd_step(ref, mu, sponge_radius=sponge)
+            cube = self.set_source(g, rng, self.BOXES[box], nan == "source")
+            fdtd_step(g, sponge_radius=sponge)
+            reference_fdtd_step(ref, cube, sponge_radius=sponge)
             assert id(g.phi_p) == buffer  # the level was written into phi_m's buffer
             assert_same_bits(g.phi_p, ref.phi_p)
             assert_same_bits(g.phi_0, ref.phi_0)
-            assert g.phi_p_finite() == (not nan)
-        assert np.isnan(g.phi_p).any() == nan
-
-    def test_mu_assigned_directly_is_subtracted_everywhere(self):
-        rng = np.random.default_rng(22)
-        g = self.grid(rng)
-        g.set_mu(self.box_source(rng), self.BOX)
-        ref = copy_grid(g)
-        # a dense source assigned without a box: the recorded box is stale
-        mu = np.zeros(self.SHAPE)
-        mu[3:10, 3:10, 3:10] = rng.standard_normal((7, 7, 7))
-        g.mu = mu
-        assert g.source_box() == (slice(0, 13),) * 3
-        fdtd_step(g, g.mu)
-        reference_fdtd_step(ref, mu)
-        assert_same_bits(g.phi_p, ref.phi_p)
+            assert g.phi_p_finite() == (nan is None)
+        assert np.isnan(g.phi_p).any() == (nan is not None)
 
     def test_held_level_is_not_written(self):
         rng = np.random.default_rng(23)
         g = self.grid(rng)
         old = g.phi_m
         saved = old.copy()
-        fdtd_step(g, self.box_source(rng))
+        self.set_source(g, rng)
+        fdtd_step(g)
         assert g.phi_p is not old
         assert_same_bits(old, saved)
 
