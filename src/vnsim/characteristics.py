@@ -182,13 +182,23 @@ def _rhs(t, x, p, field):
 
 
 def _rk4(t, y, dt, rhs):
-    """One classical RK4 step of dy/ds = rhs(s, *y); y is a tuple of arrays."""
-    k1 = rhs(t, *y)
-    k2 = rhs(t + dt / 2, *(a + dt / 2 * k for a, k in zip(y, k1)))
-    k3 = rhs(t + dt / 2, *(a + dt / 2 * k for a, k in zip(y, k2)))
-    k4 = rhs(t + dt, *(a + dt * k for a, k in zip(y, k3)))
-    return tuple(a + dt / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
-                 for a, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4))
+    """One classical RK4 step of dy/ds = rhs(s, *y); y is a tuple of arrays.
+
+    The stages are summed in place as they come, s1 + 2 s2 + 2 s3 + s4 left
+    to right: the adds of a + dt/6 (s1 + 2 s2 + 2 s3 + s4) in their order,
+    so the same bits, while no stage outlives the next one.  The sum takes
+    over the first stage's arrays, so rhs must return arrays of its own.
+    """
+    k = rhs(t, *y)
+    acc = list(k)
+    for step, c in ((dt / 2, 2), (dt / 2, 2), (dt, 1)):
+        y_stage = tuple(a + step * s for a, s in zip(y, k))
+        del k  # free the last stage's slopes (the first stage's are acc)
+        k = rhs(t + step, *y_stage)
+        del y_stage
+        for j, total in enumerate(acc):
+            total += k[j] if c == 1 else c * k[j]
+    return tuple(a + dt / 6 * total for a, total in zip(y, acc))
 
 
 def push(state: PhaseState, dt: float, field: FieldView) -> PhaseState:

@@ -18,7 +18,7 @@ import numpy as np
 from . import diagnostics as diag
 from .errors import ConfigError, DomainTooSmallError
 from .profiles import InitialData, make_bump, validate_membership
-from .vlasov_pic import (PAIR_CHUNK, PARTICLE_CHUNK, CoupledState,
+from .vlasov_pic import (PAIR_CHUNK, PARTICLE_CHUNK, PUSH_CHUNK, CoupledState,
                          init_coupled_state, step, ParticleEnsemble)
 from .wavefield import GROW_CHUNK, FieldGrid, _cfl_ok
 
@@ -130,9 +130,11 @@ _SCHEMA = {f.name: _converter(f) for f in fields(SimConfig)
 # - 20 floats per particle, the most a phase holds.  A free step holds 9
 #   ensemble floats, 3 of the displacement and about 8 of the deposit; a
 #   coupled step the 9 and then 7 of the new x, p and w, or the deposit's 8;
-#   the sampler 8 of kept pieces and 3 of one joined field;
-# - coupled, up to 70 floats of RK4 stage and gather arrays per particle of
-#   one PARTICLE_CHUNK;
+#   the sampler 3 of kept pieces (x and p cell, f) while it fills the 8 of
+#   x, p, w and phi0_in;
+# - coupled, 46 floats per particle of one PUSH_CHUNK: the RK4 stages, the
+#   gather's scratch and the chunk's new x, p and w (45.4 by tracemalloc on
+#   a push and re-weighing of 2^13 particles of coupled_push's ensemble);
 # - per semi-Lagrangian trace point, 16 floats of its inputs and outputs,
 #   and on one PARTICLE_CHUNK of points up to 10 more of the trace, charged
 #   20;
@@ -145,7 +147,7 @@ _SCHEMA = {f.name: _converter(f) for f in fields(SimConfig)
 _BASELINE_MB = 34.0
 _PAIR_BYTES = 9
 _PARTICLE_FLOATS = 20
-_PUSH_FLOATS = 70
+_PUSH_FLOATS = 46
 _TRACE_CHUNK_FLOATS = 20
 _TRACE_POINT_FLOATS = 16
 _PEAK_LEVELS = 4
@@ -170,7 +172,7 @@ def estimate_memory_mb(cfg: SimConfig) -> float:
     total += (min(cfg.n_per_dim**6, PAIR_CHUNK) * _PAIR_BYTES
               + n_part * _PARTICLE_FLOATS * 8.0)
     if cfg.coupling:
-        total += min(n_part, PARTICLE_CHUNK) * _PUSH_FLOATS * 8.0
+        total += min(n_part, PUSH_CHUNK) * _PUSH_FLOATS * 8.0
     if cfg.semilag and (cfg.keep_history or not cfg.coupling):
         n_points = cfg.semilag_radii * cfg.semilag_np**3
         total += (min(n_points, PARTICLE_CHUNK) * _TRACE_CHUNK_FLOATS

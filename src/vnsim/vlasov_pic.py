@@ -24,11 +24,17 @@ __all__ = [
 ]
 
 
-# The coupled step pushes and re-weighs, evaluate_f traces, the sampler
-# evaluates f_in, the deposit and the free step read at most this many
-# particles or points at a time, so their temporaries stay one chunk's
-# size; no value depends on it.
+# evaluate_f traces, the sampler evaluates f_in, the deposit and the free
+# step read at most this many particles or points at a time, so their
+# temporaries stay one chunk's size; no value depends on it.
 PARTICLE_CHUNK = 1 << 15
+
+# The coupled step pushes and re-weighs this many particles at a time.  Its
+# RK4 stages and gathers hold about 45 floats per particle, several times
+# what the other passes hold, so its chunk is smaller; those passes keep
+# PARTICLE_CHUNK, since 2^13 there made coupled_semilag's run 15-35 %
+# slower.  No value depends on it.
+PUSH_CHUNK = 1 << 13
 
 # The sampler's pair mask covers at most this many (x cell, p cell) pairs at
 # a time, as long as one x cell has no more p cells.
@@ -63,9 +69,11 @@ def sample_particles(data: InitialData, n_per_dim: int,
     only on the cells whose offsets from the bump centre lie in the support
     ball, with a relative slack of 1e-9 on r^2 so that every cell that
     rounding puts inside is a candidate; `f > 0` still decides.  The pair
-    mask covers `chunk` (x cell, p cell) pairs at a time; f_in and phi0_in
-    are evaluated on PARTICLE_CHUNK candidates at a time, and every value is
-    per cell, so the bits do not depend on either chunk.
+    mask covers `chunk` (x cell, p cell) pairs at a time, and f_in is
+    evaluated on PARTICLE_CHUNK candidates at a time, of which the kept
+    cells' indices and f stay; x, p and phi0_in then fill arrays of the
+    kept count, piece by piece, so no field is joined from copies.  Every
+    value is per cell, so the bits do not depend on either chunk.
     """
     if n_per_dim < 4:
         raise ValueError("n_per_dim must be >= 4")
@@ -74,7 +82,7 @@ def sample_particles(data: InitialData, n_per_dim: int,
     s = 2.0 * r / n_per_dim
     centers = -r + (np.arange(n_per_dim) + 0.5) * s
 
-    pieces = []  # (x, p, f, phi0_in(x)) of the kept cells of each batch
+    kept, fs = [], []  # each batch's kept candidates: (x cell, p cell), f
     # the x and p lattices are the same offsets from the centre
     grid3 = np.stack(np.meshgrid(centers, centers, centers, indexing="ij"),
                      axis=-1).reshape(-1, 3)
@@ -83,7 +91,6 @@ def sample_particles(data: InitialData, n_per_dim: int,
     # chunk over the spatial dims to bound memory
     chunk_size = max(1, chunk // pgrid.shape[0])
     for i0 in range(0, grid3.shape[0], chunk_size):
-        xc = grid3[i0:i0 + chunk_size] + prof.center[0:3]
         # The float sum behind this mask is the sampler's largest temporary
         # (24 MB at n_per_dim = 12) and stays whole on purpose: freeing an
         # array this large raises glibc's dynamic mmap and trim thresholds,
@@ -92,23 +99,25 @@ def sample_particles(data: InitialData, n_per_dim: int,
         # 51k minor page faults, and free_stream's peak RSS from 76 to 86 MiB.
         ix, ip = np.nonzero(z2[i0:i0 + chunk_size, None] + z2[None, :]
                             < r**2 * (1 + 1e-9))
+        ix += i0
         for a in range(0, len(ix), PARTICLE_CHUNK):
-            xx = xc[ix[a:a + PARTICLE_CHUNK]]
-            pp = pgrid[ip[a:a + PARTICLE_CHUNK]]
-            f = data.f_value(xx, pp)
+            xi, pi = ix[a:a + PARTICLE_CHUNK], ip[a:a + PARTICLE_CHUNK]
+            f = data.f_value(grid3[xi] + prof.center[0:3], pgrid[pi])
             keep = f > 0.0
-            if np.any(keep):
-                xk = xx[keep]
-                pieces.append((xk, pp[keep], f[keep], data.phi0_in.value(xk)))
+            kept.append((xi[keep], pi[keep]))
+            fs.append(f[keep])
         del ix, ip
-    if not pieces:
-        return ParticleEnsemble(x=np.zeros((0, 3)), p=np.zeros((0, 3)),
-                                w=np.zeros(0), w0=np.zeros(0),
-                                phi0_at_x0=np.zeros(0))
-    # one field at a time, each freeing its pieces before the next is joined
-    columns = list(zip(*pieces))
-    del pieces
-    x, p, w, phi0 = (np.concatenate(columns.pop(0)) for _ in range(4))
+    w = np.concatenate(fs)
+    del fs
+    x, p, phi0 = np.empty((len(w), 3)), np.empty((len(w), 3)), np.empty(len(w))
+    start = 0
+    for xi, pi in kept:
+        rows = slice(start, start + len(xi))
+        np.add(grid3.take(xi, axis=0), prof.center[0:3], out=x[rows])
+        pgrid.take(pi, axis=0, out=p[rows])
+        phi0[rows] = data.phi0_in.value(x[rows])
+        start += len(xi)
+    del kept
     w *= s**6
     return ParticleEnsemble(x=x, p=p, w=w, w0=w.copy(), phi0_at_x0=phi0)
 
@@ -235,8 +244,8 @@ def init_coupled_state(data: InitialData, n_per_dim: int, h: float, dt: float,
 def step(state: CoupledState, deposit: bool = True) -> CoupledState:
     """One coupled cycle: push -> weights -> deposit -> field -> advance t.
 
-    A coupled ensemble is pushed and re-weighed PARTICLE_CHUNK particles at
-    a time into new x, p and w; every value is per particle, so the bits do
+    A coupled ensemble is pushed and re-weighed PUSH_CHUNK particles at a
+    time into new x, p and w; every value is per particle, so the bits do
     not depend on the chunks.
     """
     ens, grid = state.ensemble, state.grid
@@ -253,8 +262,8 @@ def step(state: CoupledState, deposit: bool = True) -> CoupledState:
     else:
         view = grid.view()
         x, p, w = np.empty_like(ens.x), np.empty_like(ens.p), np.empty_like(ens.w)
-        for a in range(0, ens.n, PARTICLE_CHUNK):
-            s = slice(a, a + PARTICLE_CHUNK)
+        for a in range(0, ens.n, PUSH_CHUNK):
+            s = slice(a, a + PUSH_CHUNK)
             pushed = chars.push(PhaseState(x=ens.x[s], p=ens.p[s], t=state.t),
                                 dt, view)
             part = update_weights(

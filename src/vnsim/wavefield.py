@@ -9,6 +9,7 @@ tracks R + t + pad, which finite propagation speed guarantees.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 import types
@@ -431,23 +432,36 @@ def difference(time: Stencil, space: Stencil, take, dt: float, h: float):
     return time.combine(lambda k: take(k, space)) / (dt**time.order * h**space.order)
 
 
-def sample_levels(levels, h: float, n_half: int, x, stencils) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _flat_stencil(st: Stencil, n: int) -> Stencil:
+    """`st` with each offset as its shift in a raveled level of n**3 nodes;
+    kept per stencil and n, as the push samples every chunk anew."""
+    strides = np.array([n * n, n, 1])
+    return Stencil(st.order, tuple((int(off @ strides), c) for off, c in st.terms))
+
+
+def sample_levels(columns, h: float, n_half: int, x) -> np.ndarray:
     """Trilinear samples of node stencils on levels that share one geometry.
 
-    Returns shape (len(levels), len(stencils)) + x.shape[:-1]: each stencil
-    combined on the nodes of each level, interpolated to x, not scaled by
-    the step.  A point is sampled when its cell and the cell's +-1
-    neighbours lie on the grid, and is 0 otherwise.  Every gather is a flat
-    index into the raveled level, offset by the strides n**2, n, 1.
+    `columns` lists the (level, stencil) pairs to gather; a caller that
+    wants every stencil on every level passes their product.  Returns shape
+    (len(columns),) + x.shape[:-1]: each column's stencil combined on the
+    nodes of its level, interpolated to x, not scaled by the step.  A point
+    is sampled when its cell and the cell's +-1 neighbours lie on the grid,
+    and is 0 otherwise.  Every gather is a flat index into the raveled
+    level, offset by the strides n**2, n, 1.  Each column accumulates its
+    corners from +0.0, so no sample is -0.0, and its bits do not depend on
+    the other columns of the call.
 
     If the box of the sampled cells' corners has no more nodes than there
     are points, the stencils are combined once per box node into a table
     whose rows the 8 corners gather; else each stencil term is one gather
     for all 8 corners.  Both add w * value over the corners in one order, so
-    they give the same bits, in chunks of SLAB_NODES // (2 * width) points.
+    they give the same bits, in chunks of SLAB_NODES // (2 * width) points,
+    width the number of columns.
     """
     x = np.asarray(x, dtype=float)
-    n = levels[0].shape[0]
+    n = columns[0][0].shape[0]
     u = x.reshape(-1, 3) / h
     u += n_half
     # a NaN, infinite or huge coordinate moves to a cell off the grid, so
@@ -457,21 +471,19 @@ def sample_levels(levels, h: float, n_half: int, x, stencils) -> np.ndarray:
     np.minimum(u, n, out=u)
     i0 = np.floor(u).astype(np.intp)
     valid = np.logical_and.reduce([(c >= 1) & (c <= n - 3) for c in i0.T])
-    width = len(levels) * len(stencils)
+    width = len(columns)
     out = np.zeros((width, len(u)))
     if not valid.any():
-        return out.reshape((len(levels), len(stencils)) + x.shape[:-1])
+        return out.reshape((width,) + x.shape[:-1])
     i0[~valid] = i0[valid.argmax()]  # a sampled cell keeps the gathers in range
     lo = np.array([c.min() for c in i0.T])
     box = np.array([c.max() for c in i0.T]) + 2 - lo  # corner nodes per axis
     strides = np.array([n * n, n, 1])
-    # the stencils with each offset as its shift in the raveled level
-    shifted = [Stencil(st.order, tuple((int(off @ strides), c) for off, c in st.terms))
-               for st in stencils]
-    pairs = list(itertools.product([np.ravel(lv) for lv in levels], shifted))
+    pairs = [(np.ravel(lv), _flat_stencil(st, n)) for lv, st in columns]
 
     def combined(low, start):
-        """Each level's stencils, in its dtype, at the nodes start + low."""
+        """Each column's stencil, in its level's dtype, at the nodes
+        start + low."""
         for flat, st in pairs:
             yield st.combine(lambda shift: flat[start + shift:].take(low))
 
@@ -503,7 +515,7 @@ def sample_levels(levels, h: float, n_half: int, x, stencils) -> np.ndarray:
                                out=gathered[:w.size]).T
             acc += np.multiply(v, w, out=term[:, :w.size])
     out[:, ~valid] = 0.0
-    return out.reshape((len(levels), len(stencils)) + x.shape[:-1])
+    return out.reshape((width,) + x.shape[:-1])
 
 
 def field_derivatives(grid: FieldGrid, x) -> tuple:
@@ -516,9 +528,10 @@ def field_derivatives(grid: FieldGrid, x) -> tuple:
     i0 = np.floor(x / grid.h + grid.n_half)
     if np.any(i0 < 2) or np.any(i0 > grid.n_nodes - 4):
         raise ValueError("probe point too close to (or outside) the grid boundary")
+    levels = (grid.phi_m, grid.phi_0, grid.phi_p)
     stencils = (VALUE, *GRAD, *HESS.values())
-    samples = sample_levels((grid.phi_m, grid.phi_0, grid.phi_p), grid.h,
-                            grid.n_half, x, stencils)
+    samples = sample_levels(list(itertools.product(levels, stencils)), grid.h,
+                            grid.n_half, x).reshape((3, len(stencils)) + x.shape[:-1])
     column = {st: j for j, st in enumerate(stencils)}
 
     def d(time, space=VALUE):
@@ -545,6 +558,16 @@ class GridFieldHistory(FieldView):
     keeps every `stride`-th level of its field records the stride here.
     Levels are never changed once stored: `derivative_bound` caches maxima
     per level and per bracket.
+
+    A read gathers only the columns that the weight a of the later level
+    can use.  At a == 0 (a push's first stage) `first_derivs` gathers VALUE
+    on both levels, for dt phi, and GRAD on the earlier one; at a == 1 (its
+    last stage, and the weight law's read) VALUE on both and GRAD on the
+    later one; `phi` there reads one level.  The blend (1 - a) s0 + a s1
+    would return the same bits: samples accumulate from +0.0, so none is
+    -0.0, and 1.0 s + 0.0 s' == s for a finite s'.  They differ only where
+    the level with weight 0 holds a non-finite sample s': the blend gives a
+    NaN there, the narrow read s.
     """
 
     # a level whose |phi| reaches this gets no finite bound: e^(4 (phi - phi'))
@@ -655,51 +678,72 @@ class GridFieldHistory(FieldView):
             self._maxima[k] = (float(0.5 * np.sqrt(g2) / h), float(top))
         return self._maxima[k]
 
-    def _at_bracket(self, t: float, x, stencils):
-        """Stencils at x on the two levels bracketing t, each divided by its
-        level's h**order: (earlier, later, weight of later, their t spacing).
+    def _sample(self, x, columns) -> dict:
+        """{(k, stencil): the stencil on level k at x, divided by the
+        level's h**order} for the (level index, stencil) pairs `columns`.
 
-        Levels of one geometry share the corner weights; after a domain
-        growth the two levels differ in n_half and are sampled apart.
+        Levels of one geometry are sampled in one call; after a domain
+        growth the two levels of a bracket differ in n_half and are sampled
+        apart.  A column's bits do not depend on the others it is sampled
+        with.
         """
-        def sample(levels, h, n_half):
-            out = sample_levels(levels, h, n_half, x, stencils)
-            for j, st in enumerate(stencils):
-                out[:, j] /= h**st.order
-            return out
+        groups = {}
+        for k, st in dict.fromkeys(columns):
+            f, h, n_half = self._levels[k]
+            groups.setdefault((h, n_half, f.shape), []).append((k, st))
+        out = {}
+        for (h, n_half, _), cols in groups.items():
+            samples = sample_levels([(self._levels[k][0], st) for k, st in cols],
+                                    h, n_half, x)
+            for (k, st), v in zip(cols, samples):
+                if st.order:  # v / 1.0 is v
+                    v /= h**st.order
+                out[k, st] = v
+        return out
 
-        k0, k1, a = self._bracket(t)
-        (f0, h0, n0), (f1, h1, n1) = self._levels[k0], self._levels[k1]
-        if k1 == k0:
-            v0 = v1 = sample((f0,), h0, n0)[0]
-        elif (h0, n0, f0.shape) == (h1, n1, f1.shape):
-            v0, v1 = sample((f0, f1), h0, n0)
-        else:
-            v0, v1 = sample((f0,), h0, n0)[0], sample((f1,), h1, n1)[0]
-        return v0, v1, a, self._times[k1] - self._times[k0]
+    @staticmethod
+    def _ends(k0: int, k1: int, a: float) -> tuple:
+        """The levels that the blend with weight a on level k1 reads."""
+        return (k0,) if a == 0.0 else (k1,) if a == 1.0 else (k0, k1)
+
+    @staticmethod
+    def _lerp(s: dict, k0: int, k1: int, a: float, st):
+        """(1 - a) s0 + a s1 of `st`'s samples, read from `_ends` alone."""
+        if a == 0.0:
+            return s[k0, st]
+        if a == 1.0:
+            return s[k1, st]
+        return (1.0 - a) * s[k0, st] + a * s[k1, st]
 
     def phi(self, t, x):
-        (v0,), (v1,), a, _ = self._at_bracket(t, x, (VALUE,))
-        return (1.0 - a) * v0 + a * v1
+        k0, k1, a = self._bracket(t)
+        s = self._sample(x, [(k, VALUE) for k in self._ends(k0, k1, a)])
+        return self._lerp(s, k0, k1, a, VALUE)
 
     def first_derivs(self, t, x):
-        v0, v1, a, tau = self._at_bracket(t, x, (VALUE, *GRAD))
-        dt_phi = (v1[0] - v0[0]) / tau if tau else np.zeros_like(v0[0])
-        grad = np.stack([(1.0 - a) * g0 + a * g1 for g0, g1 in zip(v0[1:], v1[1:])],
-                        axis=-1)
+        k0, k1, a = self._bracket(t)
+        s = self._sample(x, [(k0, VALUE), (k1, VALUE)]
+                         + [(k, g) for k in self._ends(k0, k1, a) for g in GRAD])
+        tau = self._times[k1] - self._times[k0]
+        v0, v1 = s[k0, VALUE], s[k1, VALUE]
+        dt_phi = (v1 - v0) / tau if tau else np.zeros_like(v0)
+        grad = np.stack([self._lerp(s, k0, k1, a, g) for g in GRAD], axis=-1)
         return dt_phi, grad
 
     def second_derivs(self, t, x):
         x = np.asarray(x, dtype=float)
-        v0, v1, a, tau = self._at_bracket(t, x, (*GRAD, *HESS.values()))
+        k0, k1, a = self._bracket(t)
+        s = self._sample(x, [(k, g) for k in (k0, k1) for g in GRAD]
+                         + [(k, st) for k in self._ends(k0, k1, a)
+                            for st in HESS.values()])
+        tau = self._times[k1] - self._times[k0]
         if tau:
-            dt_grad = np.stack([(g1 - g0) / tau for g0, g1 in zip(v0[:3], v1[:3])],
-                               axis=-1)
+            dt_grad = np.stack([(s[k1, g] - s[k0, g]) / tau for g in GRAD], axis=-1)
         else:
             dt_grad = np.zeros(x.shape)
         hess = np.empty(x.shape + (3,))
-        for (k, j), h0, h1 in zip(HESS, v0[3:], v1[3:]):
-            hess[..., k, j] = hess[..., j, k] = (1.0 - a) * h0 + a * h1
+        for (k, j), st in HESS.items():
+            hess[..., k, j] = hess[..., j, k] = self._lerp(s, k0, k1, a, st)
         return dt_grad, hess
 
 

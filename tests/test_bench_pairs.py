@@ -58,6 +58,42 @@ def test_improvements_are_within_bound(tool):
     assert tool._breaches(out) == []
 
 
+def test_gain_shown_needs_nine_tenths_of_pairs_and_the_spread(tool):
+    # parent run_s 1.0 .. 1.9: median 1.45, q3 - q1 = 0.45; rate likewise
+    parent = [{"run_s": 1.0 + 0.1 * k, "rate": 100.0 + 10 * k,
+               "peak_rss_mb": 50.0} for k in range(10)]
+
+    def summary(run_s, rate, peak):
+        change = [{"run_s": a, "rate": b, "peak_rss_mb": c}
+                  for a, b, c in zip(run_s, rate, peak)]
+        return tool._summarise(runs(parent, change), END_TO_END)
+
+    # 9 of 10 pairs won by 0.5 (lower) and 60 (higher), one pair lost;
+    # the medians beat the parent's by 0.5 and 50, more than its spread
+    out = summary([p["run_s"] - 0.5 for p in parent[:9]] + [2.0],
+                  [p["rate"] + 60 for p in parent[:9]] + [100.0],
+                  [49.0] * 10)
+    assert out["run_s"]["change_wins"] == 9 and out["run_s"]["gain_shown"]
+    assert out["rate"]["change_wins"] == 9 and out["rate"]["gain_shown"]
+    # a parent spread of 0 needs only the wins and a better median
+    assert out["peak_rss_mb"]["gain_shown"]
+    # 8 of 10 won: no gain, however large
+    out = summary([p["run_s"] - 5 for p in parent[:8]] + [9.0, 9.0],
+                  [p["rate"] for p in parent[:8]] + [0.0, 0.0],
+                  [50.0] * 10)
+    assert out["run_s"]["change_wins"] == 8 and not out["run_s"]["gain_shown"]
+    # ties count for neither side: no pair won, no gain
+    assert out["rate"]["change_wins"] == 0 and not out["rate"]["gain_shown"]
+    assert out["peak_rss_mb"]["change_wins"] == 0
+    assert not out["peak_rss_mb"]["gain_shown"]
+    # every pair won by 0.4, less than the parent's spread of 0.45
+    out = summary([p["run_s"] - 0.4 for p in parent],
+                  [p["rate"] + 40 for p in parent], [51.0] * 10)
+    assert out["run_s"]["change_wins"] == 10
+    assert not out["run_s"]["gain_shown"] and not out["rate"]["gain_shown"]
+    assert not out["peak_rss_mb"]["gain_shown"]
+
+
 STAT = """cpu  100 5 30 4000 20 2 3 40 0 0
 cpu0 50 2 15 2000 10 1 2 20 0 0
 cpu1 50 3 15 2000 10 1 1 20 0 0

@@ -1,10 +1,11 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
 from vnsim.characteristics import (AnalyticField, PhaseState, ZeroField,
-                                   _backward_steps, _flow_matrix,
+                                   _backward_steps, _flow_matrix, _rk4,
                                    backward_trace, flow_jacobian, force, push,
                                    rel_velocity)
 from vnsim.errors import OutOfHistoryError
@@ -336,6 +337,39 @@ class TestSharedRk4Step:
             ref = reference_flow_jacobian(t, x[row], p[row], fld, 0.25)
             assert jac.shape == ref.shape == x[row].shape[:-1] + (6, 6)
             np.testing.assert_array_equal(jac, ref)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("dt", [0.25, -0.3, 1e-300])
+    def test_in_place_sum(self, dt):
+        # stage slopes cut from the special rows (signed zeros, infinities,
+        # NaN, subnormals, huge values) and random rows: the in-place sum
+        # gives a + dt/6 (s1 + 2 s2 + 2 s3 + s4), and each stage reads
+        # a + step k of the stage before it
+        y = (batches((40, 3), seed=1)[3], batches((40, 3), seed=2)[-1])
+        slopes = [(batches((40, 3), seed=3 + j)[j],
+                   batches((40, 3), seed=9 + j)[-2 - j]) for j in range(4)]
+        seen, live = [], []
+
+        def rhs(s, *ys):
+            j = len(seen)
+            seen.append((s, ys))
+            # from the third stage on, the last stage's slopes are freed
+            # before this one runs (the first stage's become the sum)
+            assert j < 2 or all(ref() is None for ref in live[j - 1])
+            out = tuple(k.copy() for k in slopes[j])
+            live.append([weakref.ref(k) for k in out])
+            return out
+
+        got = _rk4(0.5, y, dt, rhs)
+        ref = tuple(a + dt / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
+                    for a, s1, s2, s3, s4 in zip(y, *slopes))
+        for g, r in zip(got, ref):
+            assert_same_bits(g, r)
+        steps = (0.0, dt / 2, dt / 2, dt)
+        assert [s for s, _ in seen] == [0.5 + h for h in steps]
+        for j in range(1, 4):
+            for a, k, ys in zip(y, slopes[j - 1], seen[j][1]):
+                assert_same_bits(ys, a + steps[j] * k)
 
 
 # ---------------------------------------------------------------------------

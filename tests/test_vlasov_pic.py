@@ -478,7 +478,7 @@ class TestParticleChunks:
     def test_step(self, monkeypatch, unchunked, edge):
         n = unchunked.ensemble.n
         chunk = CHUNK_EDGES[edge](n)
-        monkeypatch.setattr(vlasov_pic, "PARTICLE_CHUNK", chunk)
+        monkeypatch.setattr(vlasov_pic, "PUSH_CHUNK", chunk)
         calls = []
         push = characteristics.push
         monkeypatch.setattr(characteristics, "push",
@@ -487,6 +487,28 @@ class TestParticleChunks:
         assert len(calls) == 2 * -(-n // chunk)
         for name in ("x", "p", "w"):
             assert_same_bits(getattr(ens, name), getattr(unchunked.ensemble, name))
+
+    def test_push_chunks_keep_every_bit(self, monkeypatch):
+        # coupled_push's lattice (76k particles): 2^15 pushes it in 3
+        # chunks, 2^13 in 10, 2^11 in 38; two steps, so the second pushes
+        # on levels the first made
+        runs = []
+        for chunk in (1 << 13, 1 << 11, 1 << 15):
+            monkeypatch.setattr(vlasov_pic, "PUSH_CHUNK", chunk)
+            state = init_coupled_state(small_data(), 10, h=0.5, dt=0.25, pad=5.0,
+                                       keep_history=False)
+            for _ in range(2):
+                step(state)
+            runs.append(state)
+        ref, *others = runs
+        assert ref.ensemble.n > 2 * (1 << 15)
+        for state in others:
+            for name in ("x", "p", "w"):
+                assert_same_bits(getattr(state.ensemble, name),
+                                 getattr(ref.ensemble, name))
+            for name in ("phi_m", "phi_0", "phi_p", "mu"):
+                assert_same_bits(getattr(state.grid, name), getattr(ref.grid, name))
+            assert state.grid.mu_origin == ref.grid.mu_origin
 
     @pytest.mark.parametrize("edge", CHUNK_EDGES)
     def test_evaluate_f(self, monkeypatch, unchunked, edge):
@@ -608,6 +630,7 @@ class TestParticleChunks:
         # traced peak of one coupled step per particle: the new x, p and w
         # and the deposit; a whole-ensemble push reaches about 57 floats
         monkeypatch.setattr(vlasov_pic, "PARTICLE_CHUNK", 512)
+        monkeypatch.setattr(vlasov_pic, "PUSH_CHUNK", 512)
         state = init_coupled_state(small_data(), 7, h=0.5, dt=0.25, pad=5.0)
         step(state)  # the first step also makes the grid's reused buffers
         tracemalloc.start()

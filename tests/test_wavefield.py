@@ -689,11 +689,12 @@ class TestSamplerEdges:
             np.testing.assert_array_equal(hist.phi(0.0, x[4:]), 0.0)
 
 
-def reference_sample_levels(levels, h, n_half, x, stencils):
+def reference_sample_levels(columns, h, n_half, x):
     """The per-corner sampler the box table joined: each of the 8 corners
-    combines every stencil from its own gathers of the full levels."""
+    combines every (level, stencil) column from its own gathers of the full
+    level."""
     x = np.asarray(x, dtype=float)
-    n = levels[0].shape[0]
+    n = columns[0][0].shape[0]
     u = x.reshape(-1, 3) / h + n_half
     i0 = np.floor(u).astype(np.intp)
     frac = u - i0
@@ -702,17 +703,21 @@ def reference_sample_levels(levels, h, n_half, x, stencils):
     low = ((i0[:, 0] - 1) * n + i0[:, 1] - 1) * n + i0[:, 2] - 1
     weights = [(1.0 - frac[:, ax], frac[:, ax]) for ax in range(3)]
     strides = np.array([n * n, n, 1])
-    flats = [np.ravel(level) for level in levels]
-    out = np.zeros((len(levels), len(stencils), low.size))
+    out = np.zeros((len(columns), low.size))
     for corner in itertools.product((0, 1), repeat=3):
         w = weights[0][corner[0]] * weights[1][corner[1]] * weights[2][corner[2]]
         start = np.add(corner, 1) @ strides
-        for flat, acc in zip(flats, out):
-            for stencil, a in zip(stencils, acc):
-                a += w * stencil.combine(
-                    lambda off: flat[start + off @ strides:].take(low))
+        for (level, stencil), acc in zip(columns, out):
+            flat = np.ravel(level)
+            acc += w * stencil.combine(
+                lambda off: flat[start + off @ strides:].take(low))
     out[..., ~valid] = 0.0
-    return out.reshape(out.shape[:2] + x.shape[:-1])
+    return out.reshape(out.shape[:1] + x.shape[:-1])
+
+
+def every(levels, stencils):
+    """The columns of every stencil on every level, level-major."""
+    return list(itertools.product(levels, stencils))
 
 
 def assert_same_bits(got, ref):
@@ -776,8 +781,8 @@ class TestSampleLevelsAgainstReference:
     def test_bits_equal_the_reference(self, dtype, stencils, n_levels, points):
         levels = random_levels(dtype, n_levels)
         st = STENCIL_SETS[stencils]
-        ref = reference_sample_levels(levels, 0.5, N_HALF, points, st)
-        got = wavefield.sample_levels(levels, 0.5, N_HALF, points, st)
+        ref = reference_sample_levels(every(levels, st), 0.5, N_HALF, points)
+        got = wavefield.sample_levels(every(levels, st), 0.5, N_HALF, points)
         assert_same_bits(got, ref)
 
     def test_table_rule_sides(self):
@@ -794,7 +799,8 @@ class TestSampleLevelsAgainstReference:
     def test_points_outside_are_zero(self):
         levels = random_levels(np.float64)
         x = points_with_outside(3000)
-        got = wavefield.sample_levels(levels, 0.5, N_HALF, x, STENCIL_SETS["first"])
+        got = wavefield.sample_levels(every(levels, STENCIL_SETS["first"]),
+                                      0.5, N_HALF, x)
         i0 = np.floor(x / 0.5 + N_HALF)
         outside = np.any((i0 < 1) | (i0 > 2 * N_HALF - 2), axis=-1)
         assert outside.sum() > 100 and (~outside).sum() > 100
@@ -814,13 +820,13 @@ class TestSampleLevelsAgainstReference:
         for k, row in enumerate(rows):
             x[row, k % 3] = bad[k % len(bad)]
         x[rows[-1]] = np.nan
-        ref = reference_sample_levels(levels, 0.5, N_HALF,
-                                      np.delete(x, rows, axis=0), st)
-        got = wavefield.sample_levels(levels, 0.5, N_HALF, x, st)
+        ref = reference_sample_levels(every(levels, st), 0.5, N_HALF,
+                                      np.delete(x, rows, axis=0))
+        got = wavefield.sample_levels(every(levels, st), 0.5, N_HALF, x)
         assert_same_bits(np.delete(got, rows, axis=-1), ref)
         assert_same_bits(got[..., rows], np.zeros(got.shape[:-1] + (len(rows),)))
         # and with no point inside
-        got = wavefield.sample_levels(levels, 0.5, N_HALF, x[rows], st)
+        got = wavefield.sample_levels(every(levels, st), 0.5, N_HALF, x[rows])
         assert_same_bits(got, np.zeros(got.shape))
 
     @pytest.mark.parametrize("chunk", [1, 3, None])
@@ -837,8 +843,8 @@ class TestSampleLevelsAgainstReference:
         # chunk +- 1 points, and 50 points in a 27-node box (the table) to
         # give the small chunks a full and a partial last chunk there too
         for x in (points_with_outside(chunk + extra), points_in_cells(2, 50)):
-            ref = reference_sample_levels(levels, 0.5, N_HALF, x, st)
-            got = wavefield.sample_levels(levels, 0.5, N_HALF, x, st)
+            ref = reference_sample_levels(every(levels, st), 0.5, N_HALF, x)
+            got = wavefield.sample_levels(every(levels, st), 0.5, N_HALF, x)
             assert_same_bits(got, ref)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -904,8 +910,8 @@ class TestCornerGatherAgainstReference:
             u = x / 0.5 + N_HALF
             i0 = np.floor(u).astype(int)
             assert np.prod(i0.max(axis=0) + 2 - i0.min(axis=0)) > len(x)
-            ref = reference_sample_levels(levels, 0.5, N_HALF, x, st)
-            got = wavefield.sample_levels(levels, 0.5, N_HALF, x, st)
+            ref = reference_sample_levels(every(levels, st), 0.5, N_HALF, x)
+            got = wavefield.sample_levels(every(levels, st), 0.5, N_HALF, x)
             assert_same_bits(got, ref)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -913,8 +919,108 @@ class TestCornerGatherAgainstReference:
         levels = random_levels(dtype, 3, n_half=8, seed=9)
         x = np.random.default_rng(2).uniform(-2.9, 2.9, (300, 3))
         st = CORNER_WIDTHS[30][1]
-        assert_same_bits(wavefield.sample_levels(levels, 0.5, 8, x, st),
-                         reference_sample_levels(levels, 0.5, 8, x, st))
+        assert_same_bits(wavefield.sample_levels(every(levels, st), 0.5, 8, x),
+                         reference_sample_levels(every(levels, st), 0.5, 8, x))
+
+
+def full_width(hist, t, x, stencils):
+    """Every stencil sampled on both levels of t's bracket, each divided by
+    its level's h**order, and their blend (1 - a) s0 + a s1: the history's
+    reads before they gathered only what the weight a uses."""
+    k0, k1, a = hist._bracket(t)
+    ends = []
+    for k in (k0, k1):
+        f, h, n_half = hist._levels[k]
+        cols = wavefield.sample_levels(every((f,), stencils), h, n_half, x)
+        ends.append([c / h**st.order for c, st in zip(cols, stencils)])
+    blend = [(1.0 - a) * s0 + a * s1 for s0, s1 in zip(*ends)]
+    return ends, blend, hist._times[k1] - hist._times[k0]
+
+
+def growth_history(dtype):
+    """Levels at t = 0, 0.5 of one geometry and at t = 1 on a grown cube."""
+    levels = random_levels(dtype, 2, 6, seed=1) + random_levels(dtype, 1, 8, seed=2)
+    hist = GridFieldHistory(dtype=dtype)
+    for tk, lv, nh in zip((0.0, 0.5, 1.0), levels, (6, 6, 8)):
+        hist.append(tk, lv, 0.5, nh)
+    return hist
+
+
+def two_level_history(dtype):
+    hist = GridFieldHistory(dtype=dtype)
+    for tk, lv in zip((0.25, 0.5), random_levels(dtype, 2, seed=3)):
+        hist.append(tk, lv, 0.5, N_HALF)
+    return hist
+
+
+class TestNarrowGather:
+    """At a bracket's end times (a == 0 or 1) the history gathers only the
+    columns the weight uses, and its reads keep the full-width bits."""
+
+    CASES = [  # (history, t, a): a == 0 at a bracket's start, 1 at its end
+        (two_level_history, 0.25, 0.0), (two_level_history, 0.5, 1.0),
+        (growth_history, 0.0, 0.0),
+        (growth_history, 0.5, 0.0),   # the bracket across the growth
+        (growth_history, 1.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @pytest.mark.parametrize("points", [
+        points_in_cells(3, 200),        # inside: the table
+        points_in_edge_cells(40),       # next to the edge: the corner gather
+        points_with_outside(300),       # on and off the grid
+        np.array([0.1, -0.2, 0.3]),     # one point, no point axis
+    ], ids=["inside", "edge", "outside", "single"])
+    def test_end_times_keep_the_full_width_bits(self, dtype, case, points):
+        make, t, a = self.CASES[case]
+        hist = make(dtype)
+        assert hist._bracket(t)[2] == a
+        (v0, v1), blend, tau = full_width(hist, t, points,
+                                          (wavefield.VALUE, *wavefield.GRAD))
+        assert_same_bits(hist.phi(t, points), blend[0])
+        dt_phi, grad = hist.first_derivs(t, points)
+        assert_same_bits(dt_phi, (v1[0] - v0[0]) / tau)
+        assert_same_bits(grad, np.stack(blend[1:], axis=-1))
+        _, blend, _ = full_width(hist, t, points, tuple(wavefield.HESS.values()))
+        _, hess = hist.second_derivs(t, points)
+        for (k, j), want in zip(wavefield.HESS, blend):
+            assert_same_bits(hess[..., k, j], want)
+            assert_same_bits(hess[..., j, k], want)
+
+    @pytest.mark.parametrize("t, widths", [
+        (0.25, [1, 5, 12]),   # a == 0
+        (0.5, [1, 5, 12]),    # a == 1
+        (0.375, [2, 8, 18]),  # inside the bracket: both levels throughout
+    ])
+    def test_columns_gathered(self, monkeypatch, t, widths):
+        # one call per read, as both levels share a geometry: phi reads
+        # VALUE where the weight is, first_derivs VALUE on both levels and
+        # GRAD where the weight is, second_derivs GRAD on both and HESS
+        # where the weight is
+        hist = two_level_history(np.float64)
+        got = []
+        sample = wavefield.sample_levels
+        monkeypatch.setattr(wavefield, "sample_levels",
+                            lambda cols, *a: got.append(len(cols)) or sample(cols, *a))
+        x = points_in_cells(3, 50)
+        hist.phi(t, x)
+        hist.first_derivs(t, x)
+        hist.second_derivs(t, x)
+        assert got == widths
+
+    def test_bracket_across_growth_samples_each_level_apart(self, monkeypatch):
+        hist = growth_history(np.float64)
+        calls = []
+        sample = wavefield.sample_levels
+        monkeypatch.setattr(wavefield, "sample_levels",
+                            lambda cols, h, n_half, x: calls.append((len(cols), n_half))
+                            or sample(cols, h, n_half, x))
+        hist.first_derivs(0.5, points_in_cells(3, 50))  # a == 0 across it
+        assert calls == [(4, 6), (1, 8)]
+        calls.clear()
+        hist.first_derivs(1.0, points_in_cells(3, 50))  # a == 1
+        assert calls == [(1, 6), (4, 8)]
 
 
 @pytest.mark.parametrize("h", [0.25, 0.3, 0.5, 1 / 3])

@@ -9,9 +9,11 @@ BENCHMARK.json> --trace T` once in the parent checkout and once in this one;
 odd pairs start with the parent, even pairs with the change, so a drift of
 the machine's speed splits evenly. The file keeps the final JSON line of
 every run, and per spec the medians and quartiles of each metric on each
-side, how many pairs the change won on each end-to-end metric, and whether
+side, how many pairs the change won on each end-to-end metric, whether
 the change's median stays within that metric's `bound` of BENCHMARK.json
-(relative to the parent's median, in the metric's worse direction). It
+(relative to the parent's median, in the metric's worse direction), and
+whether it shows a gain: the change won at least nine tenths of the pairs
+and its median beats the parent's by more than the parent's q3 - q1. It
 also keeps the machine's busy, steal and idle CPU ticks of /proc/stat over
 the whole run, where that file exists: time stolen by other guests of the
 host slows both sides and widens their spread.
@@ -82,8 +84,8 @@ def ticks_over(before: dict | None, after: dict | None) -> dict | None:
 
 def _summarise(runs: list, end_to_end: list) -> dict:
     """Per-metric medians and quartiles of each side; for the end-to-end
-    metrics (BENCHMARK.json entries) also the pairs the change won and
-    `within_bound`."""
+    metrics (BENCHMARK.json entries) also the pairs the change won (ties
+    count for neither side), `within_bound` and `gain_shown`."""
     sides = {side: [r["metrics"] for r in runs if r["side"] == side]
              for side in ("parent", "change")}
     specs = {m["name"]: m for m in end_to_end}
@@ -101,6 +103,10 @@ def _summarise(runs: list, end_to_end: list) -> dict:
             parent, change = stats["parent"]["median"], stats["change"]["median"]
             worse = sign * (change - parent) / abs(parent) if parent else 0.0
             stats["within_bound"] = bool(worse <= specs[name]["bound"])
+            spread = stats["parent"]["q3"] - stats["parent"]["q1"]
+            stats["gain_shown"] = bool(
+                10 * stats["change_wins"] >= 9 * len(sides["parent"])
+                and sign * (parent - change) > spread)
         out[name] = stats
     return out
 
@@ -143,9 +149,11 @@ def main(argv=None) -> int:
         summary.append({"workload": workload, "seed": seed, "trace": trace,
                         "pairs": pairs, "metrics": metrics})
         breaches = _breaches(metrics)
+        gains = [name for name, stats in metrics.items() if stats.get("gain_shown")]
         print(f"{workload} seed {seed}: "
               + (f"bound breached: {', '.join(breaches)}" if breaches
-                 else "every end-to-end metric within its bound"), flush=True)
+                 else "every end-to-end metric within its bound")
+              + f"; gain shown: {', '.join(gains) or 'none'}", flush=True)
 
     cpu = ticks_over(ticks_before, _read_cpu_ticks())
     parent_rev = _git_rev(checkouts["parent"])
