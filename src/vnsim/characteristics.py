@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import OutOfHistoryError
 
+# points that the drop rule of `backward_trace` tests at a time: its
+# temporaries, about 10 floats per point, stay small beside the trace's own
+MISS_CHUNK = 1 << 12
+
 __all__ = [
     "FieldView", "ZeroField", "AnalyticField", "PhaseState",
     "rel_velocity", "free_displacement", "force", "push", "backward_trace",
@@ -248,7 +252,8 @@ def _misses(t: float, steps: list, field: FieldView, center, radius: float):
         |X(0) - (X_j - S_j phat(P_j))| <= (1 + |P_j|) E_j.
     A point is dropped when these lower bounds on |X(0) - c_x| and
     |P(0) - c_p|, less a rounding slack that grows with the number of steps,
-    put it outside radius**2 (1 + 1e-9), where f_in is +0.0.
+    put it outside radius**2 (1 + 1e-9), where f_in is +0.0.  misses tests
+    MISS_CHUNK points at a time; every value is per point.
     """
     K, s = [], t
     for step in steps:  # the stage times of push, from s down to s + step
@@ -271,14 +276,19 @@ def _misses(t: float, steps: list, field: FieldView, center, radius: float):
     limit = radius**2 * (1.0 + 1e-9)
 
     def misses(j, x, p):
-        one_p = 1.0 + np.sqrt(_norm2(p))
-        free = x - S[j] * rel_velocity(p) - center[:3]
-        dx = (np.sqrt(_norm2(free)) - one_p * E[j]
-              - slack * (1.0 + np.sqrt(_norm2(x)) + S[j]
-                         + one_p * (E[j] + S[j] * grow[j])))
-        dp = (np.sqrt(_norm2(p - center[3:]))
-              - one_p * (np.expm1(A[j]) + slack * grow[j]))
-        return np.maximum(dx, 0.0) ** 2 + np.maximum(dp, 0.0) ** 2 > limit
+        out = np.empty(len(x), dtype=bool)
+        for a in range(0, len(x), MISS_CHUNK):
+            xc, pc = x[a:a + MISS_CHUNK], p[a:a + MISS_CHUNK]
+            one_p = 1.0 + np.sqrt(_norm2(pc))
+            free = xc - S[j] * rel_velocity(pc) - center[:3]
+            dx = (np.sqrt(_norm2(free)) - one_p * E[j]
+                  - slack * (1.0 + np.sqrt(_norm2(xc)) + S[j]
+                             + one_p * (E[j] + S[j] * grow[j])))
+            dp = (np.sqrt(_norm2(pc - center[3:]))
+                  - one_p * (np.expm1(A[j]) + slack * grow[j]))
+            out[a:a + MISS_CHUNK] = (np.maximum(dx, 0.0) ** 2
+                                     + np.maximum(dp, 0.0) ** 2 > limit)
+        return out
 
     return misses
 

@@ -8,7 +8,8 @@ Exit codes: 0 success, 2 configuration error, 3 numerical abort.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import contextlib
+import os
 import sys
 import zipfile
 from dataclasses import dataclass, fields
@@ -21,6 +22,16 @@ from .profiles import InitialData, make_bump, validate_membership
 from .vlasov_pic import (PAIR_CHUNK, PARTICLE_CHUNK, PUSH_CHUNK, CoupledState,
                          init_coupled_state, step, ParticleEnsemble)
 from .wavefield import GROW_CHUNK, FieldGrid, _cfl_ok
+
+try:
+    # CPython's built-in sha256, as random.py takes sha512: hashlib would
+    # map OpenSSL's libcrypto, 3.5 MiB resident, for one short digest
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 FLOAT_FMT = "%.17g"
 
@@ -125,7 +136,7 @@ _SCHEMA = {f.name: _converter(f) for f in fields(SimConfig)
 
 # A run's peak RSS, measured on coupled and free-transport runs (Python 3.11,
 # numpy 2.4), as the sum of what each phase holds at its peak:
-# - the interpreter with numpy and vnsim;
+# - the interpreter with numpy and vnsim, 30.2 MiB after `import vnsim.cli`;
 # - the sampler's pair mask: a float and a bool per pair of one PAIR_CHUNK;
 # - 20 floats per particle, the most a phase holds.  A free step holds 9
 #   ensemble floats, 3 of the displacement and about 8 of the deposit; a
@@ -144,7 +155,7 @@ _SCHEMA = {f.name: _converter(f) for f in fields(SimConfig)
 #   freed cube that the heap may keep.  Free, twice the source box of the
 #   particles within R + t: a deposit makes its box while mu holds the last.
 # Levels that a field history holds are charged by the history term.
-_BASELINE_MB = 34.0
+_BASELINE_MB = 31.0
 _PAIR_BYTES = 9
 _PARTICLE_FLOATS = 20
 _PUSH_FLOATS = 46
@@ -266,7 +277,7 @@ def _validate(cfg: SimConfig):
 
 
 def config_hash(cfg: SimConfig) -> str:
-    return hashlib.sha256(cfg.config_text.encode()).hexdigest()[:16]
+    return sha256(cfg.config_text.encode()).hexdigest()[:16]
 
 
 def build_initial_data(cfg: SimConfig) -> InitialData:
@@ -333,17 +344,26 @@ def _has_nan(state: CoupledState, first: bool = True) -> bool:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path: str, cfg: SimConfig, state: CoupledState, rows: list):
+    """Write the checkpoint to `path` + ".tmp" and rename it over `path`, so
+    that a write that fails or is killed leaves the last checkpoint whole."""
     ens = state.ensemble
-    # a file object, because np.savez appends ".npz" to a path without it
-    with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            config_text=np.frombuffer(cfg.config_text.encode(), dtype=np.uint8),
-            config_hash=np.frombuffer(config_hash(cfg).encode(), dtype=np.uint8),
-            rows=np.frombuffer("\n".join(rows).encode(), dtype=np.uint8),
-            ens_x=ens.x, ens_p=ens.p, ens_w=ens.w, ens_w0=ens.w0,
-            ens_phi0=ens.phi0_at_x0, **state.grid.arrays(),
-        )
+    tmp = path + ".tmp"
+    try:
+        # a file object, because np.savez appends ".npz" to a path without it
+        with open(tmp, "wb") as fh:
+            np.savez(
+                fh,
+                config_text=np.frombuffer(cfg.config_text.encode(), dtype=np.uint8),
+                config_hash=np.frombuffer(config_hash(cfg).encode(), dtype=np.uint8),
+                rows=np.frombuffer("\n".join(rows).encode(), dtype=np.uint8),
+                ens_x=ens.x, ens_p=ens.p, ens_w=ens.w, ens_w0=ens.w0,
+                ens_phi0=ens.phi0_at_x0, **state.grid.arrays(),
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str):
@@ -453,7 +473,11 @@ def run_scenario(cfg: SimConfig, state: CoupledState | None = None,
             if record:
                 rows.append(_format_row(_record_row(state, cfg)))
             if ckpt_every and k % ckpt_every == 0:
-                save_checkpoint(cfg.ckpt_path, cfg, state, rows)
+                try:
+                    save_checkpoint(cfg.ckpt_path, cfg, state, rows)
+                except OSError as exc:
+                    # the last checkpoint that was written stays whole
+                    return _abort(cfg, rows, f"checkpoint: {exc}")
     except (DomainTooSmallError, MemoryError, FloatingPointError) as exc:
         # no checkpoint of a half-done step; the last periodic one stays valid
         reason = ("domain" if isinstance(exc, DomainTooSmallError) else

@@ -359,24 +359,23 @@ def semilag_profile(t: float, field: FieldView, data: InitialData, dt: float,
     mu, spread) arrays of length n_radii.
     """
     probes = _radial_probes(t, data, n_radii)
-    xs, ps, vols, steps = [], [], [], []
-    for x in probes:
+    m = n_p**3
+    # probe i's momentum grid is rows [i m, (i + 1) m) of P, its x of X
+    X = np.repeat(probes, m, axis=0)
+    P = np.empty((n_radii * m, 3))
+    vols, steps = [], []
+    for i, x in enumerate(probes):
         lo, hi = _p_box(t, x, data)
-        pg, vol = _p_grid(lo, hi, n_p)
-        xs.append(np.broadcast_to(x, pg.shape).copy())
-        ps.append(pg)
+        P[i * m:(i + 1) * m], vol = _p_grid(lo, hi, n_p)
         vols.append(vol)
         steps.append((hi - lo) / n_p)
-    X = np.concatenate(xs)
-    P = np.concatenate(ps)
     f = evaluate_f(t, X, P, field, data, dt)
     gamma = np.sqrt(1.0 + _norm2(P))
-    m = n_p**3
     mu = np.empty(n_radii)
     spread = np.empty(n_radii)
     for i in range(n_radii):
         fi = f[i * m:(i + 1) * m]
-        pi = ps[i]
+        pi = P[i * m:(i + 1) * m]
         mu[i] = np.sum(fi / gamma[i * m:(i + 1) * m]) * vols[i]
         pts = pi[fi > 0.0]
         if pts.shape[0] < 2:

@@ -1,4 +1,7 @@
 import dataclasses
+import errno
+import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -14,6 +17,7 @@ from vnsim.characteristics import PhaseState, ZeroField, push
 from vnsim.errors import ConfigError
 from vnsim.vlasov_pic import init_coupled_state, step
 
+ROOT = Path(__file__).resolve().parents[1]
 BASE = """
 R = 1
 h = 0.5
@@ -137,6 +141,37 @@ class TestSchema:
 
 
 class TestConfigHash:
+    @pytest.mark.parametrize("text", [
+        "", BASE, "h = 0.5\ndt = 0.25\nthreads = 1\n",
+        (ROOT / "tools" / "semilag_history.conf").read_text(),
+        (ROOT / "tools" / "fine_growth.conf").read_text()])
+    def test_is_hashlib_sha256(self, text):
+        cfg = parse_config(text)
+        assert config_hash(cfg) == hashlib.sha256(
+            cfg.config_text.encode()).hexdigest()[:16]
+
+    @pytest.mark.skipif(
+        not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+        reason="no built-in sha256: config_hash takes hashlib's")
+    def test_run_loads_no_openssl(self, tmp_path):
+        # hashlib maps OpenSSL's libcrypto, 3.5 MiB resident; the run
+        # traces the *_sl columns and writes checkpoints
+        conf = write_conf(tmp_path, BASE.replace("n_per_dim = 6", "n_per_dim = 4")
+                          .replace("semilag = 0", "semilag = 1")
+                          + "keep_history = 1\nhistory_stride = 2\n"
+                          "checkpoint_interval = 1\noutput = run.csv\n")
+        script = ("import sys\nfrom vnsim.cli import main\n"
+                  f"assert main(['run', {conf!r}]) == 0\n"
+                  "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                             env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"
+        assert (tmp_path / "run.csv.ckpt.npz").exists()
+
     def test_stable_under_reordering(self):
         a = parse_config("h = 0.5\ndt = 0.25\n")
         b = parse_config("dt = 0.25\nh = 0.5\n")
@@ -268,6 +303,40 @@ class TestCheckpointResume:
         assert main(["resume", "my.ckpt"]) == 0
         assert (tmp_path / "run.csv").read_bytes() == ref
 
+
+    def test_failed_checkpoint_write_keeps_the_last_one(self, tmp_path,
+                                                        monkeypatch):
+        # a write that fails midway (a full disk) leaves the checkpoint
+        # before it whole: the run exits 3 and that checkpoint resumes
+        monkeypatch.chdir(tmp_path)
+        conf = write_conf(tmp_path, BASE + "output = run.csv\n"
+                          "checkpoint_interval = 0.75\n")
+        assert main(["run", conf]) == 0
+        full = (tmp_path / "run.csv").read_bytes()
+        for name in ("run.csv", "run.csv.summary", "run.csv.ckpt.npz"):
+            (tmp_path / name).unlink()
+        savez, calls = np.savez, []
+
+        def fail_on_second(fh, **arrays):
+            calls.append(fh.name)
+            if len(calls) == 1:
+                return savez(fh, **arrays)
+            fh.write(b"PK\x03\x04 half a checkpoint")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(np, "savez", fail_on_second)
+        assert main(["run", conf]) == 3
+        monkeypatch.setattr(np, "savez", savez)
+        assert len(calls) == 2
+        summary = (tmp_path / "run.csv.summary").read_text()
+        assert "status = aborted" in summary
+        assert "note = checkpoint: [Errno 28] No space left on device" in summary
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run.conf", "run.csv", "run.csv.ckpt.npz", "run.csv.summary"]
+        _, state, _ = load_checkpoint("run.csv.ckpt.npz")
+        assert state.t == 0.75
+        assert main(["resume", "run.csv.ckpt.npz"]) == 0
+        assert (tmp_path / "run.csv").read_bytes() == full
 
     def test_resume_after_domain_growth_is_bitwise(self, tmp_path):
         # the cube grows at step 1; the resumed run must push through the

@@ -829,6 +829,30 @@ class TestSupportDrop:
         assert np.any(ref > 0.0)
         assert_same_bits(evaluate_f(t, x, p, ZeroField(), data, dt), ref)
 
+    def test_drop_rule_chunks_split_no_point(self, histories):
+        # the drop rule tests MISS_CHUNK points at a time: the batch holds a
+        # chunk boundary, and each half lies within one chunk
+        data, hist = off_centre_data(), histories[4]
+        x, p = (np.concatenate(a) for a in zip(
+            *(trace_points(2.0, hist, data, 0.25, seed=s) for s in (21, 23))))
+        assert len(x) > characteristics.MISS_CHUNK
+        support = (data.f_in.center, data.f_in.radius)
+
+        def trace(xs, ps, **kw):
+            return characteristics.backward_trace(2.0, xs, ps, hist, 0.25, **kw)
+
+        xk, pk, kept = trace(x, p, support=support)
+        half = 2300  # each half holds forward images of the support
+        x1, p1, k1 = trace(x[:half], p[:half], support=support)
+        x2, p2, k2 = trace(x[half:], p[half:], support=support)
+        assert 0 < len(k1) < half and 0 < len(k2) < len(x) - half
+        np.testing.assert_array_equal(kept, np.concatenate([k1, k2 + half]))
+        assert_same_bits(xk, np.concatenate([x1, x2]))
+        assert_same_bits(pk, np.concatenate([p1, p2]))
+        xb, pb = trace(x, p)
+        assert_same_bits(xk, xb[kept])
+        assert_same_bits(pk, pb[kept])
+
     def test_every_step_pushes_an_empty_batch(self, monkeypatch, histories):
         sizes = []
         push = characteristics.push
