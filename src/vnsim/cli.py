@@ -138,11 +138,17 @@ _SCHEMA = {f.name: _converter(f) for f in fields(SimConfig)
 # numpy 2.4), as the sum of what each phase holds at its peak:
 # - the interpreter with numpy and vnsim, 30.2 MiB after `import vnsim.cli`;
 # - the sampler's pair mask: a float and a bool per pair of one PAIR_CHUNK;
-# - 20 floats per particle, the most a phase holds.  A free step holds 9
-#   ensemble floats, 3 of the displacement and about 8 of the deposit; a
-#   coupled step the 9 and then 7 of the new x, p and w, or the deposit's 8;
-#   the sampler 3 of kept pieces (x and p cell, f) while it fills the 8 of
-#   x, p, w and phi0_in;
+# - per particle, the most a phase holds; by tracemalloc on free_stream's
+#   252,032 particles and coupled_push's 76,416, the deposit in both.  Free,
+#   18 floats: a record's deposit holds the 11 of x, p, w, the charges
+#   w/gamma and the step of x, and 5 of its own (the cell index, 3 fractions
+#   and q wx wy of one corner pair), 16.9 with its chunks' scratch and box.
+#   Coupled, 19: a step holds the 9 of x, p, w, w0 and phi0_in and 7 of the
+#   new x, p and w, or the deposit's 6 (its own charges besides), 18.3 with
+#   the scratch and the field levels; the sampler holds 3 of kept pieces
+#   (x and p cell, f) while it fills the 7 of x, p and w;
+# - the deposit's scratch, 7 floats per particle of one PARTICLE_CHUNK
+#   (a chunk's cell coordinate, its floor, 3 cell indices and 2 products);
 # - coupled, 46 floats per particle of one PUSH_CHUNK: the RK4 stages, the
 #   gather's scratch and the chunk's new x, p and w (45.4 by tracemalloc on
 #   a push and re-weighing of 2^13 particles of coupled_push's ensemble);
@@ -157,11 +163,28 @@ _SCHEMA = {f.name: _converter(f) for f in fields(SimConfig)
 # Levels that a field history holds are charged by the history term.
 _BASELINE_MB = 31.0
 _PAIR_BYTES = 9
-_PARTICLE_FLOATS = 20
+_FREE_PARTICLE_FLOATS = 18
+_COUPLED_PARTICLE_FLOATS = 19
+_DEPOSIT_CHUNK_FLOATS = 7
 _PUSH_FLOATS = 46
 _TRACE_CHUNK_FLOATS = 20
 _TRACE_POINT_FLOATS = 16
 _PEAK_LEVELS = 4
+
+
+def _lattice_particles(n: int) -> int:
+    """The sampler's particle count at most: the cells of its n^6 lattice
+    whose centres lie inside the support ball.  In units of (r/n)^2 a
+    centre's squared offset is a sum of six squares (2i + 1 - n)^2, so the
+    cells are counted by their sums over the x and over the p axes."""
+    sq = (2 * np.arange(n) + 1 - n) ** 2
+    lim = n * n
+    two = np.bincount(np.add.outer(sq, sq).ravel(), minlength=lim)[:lim]
+    three = np.zeros(lim, dtype=np.int64)
+    for s in sq:
+        three[s:] += two[:lim - s]
+    # x cells with sum k, times the p cells with sum below n^2 - k
+    return int(three @ np.cumsum(three)[::-1])
 
 
 def estimate_memory_mb(cfg: SimConfig) -> float:
@@ -178,10 +201,11 @@ def estimate_memory_mb(cfg: SimConfig) -> float:
         itemsize = 4.0 if cfg.history_float32 else 8.0
         n_levels = int(cfg.t_end / level_dt + 1e-9) + 1
         total += sum(cube(k * level_dt) for k in range(n_levels)) * itemsize
-    # lattice particle fraction inside the unit 6-ball is pi^3/6 / 2^6
-    n_part = cfg.n_per_dim**6 * (np.pi**3 / 6.0) / 64.0
+    n_part = _lattice_particles(cfg.n_per_dim)
+    per_particle = _COUPLED_PARTICLE_FLOATS if cfg.coupling else _FREE_PARTICLE_FLOATS
     total += (min(cfg.n_per_dim**6, PAIR_CHUNK) * _PAIR_BYTES
-              + n_part * _PARTICLE_FLOATS * 8.0)
+              + (n_part * per_particle
+                 + min(n_part, PARTICLE_CHUNK) * _DEPOSIT_CHUNK_FLOATS) * 8.0)
     if cfg.coupling:
         total += min(n_part, PUSH_CHUNK) * _PUSH_FLOATS * 8.0
     if cfg.semilag and (cfg.keep_history or not cfg.coupling):
@@ -301,7 +325,12 @@ def _record_row(state: CoupledState, cfg: SimConfig) -> dict:
     row = {c: 0.0 for c in CSV_COLUMNS}
     row["t"] = t
     row["sup_mu"] = diag.sup_mu(state.grid)
-    row["p_max"] = diag.momentum_support(state.ensemble)
+    if state.coupling:
+        row["p_max"] = diag.momentum_support(state.ensemble)
+    else:  # p and w never change without coupling
+        if state.free_p_max is None:
+            state.free_p_max = diag.momentum_support(state.ensemble)
+        row["p_max"] = state.free_p_max
     row["max_spread"] = diag.max_momentum_spread(state.ensemble, cfg.h)
 
     if cfg.semilag:
@@ -345,8 +374,13 @@ def _has_nan(state: CoupledState, first: bool = True) -> bool:
 
 def save_checkpoint(path: str, cfg: SimConfig, state: CoupledState, rows: list):
     """Write the checkpoint to `path` + ".tmp" and rename it over `path`, so
-    that a write that fails or is killed leaves the last checkpoint whole."""
+    that a write that fails or is killed leaves the last checkpoint whole.
+
+    Only a coupled run's checkpoint holds what the weight law reads, w0 and
+    phi0_in at x0 (`ens_w0`, `ens_phi0`)."""
     ens = state.ensemble
+    weight_law = (dict(ens_w0=ens.w0, ens_phi0=ens.phi0_at_x0)
+                  if state.coupling else {})
     tmp = path + ".tmp"
     try:
         # a file object, because np.savez appends ".npz" to a path without it
@@ -356,8 +390,8 @@ def save_checkpoint(path: str, cfg: SimConfig, state: CoupledState, rows: list):
                 config_text=np.frombuffer(cfg.config_text.encode(), dtype=np.uint8),
                 config_hash=np.frombuffer(config_hash(cfg).encode(), dtype=np.uint8),
                 rows=np.frombuffer("\n".join(rows).encode(), dtype=np.uint8),
-                ens_x=ens.x, ens_p=ens.p, ens_w=ens.w, ens_w0=ens.w0,
-                ens_phi0=ens.phi0_at_x0, **state.grid.arrays(),
+                ens_x=ens.x, ens_p=ens.p, ens_w=ens.w, **weight_law,
+                **state.grid.arrays(),
             )
         os.replace(tmp, path)
     except BaseException:
@@ -367,14 +401,17 @@ def save_checkpoint(path: str, cfg: SimConfig, state: CoupledState, rows: list):
 
 
 def load_checkpoint(path: str):
-    """(config, state, rows) from a checkpoint; keys no run reads are ignored."""
+    """(config, state, rows) from a checkpoint; keys no run reads, such as
+    the `ens_w0` and `ens_phi0` that free checkpoints once held, are
+    ignored."""
     try:
         with np.load(path) as z:
             cfg = parse_config(bytes(z["config_text"]).decode())
             rows = bytes(z["rows"]).decode().split("\n")
             grid = FieldGrid.from_arrays(z, levels=cfg.coupling)
-            ens = ParticleEnsemble(x=z["ens_x"], p=z["ens_p"], w=z["ens_w"],
-                                   w0=z["ens_w0"], phi0_at_x0=z["ens_phi0"])
+            ens = ParticleEnsemble(x=z["ens_x"], p=z["ens_p"], w=z["ens_w"])
+            if cfg.coupling:
+                ens.w0, ens.phi0_at_x0 = z["ens_w0"], z["ens_phi0"]
     except ConfigError:
         raise  # a checkpoint whose config is invalid
     except (ValueError, KeyError, TypeError, EOFError,
@@ -467,9 +504,12 @@ def run_scenario(cfg: SimConfig, state: CoupledState | None = None,
             record = (k % rec_every == 0) or (k == n_steps)
             step(state, deposit=record)
             if _has_nan(state, first=k == first_step):
-                save_checkpoint(cfg.ckpt_path, cfg, state, rows)
-                return _abort(cfg, rows, f"NaN detected at t={state.t}; "
-                                         f"last state saved to {cfg.ckpt_path}")
+                note = f"NaN detected at t={state.t}"
+                try:
+                    save_checkpoint(cfg.ckpt_path, cfg, state, rows)
+                except OSError as exc:
+                    return _abort(cfg, rows, f"{note}; checkpoint: {exc}")
+                return _abort(cfg, rows, f"{note}; last state saved to {cfg.ckpt_path}")
             if record:
                 rows.append(_format_row(_record_row(state, cfg)))
             if ckpt_every and k % ckpt_every == 0:

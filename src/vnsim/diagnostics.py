@@ -203,15 +203,23 @@ def max_momentum_spread(ens: ParticleEnsemble, cell_size: float) -> float:
     """Max over the occupied cells of a cubic lattice of the bounding-box
     volume of the momenta of the weighted particles in the cell.
 
-    The keys and the segment reductions run on one axis column at a time.
-    The sort need not be stable: a segment's max and min do not depend on
-    the order of its particles.
+    The hash of the cell keys and the segment reductions run on one axis
+    column at a time: each column's key is multiplied and XORed into one
+    int64 array in place, so no key column outlives its turn.  The sort need
+    not be stable: a segment's max and min do not depend on the order of its
+    particles.
     """
     n_live, x, p = _live(ens)
     if n_live < 2:
         return 0.0
-    keys = [np.floor(col / cell_size).astype(np.int64) for col in x.T]
-    flat = (keys[0] * 73856093) ^ (keys[1] * 19349663) ^ (keys[2] * 83492791)
+    flat = np.zeros(n_live, dtype=np.int64)
+    for col, prime in zip(x.T, (73856093, 19349663, 83492791)):
+        key = col / cell_size
+        np.floor(key, out=key)
+        key = key.astype(np.int64)
+        key *= prime
+        flat ^= key
+        del key
     order = np.argsort(flat)
     flat = flat[order]
     starts = np.concatenate([[0], np.nonzero(np.diff(flat))[0] + 1])

@@ -47,13 +47,18 @@ PAIR_CHUNK = 1 << 22
 
 @dataclass
 class ParticleEnsemble:
-    """Quiet-start particle set: current state plus what the weight law reads."""
+    """Quiet-start particle set: current state plus what the weight law reads.
+
+    Only a coupled run runs the weight law, so only its ensemble carries
+    w0 and phi0_at_x0 (`init_coupled_state` builds them); a free ensemble
+    leaves them None.
+    """
 
     x: np.ndarray          # (N, 3) positions
     p: np.ndarray          # (N, 3) momenta
     w: np.ndarray          # (N,) current weights
-    w0: np.ndarray         # (N,) initial weights f_in * cell volume
-    phi0_at_x0: np.ndarray  # (N,) phi0_in at the initial positions
+    w0: np.ndarray | None = None          # (N,) initial weights f_in * cell volume
+    phi0_at_x0: np.ndarray | None = None  # (N,) phi0_in at the initial positions
 
     @property
     def n(self) -> int:
@@ -71,9 +76,11 @@ def sample_particles(data: InitialData, n_per_dim: int,
     rounding puts inside is a candidate; `f > 0` still decides.  The pair
     mask covers `chunk` (x cell, p cell) pairs at a time, and f_in is
     evaluated on PARTICLE_CHUNK candidates at a time, of which the kept
-    cells' indices and f stay; x, p and phi0_in then fill arrays of the
-    kept count, piece by piece, so no field is joined from copies.  Every
-    value is per cell, so the bits do not depend on either chunk.
+    cells' indices and f stay; x and p then fill arrays of the kept count,
+    piece by piece, so no field is joined from copies.  Every value is per
+    cell, so the bits do not depend on either chunk.  The ensemble holds x,
+    p and w = f_in * cell volume only; what the weight law reads besides is
+    `init_coupled_state`'s to build.
     """
     if n_per_dim < 4:
         raise ValueError("n_per_dim must be >= 4")
@@ -109,42 +116,54 @@ def sample_particles(data: InitialData, n_per_dim: int,
         del ix, ip
     w = np.concatenate(fs)
     del fs
-    x, p, phi0 = np.empty((len(w), 3)), np.empty((len(w), 3)), np.empty(len(w))
+    x, p = np.empty((len(w), 3)), np.empty((len(w), 3))
     start = 0
     for xi, pi in kept:
         rows = slice(start, start + len(xi))
         np.add(grid3.take(xi, axis=0), prof.center[0:3], out=x[rows])
         pgrid.take(pi, axis=0, out=p[rows])
-        phi0[rows] = data.phi0_in.value(x[rows])
         start += len(xi)
     del kept
     w *= s**6
-    return ParticleEnsemble(x=x, p=p, w=w, w0=w.copy(), phi0_at_x0=phi0)
+    return ParticleEnsemble(x=x, p=p, w=w)
 
 
 # ---------------------------------------------------------------------------
 # Deposition
 # ---------------------------------------------------------------------------
 
-def deposit_mu(ens: ParticleEnsemble, grid: FieldGrid) -> np.ndarray:
-    """Cloud-in-cell (trilinear) deposit of w/gamma onto the grid, / h^3.
+def _charge(ens: ParticleEnsemble) -> np.ndarray:
+    """q = w/gamma of every particle, PARTICLE_CHUNK particles at a time."""
+    q = np.empty(ens.n)
+    for a in range(0, ens.n, PARTICLE_CHUNK):
+        s = slice(a, a + PARTICLE_CHUNK)
+        np.divide(ens.w[s], np.sqrt(1.0 + chars._norm2(ens.p[s])), out=q[s])
+    return q
 
-    The result becomes `grid.mu` on the box of the nodes it touches, whose
-    first node is `grid.mu_origin`; an empty ensemble clears mu.  The cell
-    index is monotone in the coordinate, so the box comes first, from each
-    axis's smallest and largest coordinate: a NaN or an infinity raises
-    FloatingPointError, and a particle outside the grid DomainTooSmallError,
-    before any cast or allocation.  The weight of a corner is ((q wx) wy) wz,
-    and the corners add in x-, y-, z-major order, each over the particles in
-    their order.
+
+def deposit_mu(ens: ParticleEnsemble, grid: FieldGrid,
+               q: np.ndarray | None = None) -> np.ndarray:
+    """Cloud-in-cell (trilinear) deposit of the charges q = w/gamma onto the
+    grid, / h^3.
+
+    q is the caller's per-particle array, which a free run computes once,
+    or, when it passes none, computed here PARTICLE_CHUNK particles at a
+    time.  The result becomes `grid.mu` on the box of the nodes it touches,
+    whose first node is `grid.mu_origin`; an empty ensemble clears mu.  The
+    cell index is monotone in the coordinate, so the box comes first, from
+    each axis's smallest and largest coordinate: a NaN or an infinity
+    raises FloatingPointError, and a particle outside the grid
+    DomainTooSmallError, before any cast or allocation.  The weight of a
+    corner is ((q wx) wy) wz, and the corners add in x-, y-, z-major order,
+    each over the particles in their order.
 
     The particles are read PARTICLE_CHUNK at a time, one axis column at a
     time, into the cell index (in the box's strides, from the cube's node 0;
-    each corner's offset subtracts the box's first node), the y and z
-    fractions and q wx of both x corners; with q wx wy of one (x, y) corner
-    pair, that is 7 floats per particle over the whole ensemble.  Each
-    corner's adds run chunk by chunk in particle order, so no node's order
-    of adds depends on the chunks.
+    each corner's offset subtracts the box's first node) and the three
+    fractions; with q wx wy of one (x, y) corner pair, formed chunk by
+    chunk, that is 5 floats per particle over the whole ensemble besides q.
+    Each corner's adds run chunk by chunk in particle order, so no node's
+    order of adds depends on the chunks.
     """
     if ens.n == 0:
         return grid.clear_mu()
@@ -159,30 +178,30 @@ def deposit_mu(ens: ParticleEnsemble, grid: FieldGrid) -> np.ndarray:
     origin, shape = lo.astype(int), (hi - lo).astype(int) + 2
     _, ny, nz = shape
     first = (origin[0] * ny + origin[1]) * nz + origin[2]
-    base = np.empty(ens.n, dtype=int)
-    fy, fz, qx = np.empty(ens.n), np.empty(ens.n), np.empty((2, ens.n))
-    for a in range(0, ens.n, PARTICLE_CHUNK):
-        s = slice(a, a + PARTICLE_CHUNK)
-        q = ens.w[s] / np.sqrt(1.0 + chars._norm2(ens.p[s]))
-        i0, frac = [], []
-        for col in ens.x[s].T:
+    if q is None:
+        q = _charge(ens)
+    chunks = [slice(a, a + PARTICLE_CHUNK) for a in range(0, ens.n, PARTICLE_CHUNK)]
+    base, frac = np.empty(ens.n, dtype=int), np.empty((3, ens.n))
+    for s in chunks:
+        i0 = []
+        for col, fr in zip(ens.x[s].T, frac[:, s]):
             u = col / grid.h + grid.n_half
             f = np.floor(u)
             i0.append(f.astype(int))
-            frac.append(u - f)  # the same bits as u minus the integer floor
+            np.subtract(u, f, out=fr)  # the same bits as u minus the integer floor
         base[s] = (i0[0] * ny + i0[1]) * nz + i0[2]
-        qx[0, s], qx[1, s] = q * (1.0 - frac[0]), q * frac[0]
-        fy[s], fz[s] = frac[1], frac[2]
+    fx, fy, fz = frac
     mu = np.zeros(shape)
     flat = mu.ravel()
     qxy = np.empty(ens.n)
     for ox in (0, 1):
         for oy in (0, 1):
-            np.multiply(qx[ox], fy if oy else 1.0 - fy, out=qxy)
+            for s in chunks:
+                np.multiply(q[s], fx[s] if ox else 1.0 - fx[s], out=qxy[s])
+                qxy[s] *= fy[s] if oy else 1.0 - fy[s]
             for oz in (0, 1):
                 corner = (ox * ny + oy) * nz + oz - first
-                for a in range(0, ens.n, PARTICLE_CHUNK):
-                    s = slice(a, a + PARTICLE_CHUNK)
+                for s in chunks:
                     wz = fz[s] if oz else 1.0 - fz[s]
                     np.add.at(flat, base[s] + corner, qxy[s] * wz)
     mu /= grid.h**3
@@ -204,16 +223,27 @@ def update_weights(ens: ParticleEnsemble, field: FieldView, t: float) -> Particl
 
 @dataclass
 class CoupledState:
+    """The particles, the grid and, without coupling, the run's constants.
+
+    Without coupling p, w and dt never change (neither array is written in
+    place), so what the run reads of them is computed once: the step of x
+    (`free_disp`, built by the first step), the deposit's charges w/gamma
+    (`free_q`, built with the t = 0 deposit) and the largest |p| of the
+    records (`free_p_max`, built by the first record, `cli._record_row`).
+    None of them is checkpointed; a resumed run builds each again when it
+    first reads it.  A free step adds `free_disp` into x in place, so no
+    code holds `ensemble.x` across a free step.
+    """
+
     ensemble: ParticleEnsemble
     grid: FieldGrid
     hist_full: GridFieldHistory | None  # optional strided history for diagnostics
     data: InitialData
     coupling: bool = True
     pad: float = 2.0
-    # without coupling: the step of x, built by the first step from ens.p and
-    # dt, which never change then (ens.p is never written in place); it is
-    # not checkpointed, so a resumed run builds it again
     free_disp: np.ndarray | None = None
+    free_q: np.ndarray | None = None
+    free_p_max: float | None = None
 
     @property
     def t(self) -> float:
@@ -225,9 +255,18 @@ def init_coupled_state(data: InitialData, n_per_dim: int, h: float, dt: float,
                        pad: float = 2.0, coupling: bool = True,
                        keep_history: bool = True, history_stride: int = 1,
                        history_dtype=np.float64) -> CoupledState:
+    """Sample the particles and make the t = 0 grid and deposit.
+
+    A coupled ensemble gets what its weight law reads: w0, a copy of w, and
+    phi0_in at the particles' positions, PARTICLE_CHUNK at a time.
+    """
     ens = sample_particles(data, n_per_dim)
-    hist_full = None
+    hist_full, free_q = None, None
     if coupling:
+        ens.w0, ens.phi0_at_x0 = ens.w.copy(), np.empty(ens.n)
+        for a in range(0, ens.n, PARTICLE_CHUNK):
+            s = slice(a, a + PARTICLE_CHUNK)
+            ens.phi0_at_x0[s] = data.phi0_in.value(ens.x[s])
         # the t=0 deposit feeds the Taylor start
         grid = make_field_grid(data, h, dt, pad=pad,
                                source=lambda g: deposit_mu(ens, g))
@@ -236,9 +275,10 @@ def init_coupled_state(data: InitialData, n_per_dim: int, h: float, dt: float,
             grid.keep(hist_full)
     else:  # no field levels: the grid carries the deposit only
         grid = FieldGrid.at_start(data.support_radius_R, h, dt, pad)
-        deposit_mu(ens, grid)
+        free_q = _charge(ens)
+        deposit_mu(ens, grid, q=free_q)
     return CoupledState(ensemble=ens, grid=grid, hist_full=hist_full,
-                        data=data, coupling=coupling, pad=pad)
+                        data=data, coupling=coupling, pad=pad, free_q=free_q)
 
 
 def step(state: CoupledState, deposit: bool = True) -> CoupledState:
@@ -246,7 +286,9 @@ def step(state: CoupledState, deposit: bool = True) -> CoupledState:
 
     A coupled ensemble is pushed and re-weighed PUSH_CHUNK particles at a
     time into new x, p and w; every value is per particle, so the bits do
-    not depend on the chunks.
+    not depend on the chunks.  A free step adds the state's `free_disp`
+    into x in place and deposits the state's `free_q`, building either
+    that the state lacks (a resumed run).
     """
     ens, grid = state.ensemble, state.grid
     dt = grid.dt
@@ -258,7 +300,7 @@ def step(state: CoupledState, deposit: bool = True) -> CoupledState:
             for a in range(0, ens.n, PARTICLE_CHUNK):
                 s = slice(a, a + PARTICLE_CHUNK)
                 state.free_disp[s] = chars.free_displacement(ens.p[s], dt)
-        ens.x = ens.x + state.free_disp
+        ens.x += state.free_disp
     else:
         view = grid.view()
         x, p, w = np.empty_like(ens.x), np.empty_like(ens.p), np.empty_like(ens.w)
@@ -277,8 +319,12 @@ def step(state: CoupledState, deposit: bool = True) -> CoupledState:
         del view
 
     grid.ensure_extent(state.data.support_radius_R + t_new + state.pad)
-    if state.coupling or deposit:
+    if state.coupling:
         deposit_mu(ens, grid)
+    elif deposit:
+        if state.free_q is None:
+            state.free_q = _charge(ens)
+        deposit_mu(ens, grid, q=state.free_q)
     else:
         grid.clear_mu()
 

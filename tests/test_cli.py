@@ -425,6 +425,65 @@ class TestCheckpointResume:
         assert main(["resume", "old.npz"]) == 0
         assert (tmp_path / "run.csv").read_bytes() == ref
 
+    def test_free_checkpoint_with_weight_law_arrays_resumes_bitwise(
+            self, tmp_path, monkeypatch):
+        # earlier versions also wrote w0 and phi0_in at x0 (ens_w0,
+        # ens_phi0) for free runs, which never run the weight law
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", write_conf(tmp_path, self.FREE)]) == 0
+        ref = (tmp_path / "run.csv").read_bytes()
+        (tmp_path / "run.csv").unlink()
+        with np.load("run.csv.ckpt.npz") as z:
+            arrays = dict(z)
+        assert not {"ens_w0", "ens_phi0"} & set(arrays)
+        arrays.update(ens_w0=arrays["ens_w"].copy(),
+                      ens_phi0=np.random.default_rng(1).standard_normal(
+                          len(arrays["ens_w"])))
+        with open("old.npz", "wb") as fh:
+            np.savez(fh, **arrays)
+        _, state, _ = load_checkpoint("old.npz")
+        assert state.ensemble.w0 is state.ensemble.phi0_at_x0 is None
+        assert main(["resume", "old.npz"]) == 0
+        assert (tmp_path / "run.csv").read_bytes() == ref
+
+    def test_free_constants_are_rebuilt_after_resume_and_never_saved(
+            self, tmp_path):
+        # the charges w/gamma, p_max and the step of x are computed once per
+        # run, not checkpointed, and a resumed run rebuilds them bitwise
+        import vnsim.cli as cli
+        cfg = parse_config(self.FREE.replace("output = run.csv",
+                                             f"output = {tmp_path / 'f.csv'}"))
+        state = init_coupled_state(build_initial_data(cfg), cfg.n_per_dim,
+                                   cfg.h, cfg.dt, pad=cfg.pad, coupling=False,
+                                   keep_history=False)
+        assert state.free_q is not None
+        assert state.free_disp is state.free_p_max is None
+        row = cli._record_row(state, cfg)
+        q, p_max = state.free_q, state.free_p_max
+        assert p_max == row["p_max"] > 0.0
+        for _ in range(4):
+            step(state)
+            assert state.free_q is q and cli._record_row(state, cfg)["p_max"] == p_max
+        disp = state.free_disp
+        save_checkpoint(cfg.ckpt_path, cfg, state, [])
+        with np.load(cfg.ckpt_path) as z:
+            saved = [z[name] for name in z.files]
+        # no saved array is any of the constants
+        assert not any(a.shape == q.shape and np.array_equal(a, q) for a in saved)
+        assert not any(a.shape == disp.shape and np.array_equal(a, disp)
+                       for a in saved)
+        assert not any(a.size == 1 and a.ravel()[0] == p_max for a in saved)
+        _, resumed, _ = load_checkpoint(cfg.ckpt_path)
+        assert resumed.free_q is resumed.free_p_max is resumed.free_disp is None
+        step(resumed)
+        step(state)
+        assert cli._record_row(resumed, cfg)["p_max"] == p_max
+        for got, want in ((resumed.free_q, q), (resumed.free_disp, disp),
+                          (resumed.ensemble.x, state.ensemble.x),
+                          (resumed.grid.mu, state.grid.mu)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_free_step_is_the_zero_field_push_through_growth_and_resume(
             self, tmp_path):
         # a free step adds the displacement built at the run's first step;
@@ -435,7 +494,8 @@ class TestCheckpointResume:
         state = init_coupled_state(build_initial_data(cfg), cfg.n_per_dim,
                                    cfg.h, cfg.dt, pad=cfg.pad, coupling=False,
                                    keep_history=False)
-        ref = PhaseState(x=state.ensemble.x, p=state.ensemble.p, t=0.0)
+        # a copy: the free step adds into x in place
+        ref = PhaseState(x=state.ensemble.x.copy(), p=state.ensemble.p, t=0.0)
         grows = 0
         for k in range(24):
             if k == 10:
@@ -443,8 +503,7 @@ class TestCheckpointResume:
                 with np.load(cfg.ckpt_path) as z:
                     assert set(z.files) == {
                         "config_text", "config_hash", "rows", "ens_x", "ens_p",
-                        "ens_w", "ens_w0", "ens_phi0", "grid_meta", "mu",
-                        "mu_origin"}
+                        "ens_w", "grid_meta", "mu", "mu_origin"}
                 _, state, _ = load_checkpoint(cfg.ckpt_path)
                 assert state.free_disp is None
             n_half = state.grid.n_half
@@ -459,7 +518,8 @@ class TestCheckpointResume:
         assert grows >= 4
 
     def test_coupled_checkpoint_keys(self, tmp_path, monkeypatch):
-        # the free run's keys plus the three field levels, and no other
+        # the free run's keys plus the weight law's w0 and phi0_in at x0 and
+        # the three field levels, and no other
         monkeypatch.chdir(tmp_path)
         conf = write_conf(tmp_path, BASE + "output = run.csv\ncheckpoint_interval = 1\n")
         assert main(["run", conf]) == 0
@@ -607,6 +667,45 @@ class TestNanAbort:
         # the rows recorded before the abort: t = 0 and t = 0.5
         assert len(rows) == 2
         assert out.read_text().splitlines()[2:] == rows
+
+    @pytest.mark.parametrize("coupling", [1, 0])
+    def test_nan_abort_whose_checkpoint_fails_writes_the_rows(
+            self, tmp_path, monkeypatch, capsys, coupling):
+        # the NaN abort's checkpoint cannot be written (a full disk): the
+        # run still exits 3 with the rows and an aborted summary whose note
+        # names both, and leaves no checkpoint and no .tmp file
+        import vnsim.cli as cli
+        monkeypatch.chdir(tmp_path)
+        cfg = parse_config(BASE + f"coupling = {coupling}\noutput = nan.csv\n")
+        calls = []
+        real_step = cli.step
+
+        def poisoned(state, **kwargs):
+            real_step(state, **kwargs)
+            calls.append(state.t)
+            if len(calls) == 3:
+                x = state.ensemble.x.copy()
+                x[0, 0] = np.nan
+                state.ensemble.x = x
+            return state
+
+        def full_disk(fh, **arrays):
+            fh.write(b"PK\x03\x04 half a checkpoint")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "step", poisoned)
+        monkeypatch.setattr(np, "savez", full_disk)
+        assert run_scenario(cfg) == 3
+        note = ("NaN detected at t=0.75; "
+                "checkpoint: [Errno 28] No space left on device")
+        assert capsys.readouterr().err == f"aborted: {note}\n"
+        summary = (tmp_path / "nan.csv.summary").read_text()
+        assert "status = aborted" in summary and f"note = {note}" in summary
+        # the rows recorded before the abort: t = 0 and t = 0.5
+        rows = (tmp_path / "nan.csv").read_text().splitlines()[2:]
+        assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.5]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "nan.csv", "nan.csv.summary"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("coupling", [1, 0])

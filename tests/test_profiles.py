@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from vnsim.profiles import (BumpProfile, InitialData, NORM_ORDERS, initial_norm,
-                            make_bump, validate_membership)
+from vnsim.profiles import (BumpProfile, InitialData, NORM_ORDERS, _squared_norm,
+                            initial_norm, make_bump, validate_membership)
 
 
 def fd_gradient(prof, y, eps=1e-6):
@@ -79,6 +79,61 @@ class TestBumpEvaluation:
         assert vals.shape == (4, 5)
         assert self.prof.gradient(pts).shape == (4, 5, 3)
         assert self.prof.hessian(pts).shape == (4, 5, 3, 3)
+
+
+def reference_radial_factors(prof, y, orders):
+    """_radial_factors with |z|^2 as np.sum(z * z, axis=-1), kept as
+    reference."""
+    z = np.asarray(y, dtype=float) - prof.center
+    s = np.sum(z * z, axis=-1) / prof.radius**2
+    inside = s < 1.0
+    one_ms = np.where(inside, 1.0 - s, 0.0)
+    out = {}
+    for j in orders:
+        coeff = prof.amplitude * (-1.0) ** j
+        for i in range(j):
+            coeff *= prof._m - i
+        if coeff == 0.0:
+            out[j] = np.zeros_like(s)
+        else:
+            with np.errstate(divide="ignore"):
+                out[j] = np.where(inside, coeff * one_ms ** (prof._m - j), 0.0)
+    return z, out
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, np.inf, -np.inf,
+           np.nan, -np.nan, 1e300, -1e300, 1e-160, 0.3, -0.45]
+
+
+def assert_same_bits(got, ref):
+    np.testing.assert_array_equal(got, ref)  # NaN where ref is NaN
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
+class TestSquaredNormAgainstSum:
+    """|z|^2 column by column has np.sum(z * z, axis=-1)'s bits, also on
+    signed zeros, subnormals, infinities, NaN and squares that overflow."""
+
+    @pytest.mark.parametrize("dim", [3, 6])
+    def test_squared_norm_and_radial_factors(self, dim):
+        rng = np.random.default_rng(dim)
+        pts = rng.choice(np.array(SPECIAL), (4000, dim))
+        # points inside the ball, where the factors read every bit of s
+        pts[:1000] = rng.uniform(-0.6, 0.6, (1000, dim))
+        pts[1000:1100, 1:] = 0.0
+        prof = make_bump(np.zeros(dim), 1.0, 0.02, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = np.sum(pts * pts, axis=-1)
+            assert_same_bits(_squared_norm(pts), ref)
+            assert np.isnan(ref).any() and np.isinf(ref).any()
+            assert_same_bits(_squared_norm(pts[7]), ref[7])  # one point
+            orders = (0, 1, 2, 3)
+            z, got = prof._radial_factors(pts, orders)
+            z_ref, want = reference_radial_factors(prof, pts, orders)
+        assert_same_bits(z, z_ref)
+        assert np.count_nonzero(want[0]) > 900
+        for j in orders:
+            assert_same_bits(got[j], want[j])
 
 
 class TestSupNorms:

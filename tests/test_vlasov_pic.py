@@ -114,12 +114,16 @@ class TestSamplingAgainstReference:
     or even (n odd) squares, which is never within 1 of n^2; so no lattice
     puts a cell within rounding distance of the sphere, and the filter's
     1e-9 slack only guards the (x + c) - c rounding inside f_value.
+
+    The sampler returns x, p and w; a coupled run's `init_coupled_state`
+    adds the weight law's w0 and phi0_at_x0, which the reference's equal.
     """
 
-    FIELDS = ("x", "p", "w", "w0", "phi0_at_x0")
+    FIELDS = ("x", "p", "w")
+    WEIGHT_LAW = ("w0", "phi0_at_x0")
 
-    def assert_same(self, got, ref):
-        for name in self.FIELDS:
+    def assert_same(self, got, ref, fields=FIELDS):
+        for name in fields:
             a, b = getattr(got, name), getattr(ref, name)
             assert a.shape == b.shape, name
             np.testing.assert_array_equal(a, b, err_msg=name)
@@ -130,15 +134,39 @@ class TestSamplingAgainstReference:
         data = make()
         ref = reference_sample_particles(data, n_per_dim)
         assert ref.n > 0
-        self.assert_same(sample_particles(data, n_per_dim), ref)
+        got = sample_particles(data, n_per_dim)
+        self.assert_same(got, ref)
+        assert got.w0 is got.phi0_at_x0 is None
         # many chunks, each holding a few x cells
         self.assert_same(sample_particles(data, n_per_dim, chunk=2**10), ref)
+        ens = init_coupled_state(data, n_per_dim, h=0.5, dt=0.25, pad=5.0,
+                                 keep_history=False).ensemble
+        self.assert_same(ens, ref, self.FIELDS + self.WEIGHT_LAW)
 
     def test_empty_distribution(self):
         data = off_centre_data(f_amp=0.0)
         ref = reference_sample_particles(data, 5)
         assert ref.n == 0
         self.assert_same(sample_particles(data, 5), ref)
+        ens = init_coupled_state(data, 5, h=0.5, dt=0.25, pad=5.0,
+                                 keep_history=False).ensemble
+        self.assert_same(ens, ref, self.FIELDS + self.WEIGHT_LAW)
+
+    @pytest.mark.parametrize("make", [small_data, off_centre_data])
+    def test_coupled_init_adds_the_weight_law_bitwise(self, make):
+        # w0 and phi0_in at x0 of a coupled run, and nothing of them in a
+        # free one
+        data = make()
+        ref = reference_sample_particles(data, 6)
+        ens = init_coupled_state(data, 6, h=0.5, dt=0.25, pad=5.0,
+                                 keep_history=False).ensemble
+        for name in self.FIELDS + self.WEIGHT_LAW:
+            assert_same_bits(getattr(ens, name), getattr(ref, name))
+        assert ens.w0 is not ens.w
+        free = init_coupled_state(data, 6, h=0.5, dt=0.25, pad=5.0,
+                                  coupling=False).ensemble
+        self.assert_same(free, ref)
+        assert free.w0 is free.phi0_at_x0 is None
 
 
 def reference_deposit(ens, grid):
@@ -359,7 +387,8 @@ class TestWeights:
         w_before = ens.w.copy()
         # with phi identically zero everywhere the exponent is -4 phi0(x0)
         data = small_data(phi_amp=0.0)
-        ens2 = sample_particles(data, 6)
+        ens2 = init_coupled_state(data, 6, h=0.5, dt=0.25, pad=2.0,
+                                  keep_history=False).ensemble
         update_weights(ens2, ZeroField(), 1.0)
         np.testing.assert_allclose(ens2.w, ens2.w0, rtol=1e-15)
         assert w_before.shape == ens.w.shape
@@ -561,13 +590,19 @@ class TestParticleChunks:
             got = sample_particles(data, n_per_dim, chunk=chunk)
             for name in TestSamplingAgainstReference.FIELDS:
                 assert_same_bits(getattr(got, name), getattr(ref, name))
+        # a coupled init builds phi0_in at x0 on chunks of the same size
+        got = init_coupled_state(data, n_per_dim, h=0.5, dt=0.25, pad=5.0,
+                                 keep_history=False).ensemble
+        for name in TestSamplingAgainstReference.WEIGHT_LAW:
+            assert_same_bits(getattr(got, name), getattr(ref, name))
 
     @pytest.mark.parametrize("edge", CHUNK_EDGES)
     def test_free_displacement(self, monkeypatch, edge):
         state = init_coupled_state(small_data(), 5, h=0.5, dt=0.25, pad=2.0,
                                    coupling=False)
         ref = characteristics.free_displacement(state.ensemble.p, 0.25)
-        x = state.ensemble.x
+        # the free step adds into x in place
+        x = state.ensemble.x.copy()
         monkeypatch.setattr(vlasov_pic, "PARTICLE_CHUNK",
                             CHUNK_EDGES[edge](state.ensemble.n))
         step(state)
@@ -589,6 +624,39 @@ class TestParticleChunks:
             tracemalloc.stop()
         assert ens.n > 16 * 512
         assert peak <= 9 * 8 * ens.n
+
+    def test_deposit_of_given_charges_holds_five_floats_per_particle(
+            self, monkeypatch):
+        # a free run passes its charges w/gamma, computed once: the deposit
+        # then holds the cell index, 3 fractions and q wx wy of one corner
+        # pair, with the bits of a deposit that computes the charges itself
+        monkeypatch.setattr(vlasov_pic, "PARTICLE_CHUNK", 512)
+        ens = sample_particles(small_data(), 8)
+        grid = FieldGrid.at_start(1.0, 0.5, 0.25, 2.0)
+        q = vlasov_pic._charge(ens)
+        assert_same_bits(q, ens.w / np.sqrt(1.0 + np.sum(ens.p**2, axis=-1)))
+        ref = deposit_mu(ens, grid).copy()
+        tracemalloc.start()
+        try:
+            got = deposit_mu(ens, grid, q=q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_bits(got, ref)
+        assert ens.n > 16 * 512
+        assert peak <= 5.5 * 8 * ens.n
+
+    def test_spread_holds_four_integers_per_particle(self):
+        # the hash is built in one int64 array, a column at a time; then
+        # the sort's order, the sorted hash and its differences
+        ens = sample_particles(small_data(), 8)
+        tracemalloc.start()
+        try:
+            diagnostics.max_momentum_spread(ens, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * ens.n
 
     def test_growth_step_holds_three_level_cubes_and_the_box(self, monkeypatch):
         # a growth step makes all it holds of the field: the grown phi_0 and
