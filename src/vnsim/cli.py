@@ -143,10 +143,15 @@ _SCHEMA = {f.name: _converter(f) for f in fields(SimConfig)
 #   18 floats: a record's deposit holds the 11 of x, p, w, the charges
 #   w/gamma and the step of x, and 5 of its own (the cell index, 3 fractions
 #   and q wx wy of one corner pair), 16.9 with its chunks' scratch and box.
-#   Coupled, 19: a step holds the 9 of x, p, w, w0 and phi0_in and 7 of the
+#   Coupled, 20: a step holds the 9 of x, p, w, w0 and phi0_in and 7 of the
 #   new x, p and w, or the deposit's 6 (its own charges besides), 18.3 with
 #   the scratch and the field levels; the sampler holds 3 of kept pieces
-#   (x and p cell, f) while it fills the 7 of x, p and w;
+#   (x and p cell, f) while it fills the 7 of x, p and w.  While it pushes,
+#   a step also holds its view's gather tables and a gather's copy of the
+#   columns it reads, at most 1 float per particle each: the VIEW_TABLES
+#   tables cover a box of at most a VIEW_TABLES-th as many nodes as there
+#   are particles (8 tables of 729 nodes against coupled_push's 76,416
+#   particles).  The 20 charged hold those 18 and the deposit's 18.3;
 # - the deposit's scratch, 7 floats per particle of one PARTICLE_CHUNK
 #   (a chunk's cell coordinate, its floor, 3 cell indices and 2 products);
 # - coupled, 46 floats per particle of one PUSH_CHUNK: the RK4 stages, the
@@ -164,7 +169,7 @@ _SCHEMA = {f.name: _converter(f) for f in fields(SimConfig)
 _BASELINE_MB = 31.0
 _PAIR_BYTES = 9
 _FREE_PARTICLE_FLOATS = 18
-_COUPLED_PARTICLE_FLOATS = 19
+_COUPLED_PARTICLE_FLOATS = 20
 _DEPOSIT_CHUNK_FLOATS = 7
 _PUSH_FLOATS = 46
 _TRACE_CHUNK_FLOATS = 20

@@ -16,7 +16,7 @@ from . import characteristics as chars
 from .characteristics import FieldView, PhaseState
 from .errors import DomainTooSmallError
 from .profiles import InitialData
-from .wavefield import FieldGrid, GridFieldHistory, make_field_grid
+from .wavefield import VIEW_TABLES, FieldGrid, GridFieldHistory, make_field_grid
 
 __all__ = [
     "ParticleEnsemble", "CoupledState", "sample_particles", "deposit_mu",
@@ -281,14 +281,45 @@ def init_coupled_state(data: InitialData, n_per_dim: int, h: float, dt: float,
                         data=data, coupling=coupling, pad=pad, free_q=free_q)
 
 
+def _push_box(x: np.ndarray, grid: FieldGrid, dt: float) -> tuple | None:
+    """The node box (first node, nodes per axis) of every cell corner that
+    a step's push and weight law read, or None when its tables would not
+    pay.
+
+    Every RK4 stage position, and the final x, lies within |dt| of the
+    step's start on each axis, as |phat| < 1; the box takes each axis's
+    smallest and largest coordinate, column by column, widened by |dt| and
+    one node for rounding, clipped to the nodes 1 .. n - 2 that sampled
+    cells' corners are.  None for an empty ensemble, a coordinate that is
+    not finite or off the grid (the deposit then raises), and a box whose
+    VIEW_TABLES tables would hold more floats than there are particles.
+    """
+    if not len(x):
+        return None
+    ends = np.array([(col.min(), col.max()) for col in x.T])
+    if not np.all(np.abs(ends) <= grid.x_max):  # also False for a NaN
+        return None
+    reach = abs(dt) / grid.h
+    first = np.floor(ends[:, 0] / grid.h + grid.n_half - reach) - 1
+    last = np.floor(ends[:, 1] / grid.h + grid.n_half + reach) + 2
+    first = np.maximum(first, 1).astype(int)
+    shape = np.minimum(last, grid.n_nodes - 2).astype(int) - first + 1
+    if np.any(shape < 1) or VIEW_TABLES * np.prod(shape) > len(x):
+        return None
+    return tuple(first.tolist()), tuple(shape.tolist())
+
+
 def step(state: CoupledState, deposit: bool = True) -> CoupledState:
     """One coupled cycle: push -> weights -> deposit -> field -> advance t.
 
     A coupled ensemble is pushed and re-weighed PUSH_CHUNK particles at a
     time into new x, p and w; every value is per particle, so the bits do
-    not depend on the chunks.  A free step adds the state's `free_disp`
-    into x in place and deposits the state's `free_q`, building either
-    that the state lacks (a resumed run).
+    not depend on the chunks.  Its view (`FieldGrid.view`) holds the box
+    of the particles' reach over the step (`_push_box`), if any, so every
+    chunk, RK4 stage and the weight law gather from one set of tables,
+    built once per step; they go with the view.  A free step adds the
+    state's `free_disp` into x in place and deposits the state's `free_q`,
+    building either that the state lacks (a resumed run).
     """
     ens, grid = state.ensemble, state.grid
     dt = grid.dt
@@ -302,7 +333,7 @@ def step(state: CoupledState, deposit: bool = True) -> CoupledState:
                 state.free_disp[s] = chars.free_displacement(ens.p[s], dt)
         ens.x += state.free_disp
     else:
-        view = grid.view()
+        view = grid.view(_push_box(ens.x, grid, dt))
         x, p, w = np.empty_like(ens.x), np.empty_like(ens.p), np.empty_like(ens.w)
         for a in range(0, ens.n, PUSH_CHUNK):
             s = slice(a, a + PUSH_CHUNK)

@@ -132,12 +132,20 @@ class FieldGrid:
         return (p is None or (self.finite is not None and self.finite() is p)
                 or bool(np.isfinite(np.sum(p))))
 
-    def view(self) -> FieldView:
+    def view(self, box: tuple | None = None) -> FieldView:
         """The push's view: phi_0 at t and phi_p at t + dt as a two-level
-        GridFieldHistory (drop it before a growth), or the zero field."""
+        GridFieldHistory (drop it before a growth), or the zero field.
+
+        `box`, a node box (first node, nodes per axis) within the nodes
+        1 .. n - 2 of each axis, goes to the history, which then builds
+        each (level, stencil) table it gathers over that box once and keeps
+        it while the view lives: at most VIEW_TABLES tables, VALUE and GRAD
+        on both levels.  `vlasov_pic.step` gives the box of its particles'
+        reach.
+        """
         if self.phi_0 is None:
             return ZeroField()
-        view = GridFieldHistory()
+        view = GridFieldHistory(box=box)
         view.append(self.t, self.phi_0, self.h, self.n_half)
         view.append(self.t + self.dt, self.phi_p, self.h, self.n_half)
         return view
@@ -234,8 +242,9 @@ def make_field_grid(data: InitialData, h: float, dt: float, pad: float = 2.0,
 
 
 # Grid passes run one slab of at most this many nodes (consecutive x-planes)
-# at a time, and `sample_levels` chunks of SLAB_NODES // (2 * width) points,
-# so each pass stays near L2; no value's operation order depends on it.
+# at a time, and `sample_levels` gathers at most this many table values, or
+# 4 times as many directly, per chunk of points, so each pass stays near L2;
+# no value's operation order depends on it.
 SLAB_NODES = 1 << 16
 
 
@@ -421,6 +430,9 @@ HESS = {
               (_E[j] - _E[k], -0.25), (-_E[k] - _E[j], 0.25))))
     for k in range(3) for j in range(k, 3)
 }
+# the most tables a push's view (`FieldGrid.view`) builds: VALUE and GRAD on
+# each of its two levels
+VIEW_TABLES = 2 * len((VALUE, *GRAD))
 NOW = Stencil(0, ((0, 1.0),))
 TIME_D1 = Stencil(1, ((1, 0.5), (-1, -0.5)))
 TIME_D2 = Stencil(2, ((1, 1.0), (0, -2.0), (-1, 1.0)))
@@ -435,12 +447,39 @@ def difference(time: Stencil, space: Stencil, take, dt: float, h: float):
 @functools.lru_cache(maxsize=None)
 def _flat_stencil(st: Stencil, n: int) -> Stencil:
     """`st` with each offset as its shift in a raveled level of n**3 nodes;
-    kept per stencil and n, as the push samples every chunk anew."""
+    kept per stencil and n, as every table and direct gather reads it."""
     strides = np.array([n * n, n, 1])
     return Stencil(st.order, tuple((int(off @ strides), c) for off, c in st.terms))
 
 
-def sample_levels(columns, h: float, n_half: int, x) -> np.ndarray:
+def _combined(columns, n: int, low):
+    """Each (level, stencil) column's stencil, combined in its level's
+    dtype, at the nodes whose flat indices in the raveled n**3 levels are
+    low + n**2 + n + 1, so at least one node inside the cube on each axis."""
+    start = n * n + n + 1
+    for level, st in columns:
+        flat = np.ravel(level)
+        yield _flat_stencil(st, n).combine(lambda shift: flat[start + shift:].take(low))
+
+
+def box_table(columns, first, shape) -> np.ndarray:
+    """The stencil table of `columns` on a node box: (len(columns), nodes)
+    float64, entry (j, r) column j's stencil at box node first + r in the
+    box's C order, combined in its level's dtype and then cast.  The box
+    (first node, nodes per axis) lies within the nodes 1 .. n - 2 of each
+    axis."""
+    n = columns[0][0].shape[0]
+    strides = np.array([n * n, n, 1])
+    ix, iy, iz = (np.arange(m) * st for m, st in zip(shape, strides))
+    low = (ix[:, None, None] + iy[:, None] + iz).ravel() + np.subtract(first, 1) @ strides
+    return np.array(list(_combined(columns, n, low)), dtype=float)
+
+
+# a cell's 8 corners as node offsets, in x-, y-, z-major order
+_CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))
+
+
+def sample_levels(columns, h: float, n_half: int, x, shared=None) -> np.ndarray:
     """Trilinear samples of node stencils on levels that share one geometry.
 
     `columns` lists the (level, stencil) pairs to gather; a caller that
@@ -453,68 +492,80 @@ def sample_levels(columns, h: float, n_half: int, x) -> np.ndarray:
     corners from +0.0, so no sample is -0.0, and its bits do not depend on
     the other columns of the call.
 
-    If the box of the sampled cells' corners has no more nodes than there
-    are points, the stencils are combined once per box node into a table
-    whose rows the 8 corners gather; else each stencil term is one gather
-    for all 8 corners.  Both add w * value over the corners in one order, so
-    they give the same bits, in chunks of SLAB_NODES // (2 * width) points,
-    width the number of columns.
+    The corners are read from a table of a box's nodes (`box_table`) or
+    directly.  `shared`, if given, is (first, shape, tables): a node box
+    within the nodes 1 .. n - 2 and each column's one-column `box_table`
+    on it, which a history with a box (`FieldGrid.view`) builds once for
+    all its calls.  When the corners of every point's cell lie in that box,
+    every point is sampled, and the call gathers those tables with no
+    validity mask.  Else, if the box of the sampled cells' corners has no
+    more nodes than there are points, the call builds the table on that
+    box; else each stencil term is one gather for all 8 corners.  Every
+    table entry holds the same per-node combine, and all paths add
+    w * value over the corners in one order, so they give the same bits.
+    A table's corner gathers go into one (width, chunk) buffer, width the
+    number of columns, in chunks of SLAB_NODES // width points; the direct
+    gathers of a chunk hold 8 such buffers, in chunks of
+    SLAB_NODES // (2 * width).
     """
     x = np.asarray(x, dtype=float)
     n = columns[0][0].shape[0]
     u = x.reshape(-1, 3) / h
     u += n_half
-    # a NaN, infinite or huge coordinate moves to a cell off the grid, so
-    # the cast never sees it and its weights stay finite; a sampled point's
-    # coordinate lies in [1, n - 2) and keeps its bits
-    np.fmax(u, -1.0, out=u)
-    np.minimum(u, n, out=u)
-    i0 = np.floor(u).astype(np.intp)
-    valid = np.logical_and.reduce([(c >= 1) & (c <= n - 3) for c in i0.T])
     width = len(columns)
     out = np.zeros((width, len(u)))
-    if not valid.any():
-        return out.reshape((width,) + x.shape[:-1])
-    i0[~valid] = i0[valid.argmax()]  # a sampled cell keeps the gathers in range
-    lo = np.array([c.min() for c in i0.T])
-    box = np.array([c.max() for c in i0.T]) + 2 - lo  # corner nodes per axis
+    valid, table = None, None
+    # a NaN coordinate fails this test, and so does an infinite one
+    if shared is not None and len(u) and all(
+            f <= c.min() and c.max() < f + m - 1 for c, f, m in zip(u.T, *shared[:2])):
+        lo, box = np.asarray(shared[0]), np.asarray(shared[1])
+        table = np.concatenate(shared[2])
+        i0 = np.floor(u).astype(np.intp)
+    else:
+        # a NaN, infinite or huge coordinate moves to a cell off the grid, so
+        # the cast never sees it and its weights stay finite; a sampled
+        # point's coordinate lies in [1, n - 2) and keeps its bits
+        np.fmax(u, -1.0, out=u)
+        np.minimum(u, n, out=u)
+        i0 = np.floor(u).astype(np.intp)
+        valid = np.logical_and.reduce([(c >= 1) & (c <= n - 3) for c in i0.T])
+        if not valid.any():
+            return out.reshape((width,) + x.shape[:-1])
+        i0[~valid] = i0[valid.argmax()]  # a sampled cell keeps the gathers in range
+        lo = np.array([c.min() for c in i0.T])
+        box = np.array([c.max() for c in i0.T]) + 2 - lo  # corner nodes per axis
+        if np.prod(box) <= len(u):
+            table = box_table(columns, lo, box)
     strides = np.array([n * n, n, 1])
-    pairs = [(np.ravel(lv), _flat_stencil(st, n)) for lv, st in columns]
-
-    def combined(low, start):
-        """Each column's stencil, in its level's dtype, at the nodes
-        start + low."""
-        for flat, st in pairs:
-            yield st.combine(lambda shift: flat[start + shift:].take(low))
-
-    chunk = max(1, SLAB_NODES // (2 * width))
-    rows, base, table = strides, strides.sum(), None
-    if np.prod(box) <= len(u):
-        # table row r holds box node r, in the box's own strides
-        rows = np.array([box[1] * box[2], box[2], 1])
-        ix, iy, iz = (np.arange(m) * st for m, st in zip(box, strides))
-        nodes = (ix[:, None, None] + iy[:, None] + iz).ravel() + (lo - 1) @ strides
-        table = np.array(list(combined(nodes, strides.sum())), dtype=float).T.copy()
-        base, gathered = lo @ rows, np.empty((min(chunk, len(u)), width))
-    corners = np.array(list(itertools.product((0, 1), repeat=3)))
-    offsets, term = corners @ rows, np.empty((width, min(chunk, len(u))))
+    base = strides.sum()
+    if table is None:
+        chunk = max(1, SLAB_NODES // (2 * width))
+    else:  # table entry r holds box node r, in the box's strides
+        strides = np.array([box[1] * box[2], box[2], 1])
+        base, chunk = lo @ strides, max(1, SLAB_NODES // width)
+    offsets, term = _CORNERS @ strides, np.empty(width * min(chunk, len(u)))
+    frac = np.subtract(u, i0, out=u)
     for a in range(0, len(u), chunk):
-        # low: the cell's table row, or its (-1, -1, -1) neighbour's flat index
+        # low: the cell's table entry, or its (-1, -1, -1) neighbour's flat index
         s = slice(a, a + chunk)
-        low = i0[s, 0] * rows[0] + i0[s, 1] * rows[1] + i0[s, 2] - base
-        weights = [(1.0 - f, f) for f in (u[s] - i0[s]).T]
+        low = i0[s, 0] * strides[0] + i0[s, 1] * strides[1] + i0[s, 2] - base
+        wx, wy, wz = [(1.0 - f, f) for f in frac[s].T]
         acc = out[:, s]
+        v = term[:acc.size].reshape(acc.shape)  # one corner's w * value
         if table is None:  # one take per stencil term for all 8 corners
-            vals = np.array(list(combined(low + offsets[:, None], base)))
-        for k, c in enumerate(corners):
-            w = weights[0][c[0]] * weights[1][c[1]] * weights[2][c[2]]
+            vals = np.array(list(_combined(columns, n, low + offsets[:, None])))
+        for k, c in enumerate(_CORNERS):
+            if not c[2]:  # the corners are in x-, y-, z-major order
+                wxy = wx[c[0]] * wy[c[1]]
+            w = wxy * wz[c[2]]  # (wx wy) wz
             if table is None:
-                v = vals[:, k]
-            else:  # rows are in range; "clip" writes `out` without a check copy
-                v = table.take(low + offsets[k], axis=0, mode="clip",
-                               out=gathered[:w.size]).T
-            acc += np.multiply(v, w, out=term[:, :w.size])
-    out[:, ~valid] = 0.0
+                np.multiply(vals[:, k], w, out=v)
+            else:  # entries are in range; "clip" writes `v` without a check copy
+                table.take(low + offsets[k], axis=1, mode="clip", out=v)
+                v *= w
+            acc += v
+    if valid is not None:
+        out[:, ~valid] = 0.0
     return out.reshape((width,) + x.shape[:-1])
 
 
@@ -568,19 +619,29 @@ class GridFieldHistory(FieldView):
     -0.0, and 1.0 s + 0.0 s' == s for a finite s'.  They differ only where
     the level with weight 0 holds a non-finite sample s': the blend gives a
     NaN there, the narrow read s.
+
+    A history with a `box` (a push's view, `FieldGrid.view`), whose levels
+    share one geometry, builds the `box_table` of each (level, stencil)
+    column on that node box when it first reads it, keeps it for its life
+    and hands it to every `sample_levels` call, which gathers its rows
+    wherever the points' cells lie in the box.  A table is a function of
+    the stored level, which never changes, so it needs no key beyond the
+    history's own.
     """
 
     # a level whose |phi| reaches this gets no finite bound: e^(4 (phi - phi'))
     # of the weight law then stays finite wherever a trace drops a point
     PHI_CAP = 80.0
 
-    def __init__(self, dtype=np.float64, stride: int = 1):
+    def __init__(self, dtype=np.float64, stride: int = 1, box: tuple | None = None):
         self._times: list[float] = []
         self._levels: list[tuple[np.ndarray, float, int]] = []  # (phi, h, n_half)
         self._maxima: dict[int, tuple[float, float]] = {}  # level -> node maxima
         self._bounds: dict[tuple, float] = {}  # (k0, k1) -> derivative bound
+        self._tables: dict[tuple, np.ndarray] = {}  # (k, stencil) -> box table
         self.dtype = dtype
         self.stride = stride
+        self.box = box
 
     def append(self, t: float, phi: np.ndarray, h: float, n_half: int):
         self._times.append(t)
@@ -693,13 +754,23 @@ class GridFieldHistory(FieldView):
             groups.setdefault((h, n_half, f.shape), []).append((k, st))
         out = {}
         for (h, n_half, _), cols in groups.items():
-            samples = sample_levels([(self._levels[k][0], st) for k, st in cols],
-                                    h, n_half, x)
+            levels = [(self._levels[k][0], st) for k, st in cols]
+            if self.box is None:
+                samples = sample_levels(levels, h, n_half, x)
+            else:
+                samples = sample_levels(levels, h, n_half, x,
+                                        (*self.box, [self._table(*c) for c in cols]))
             for (k, st), v in zip(cols, samples):
                 if st.order:  # v / 1.0 is v
                     v /= h**st.order
                 out[k, st] = v
         return out
+
+    def _table(self, k: int, st) -> np.ndarray:
+        """The one-column `box_table` of `st` on level k over the box."""
+        if (k, st) not in self._tables:
+            self._tables[k, st] = box_table([(self._levels[k][0], st)], *self.box)
+        return self._tables[k, st]
 
     @staticmethod
     def _ends(k0: int, k1: int, a: float) -> tuple:

@@ -15,6 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import vnsim.cli as cli  # noqa: E402
+from vnsim import wavefield  # noqa: E402
 
 
 @st.composite
@@ -113,3 +114,50 @@ def test_runs_end_cleanly_and_reproduce(case):
                 assert outputs(work) == first
         finally:
             os.chdir(old_cwd)
+
+
+
+@st.composite
+def boxes_and_points(draw):
+    """(columns, h, n_half, box, x): a node box within the sampled nodes
+    1 .. n - 2, and points of which all, most or none lie in its cells,
+    some on its nodes or NaN, infinite, huge or off the grid."""
+    n_half = draw(st.integers(2, 6))
+    n = 2 * n_half + 1
+    first = np.array([draw(st.integers(1, n - 3)) for _ in range(3)])
+    shape = np.array([draw(st.integers(2, n - 1 - f)) for f in first])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    l0, l1 = (rng.standard_normal((n,) * 3).astype(dtype) for _ in range(2))
+    V, G = wavefield.VALUE, wavefield.GRAD
+    columns = draw(st.sampled_from([
+        [(l0, V), (l1, V)] + [(l0, g) for g in G],                     # a = 0
+        [(l0, V), (l1, V)] + [(lv, g) for lv in (l0, l1) for g in G],  # a = 1/2
+        [(l0, V), (l1, V)] + [(l1, g) for g in G],                     # a = 1
+        [(l1, V)],                                                     # phi
+    ]))
+    count = draw(st.integers(0, 60))
+    u = first + rng.uniform(0.0, 1.0, (count, 3)) * (shape - 1)
+    on_node = rng.uniform(size=(count, 3)) < 0.2
+    u[on_node] = np.floor(u[on_node])
+    outside = rng.uniform(size=(count, 3)) < draw(st.sampled_from([0.0, 0.05, 1.0]))
+    u[outside] = rng.choice([np.nan, np.inf, -np.inf, 1e300, -1.5, 0.5, n - 1.5,
+                             first[0] - 0.5, n + 2.0], outside.sum())
+    h = draw(st.sampled_from([0.5, 0.25, 1 / 3]))
+    box = (tuple(first.tolist()), tuple(shape.tolist()))
+    return columns, h, n_half, box, (u - n_half) * h
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(boxes_and_points())
+def test_shared_tables_keep_the_per_call_bits(case):
+    """A call that may gather the rows of tables built on a box gives the
+    bits of a call without them, wherever its points lie."""
+    columns, h, n_half, box, x = case
+    shared = (*box, [wavefield.box_table([c], *box) for c in columns])
+    got = wavefield.sample_levels(columns, h, n_half, x, shared)
+    ref = wavefield.sample_levels(columns, h, n_half, x)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))

@@ -484,6 +484,98 @@ CHUNK_EDGES = {"1": lambda n: 1, "7": lambda n: 7, "N-1": lambda n: n - 1,
                "N": lambda n: n, "N+1": lambda n: n + 1}
 
 
+class TestStepTables:
+    """A coupled step's view builds each (level, stencil) table on the box
+    of its particles' reach at most once, and its bits are those of a step
+    without tables."""
+
+    @staticmethod
+    def run(monkeypatch, n_per_dim, h, dt, pad, steps=2, tables=True):
+        """(state, per step: the view's box and its table builds)."""
+        if not tables:
+            monkeypatch.setattr(vlasov_pic, "_push_box", lambda *a: None)
+        state = init_coupled_state(small_data(), n_per_dim, h=h, dt=dt, pad=pad,
+                                   keep_history=False)
+        builds, views = [], []
+        table, view = wavefield.box_table, FieldGrid.view
+        monkeypatch.setattr(wavefield, "box_table",
+                            lambda cols, *box: builds.append((cols, box))
+                            or table(cols, *box))
+        monkeypatch.setattr(FieldGrid, "view",
+                            lambda self, box=None: views.append(box) or view(self, box))
+        made = []
+        for _ in range(steps):
+            builds.clear()
+            step(state)
+            made.append((views[-1], list(builds)))
+        return state, made
+
+    def test_coupled_push_lattice_builds_each_table_once(self, monkeypatch):
+        state, made = self.run(monkeypatch, 10, 0.5, 0.25, 5.0)
+        for box, builds in made:
+            assert box is not None
+            assert 0 < wavefield.VIEW_TABLES * np.prod(box[1]) <= state.ensemble.n
+            # every build is one column on the step's box, none twice
+            assert all(len(cols) == 1 and b == box for cols, b in builds)
+            keys = {(id(cols[0][0]), cols[0][1]) for cols, _ in builds}
+            assert len(keys) == len(builds) == wavefield.VIEW_TABLES
+
+    def test_coupled_fine_lattice_builds_none(self, monkeypatch):
+        # its 4^6 lattice is too sparse for its box: the view gets none,
+        # and every gather takes a per-call path
+        _, made = self.run(monkeypatch, 4, 0.25, 0.125, 3.0)
+        assert [box for box, _ in made] == [None, None]
+
+    def test_tables_keep_every_bit(self, monkeypatch):
+        with monkeypatch.context() as m:
+            got, _ = self.run(m, 10, 0.5, 0.25, 5.0, steps=3)
+        ref, made = self.run(monkeypatch, 10, 0.5, 0.25, 5.0, steps=3, tables=False)
+        assert all(box is None for box, _ in made)
+        for name in ("x", "p", "w"):
+            assert_same_bits(getattr(got.ensemble, name), getattr(ref.ensemble, name))
+        for name in ("phi_m", "phi_0", "phi_p", "mu"):
+            assert_same_bits(getattr(got.grid, name), getattr(ref.grid, name))
+
+    def test_box_holds_every_stage(self, monkeypatch):
+        # the stage positions and the pushed x of a step lie in its box
+        state = init_coupled_state(small_data(), 10, h=0.5, dt=0.25, pad=5.0,
+                                   keep_history=False)
+        g = state.grid
+        first, shape = np.array(vlasov_pic._push_box(state.ensemble.x, g, g.dt))
+        h, n_half = g.h, g.n_half  # a growth after the push changes n_half
+        seen = []
+        sample = wavefield.sample_levels
+        monkeypatch.setattr(wavefield, "sample_levels",
+                            lambda cols, h, n_half, x, *a: seen.append(x)
+                            or sample(cols, h, n_half, x, *a))
+        step(state)
+        cells = np.floor(np.concatenate(seen) / h + n_half)
+        assert len(seen) == 5 * -(-state.ensemble.n // vlasov_pic.PUSH_CHUNK)
+        assert np.all(cells.min(axis=0) >= first)
+        assert np.all(cells.max(axis=0) + 2 <= first + shape)
+
+    @pytest.mark.parametrize("x, why", [
+        (np.zeros((0, 3)), "empty"),
+        (np.array([[0.0, np.nan, 0.0]]), "NaN"),
+        (np.array([[np.inf, 0.0, 0.0]]), "inf"),
+        (np.array([[0.0, 0.0, 1e300]]), "off the grid"),
+        (np.zeros((7, 3)), "8 x 27 nodes > 7 particles"),
+    ])
+    def test_no_box(self, x, why):
+        g = FieldGrid(h=0.5, dt=0.25, n_half=10, t=0.0)
+        assert vlasov_pic._push_box(x, g, g.dt) is None, why
+
+    def test_box_is_clipped_to_the_sampled_nodes(self):
+        g = FieldGrid(h=0.5, dt=0.25, n_half=10, t=0.0)  # nodes 0 .. 20
+        x = np.zeros((10_000, 3))
+        x[0, 0], x[1, 0], x[2, 1] = -g.x_max, g.x_max, 0.3
+        first, shape = vlasov_pic._push_box(x, g, g.dt)
+        # x: the whole cube less one node a side; y: the cells of 0 - 0.25
+        # and 0.3 + 0.25 (9 and 11), a node below and a corner and a node
+        # above; z: the cells 9 and 10
+        assert first == (1, 8, 8) and shape == (19, 6, 5)
+
+
 class TestParticleChunks:
     """Pushing, re-weighing and tracing in chunks gives the unchunked bits."""
 

@@ -1023,6 +1023,115 @@ class TestNarrowGather:
         assert calls == [(1, 6), (4, 8)]
 
 
+# the columns a push's view gathers at the weight a of its later level:
+# first_derivs at a = 0, 1/2 and 1, and phi at a = 1 (the weight law)
+V, G = wavefield.VALUE, wavefield.GRAD
+VIEW_COLUMNS = {
+    "a=0": lambda l0, l1: [(l0, V), (l1, V)] + [(l0, g) for g in G],
+    "a=1/2": lambda l0, l1: [(l0, V), (l1, V)] + [(l, g) for l in (l0, l1) for g in G],
+    "a=1": lambda l0, l1: [(l0, V), (l1, V)] + [(l1, g) for g in G],
+    "phi": lambda l0, l1: [(l1, V)],
+}
+# a node box inside the nodes 1 .. 11 of N_HALF's cube: nodes 3 .. 8, 2 .. 9
+# and 4 .. 8; its cells have lower corner first .. first + shape - 2
+BOX = ((3, 2, 4), (6, 8, 5))
+
+
+def points_in_box(count, first=BOX[0], shape=BOX[1], seed=19, h=0.5):
+    """`count` points in the box's cells, the first ones on its nodes and in
+    its edge cells (a coordinate on the first node, or just below the last)."""
+    rng = np.random.default_rng(seed)
+    first, shape = np.array(first), np.array(shape)
+    u = first + rng.uniform(0.0, 1.0, (count, 3)) * (shape - 1)
+    u[: count // 4] = np.round(u[: count // 4])
+    u[: count // 8] = rng.choice([0.0, 1.0], (count // 8, 3)) * (shape - 1)
+    u[: count // 8] += first
+    u = np.minimum(u, first + shape - 1 - 1e-9)  # keep the top face inside
+    return (u - N_HALF) * h
+
+
+def shared_tables(columns, box=BOX):
+    return (*box, [wavefield.box_table([c], *box) for c in columns])
+
+
+class TestSharedTables:
+    """Tables that a view builds once on its box give every bit of the
+    per-call paths, and a call whose points leave the box takes them."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("cols", VIEW_COLUMNS)
+    @pytest.mark.parametrize("box", [BOX, ((1, 1, 1), (11, 11, 11))],
+                             ids=["inner", "whole"])
+    def test_points_in_the_box_read_the_tables(self, monkeypatch, dtype, cols, box):
+        levels = random_levels(dtype)
+        columns = VIEW_COLUMNS[cols](*levels)
+        shared = shared_tables(columns, box)
+        for x in (points_in_box(300, *box), points_in_box(5, *box, seed=2),
+                  points_in_box(1, *box)[0]):
+            ref = reference_sample_levels(columns, 0.5, N_HALF, x)
+            assert_same_bits(wavefield.sample_levels(columns, 0.5, N_HALF, x), ref)
+            with monkeypatch.context() as m:  # no table of its own
+                m.setattr(wavefield, "box_table", None)
+                got = wavefield.sample_levels(columns, 0.5, N_HALF, x, shared)
+            assert_same_bits(got, ref)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("cols", VIEW_COLUMNS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, 4.0, 1.3],
+                             ids=["nan", "inf", "-inf", "1e300", "off-grid",
+                                  "off-box"])
+    def test_a_point_outside_the_box_takes_the_per_call_path(self, dtype, cols, bad):
+        # 1.3 lies on the grid but past the box's last cell on every axis
+        levels = random_levels(dtype)
+        columns = VIEW_COLUMNS[cols](*levels)
+        shared = shared_tables(columns)
+        for count in (300, 20):  # the per-call table and the direct gather
+            x = points_in_box(count)
+            x[count // 2, count % 3] = bad
+            got = wavefield.sample_levels(columns, 0.5, N_HALF, x, shared)
+            assert_same_bits(got, wavefield.sample_levels(columns, 0.5, N_HALF, x))
+            assert_same_bits(np.delete(got, count // 2, axis=-1),
+                             reference_sample_levels(
+                                 columns, 0.5, N_HALF, np.delete(x, count // 2, axis=0)))
+        assert_same_bits(wavefield.sample_levels(columns, 0.5, N_HALF, x[:0], shared),
+                         np.zeros((len(columns), 0)))
+
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    def test_chunk_edges(self, monkeypatch, chunk):
+        levels = random_levels(np.float32)
+        columns = VIEW_COLUMNS["a=1/2"](*levels)
+        if chunk is not None:  # a table's chunk is SLAB_NODES // width points
+            monkeypatch.setattr(wavefield, "SLAB_NODES", len(columns) * chunk)
+        x = points_in_box(50)
+        assert_same_bits(
+            wavefield.sample_levels(columns, 0.5, N_HALF, x, shared_tables(columns)),
+            reference_sample_levels(columns, 0.5, N_HALF, x))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_view_builds_each_table_once(self, monkeypatch, dtype):
+        levels = random_levels(dtype)
+        grid = FieldGrid(h=0.5, dt=0.25, n_half=N_HALF, t=0.0, phi_0=levels[0],
+                         phi_p=levels[1])
+        x = points_in_box(200)
+        times = (0.0, 0.125, 0.125, 0.25)  # the RK4 stages, then phi
+        plain = grid.view()
+        ref = [plain.first_derivs(t, x) for t in times] + [plain.phi(0.25, x)]
+        builds = []
+        table = wavefield.box_table
+        monkeypatch.setattr(wavefield, "box_table",
+                            lambda cols, *box: builds.append((cols, box))
+                            or table(cols, *box))
+        view = grid.view(BOX)
+        got = [view.first_derivs(t, x) for t in times] + [view.phi(0.25, x)]
+        for g, r in zip(got, ref):
+            for a, b in zip(g, r) if isinstance(g, tuple) else [(g, r)]:
+                assert_same_bits(a, b)
+        assert len(builds) == wavefield.VIEW_TABLES
+        assert all(len(cols) == 1 and box == BOX for cols, box in builds)
+        assert len({(id(c[0][0]), c[0][1]) for c, _ in builds}) == len(builds)
+
+
 @pytest.mark.parametrize("h", [0.25, 0.3, 0.5, 1 / 3])
 def test_node_axis_is_exactly_antisymmetric(h):
     # fdtd_step builds the sponge factor on one quarter and mirrors it
