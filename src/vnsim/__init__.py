@@ -5,19 +5,16 @@ rates that small-data global existence predicts."""
 from .errors import ConfigError, DomainTooSmallError, OutOfHistoryError
 from .profiles import (BumpProfile, InitialData, make_bump, initial_norm,
                        validate_membership)
-from .characteristics import (AnalyticField, FieldView, PhaseState, ZeroField,
-                              backward_trace, flow_jacobian, force, push,
-                              rel_velocity)
+from .characteristics import (FieldView, PhaseState, ZeroField,
+                              backward_trace, push, rel_velocity)
 from .wavefield import (FieldGrid, GridFieldHistory, discrete_energy,
-                        fdtd_step, field_derivatives, kirchhoff_homogeneous,
-                        make_field_grid, retarded_potential,
-                        unit_sphere_quadrature)
+                        fdtd_step, field_derivatives, make_field_grid,
+                        retarded_potential, unit_sphere_quadrature)
 from .vlasov_pic import (CoupledState, ParticleEnsemble, deposit_mu,
                          evaluate_f, init_coupled_state,
                          sample_particles, step, update_weights)
 from .diagnostics import (ConeWeight, DecayFit, fsc_raw_margins, fsc_verdict,
-                          dispersion_check, fit_decay, jacobian_bound,
-                          measure_KL, momentum_support,
+                          fit_decay, measure_KL, momentum_support,
                           max_momentum_spread, semilag_profile, sup_mu)
 from .cli import SimConfig, parse_config, run_scenario, sweep, main
 

@@ -1,10 +1,12 @@
-"""Characteristic ODEs of the kinetic equation and their variational flow.
+"""Characteristic ODEs of the kinetic equation: the RK4 push and the
+backward trace.
 
 Trajectories obey
     dx/ds = phat,    dp/ds = -(S phi) p - (1+p^2)^(-1/2) grad phi,
 with phat = p/sqrt(1+p^2) and S phi = dt phi + phat . grad phi.  The
-integrator is classical RK4 on a uniform step; the flow Jacobian is obtained
-by integrating the variational equations alongside the trajectory.
+integrator is classical RK4 on a uniform step.  A field view gives the push
+phi, its first derivatives and a bound on them, which the trace's drop rule
+reads.
 """
 
 from __future__ import annotations
@@ -13,16 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfHistoryError
+from .profiles import _squared_norm
 
 # points that the drop rule of `backward_trace` tests at a time: its
 # temporaries, about 10 floats per point, stay small beside the trace's own
 MISS_CHUNK = 1 << 12
 
 __all__ = [
-    "FieldView", "ZeroField", "AnalyticField", "PhaseState",
-    "rel_velocity", "free_displacement", "force", "push", "backward_trace",
-    "flow_jacobian",
+    "FieldView", "ZeroField", "PhaseState",
+    "rel_velocity", "free_displacement", "push", "backward_trace",
 ]
 
 
@@ -37,34 +38,12 @@ class FieldView:
     stored time range evaluation raises OutOfHistoryError.
     """
 
-    fd_step = 1e-4  # spatial step for default second-derivative differences
-
     def phi(self, t, x):
         raise NotImplementedError
 
     def first_derivs(self, t, x):
         """Return (dt_phi, grad_phi) with shapes (...,), (..., 3)."""
         raise NotImplementedError
-
-    def second_derivs(self, t, x):
-        """Return (dt_grad_phi, hess_phi) with shapes (..., 3), (..., 3, 3).
-
-        Default: centered differences of first_derivs in x.
-        """
-        x = np.asarray(x, dtype=float)
-        eps = self.fd_step
-        dt_grad = np.zeros(x.shape)
-        hess = np.zeros(x.shape + (3,))
-        for j in range(3):
-            dx = np.zeros(3)
-            dx[j] = eps
-            dtp, gp = self.first_derivs(t, x + dx)
-            dtm, gm = self.first_derivs(t, x - dx)
-            dt_grad[..., j] = (dtp - dtm) / (2 * eps)
-            hess[..., j, :] = (gp - gm) / (2 * eps)
-        # symmetrize: mixed partials commute for the true field
-        hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
-        return dt_grad, hess
 
     def derivative_bound(self, t0: float, t1: float) -> float:
         """An upper bound on |dt phi| + |grad phi| (Euclidean) as first_derivs
@@ -85,44 +64,8 @@ class ZeroField(FieldView):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1]), np.zeros(x.shape)
 
-    def second_derivs(self, t, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape), np.zeros(x.shape + (3,))
-
     def derivative_bound(self, t0, t1):
         return 0.0
-
-
-class AnalyticField(FieldView):
-    """Field from closed-form callables fn(t, x), defined for t in t_range.
-
-    Manufactured-solution and oracle tests read it; a source density for
-    retarded_potential needs only phi_fn.  Second derivatives are FieldView's
-    finite differences.
-    """
-
-    def __init__(self, phi_fn, dt_phi_fn=None, grad_fn=None,
-                 t_range=(-np.inf, np.inf)):
-        self._phi = phi_fn
-        self._dt = dt_phi_fn
-        self._grad = grad_fn
-        self.t_range = t_range
-
-    def covers(self, t: float) -> bool:
-        return self.t_range[0] - 1e-9 <= t <= self.t_range[1] + 1e-9
-
-    def _check_t(self, t):
-        if not self.covers(t):
-            raise OutOfHistoryError(f"t={t} outside covered range {self.t_range}")
-
-    def phi(self, t, x):
-        self._check_t(t)
-        return np.asarray(self._phi(t, np.asarray(x, dtype=float)))
-
-    def first_derivs(self, t, x):
-        self._check_t(t)
-        x = np.asarray(x, dtype=float)
-        return np.asarray(self._dt(t, x)), np.asarray(self._grad(t, x))
 
 
 # ---------------------------------------------------------------------------
@@ -138,19 +81,12 @@ class PhaseState:
     t: float
 
 
-def _norm2(a) -> np.ndarray:
-    """np.sum(a * a, axis=-1) over a last axis of length 3, bitwise: the
-    columns in np.sum's order, (a0 a0 + a1 a1) + a2 a2, which is several
-    times faster than the reduction on (N, 3) rows."""
-    return (a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1]) + a[..., 2] * a[..., 2]
-
-
 def _dot(a, b) -> np.ndarray:
     """np.sum(a * b, axis=-1) over a last axis of length 3, bitwise.
 
     np.sum adds the columns to a start of 0.0, which changes a sum only by
     turning -0.0 into +0.0; the columns add that 0.0 last.  (A sum of
-    squares is never -0.0, so _norm2 needs no such term.)
+    squares is never -0.0, so profiles._squared_norm needs no such term.)
     """
     return ((a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
             + a[..., 2] * b[..., 2]) + 0.0
@@ -159,7 +95,7 @@ def _dot(a, b) -> np.ndarray:
 def rel_velocity(p) -> np.ndarray:
     """Relativistic velocity p/sqrt(1+|p|^2); magnitude strictly below 1."""
     p = np.asarray(p, dtype=float)
-    return p / np.sqrt(1.0 + _norm2(p))[..., None]
+    return p / np.sqrt(1.0 + _squared_norm(p))[..., None]
 
 
 def free_displacement(p, dt: float) -> np.ndarray:
@@ -170,15 +106,10 @@ def free_displacement(p, dt: float) -> np.ndarray:
     return dt / 6 * (v + 2 * v + 2 * v + v)
 
 
-def force(t, x, p, field: FieldView) -> np.ndarray:
-    """Momentum rate -(S phi) p - (1+p^2)^(-1/2) grad phi; x, p float arrays."""
-    return _rhs(t, x, p, field)[1]
-
-
 def _rhs(t, x, p, field):
     """(phat, force) at one RK4 stage, gamma and phat computed once; phat
     has the bits of rel_velocity(p)."""
-    gamma = np.sqrt(1.0 + _norm2(p))[..., None]
+    gamma = np.sqrt(1.0 + _squared_norm(p))[..., None]
     phat = p / gamma
     dt_phi, grad = field.first_derivs(t, x)
     s_phi = dt_phi + _dot(phat, grad)
@@ -279,12 +210,12 @@ def _misses(t: float, steps: list, field: FieldView, center, radius: float):
         out = np.empty(len(x), dtype=bool)
         for a in range(0, len(x), MISS_CHUNK):
             xc, pc = x[a:a + MISS_CHUNK], p[a:a + MISS_CHUNK]
-            one_p = 1.0 + np.sqrt(_norm2(pc))
+            one_p = 1.0 + np.sqrt(_squared_norm(pc))
             free = xc - S[j] * rel_velocity(pc) - center[:3]
-            dx = (np.sqrt(_norm2(free)) - one_p * E[j]
-                  - slack * (1.0 + np.sqrt(_norm2(xc)) + S[j]
+            dx = (np.sqrt(_squared_norm(free)) - one_p * E[j]
+                  - slack * (1.0 + np.sqrt(_squared_norm(xc)) + S[j]
                              + one_p * (E[j] + S[j] * grow[j])))
-            dp = (np.sqrt(_norm2(pc - center[3:]))
+            dp = (np.sqrt(_squared_norm(pc - center[3:]))
                   - one_p * (np.expm1(A[j]) + slack * grow[j]))
             out[a:a + MISS_CHUNK] = (np.maximum(dx, 0.0) ** 2
                                      + np.maximum(dp, 0.0) ** 2 > limit)
@@ -322,62 +253,3 @@ def backward_trace(t: float, x, p, field: FieldView, dt: float, support=None):
     if support is None:
         return state.x, state.p
     return state.x, state.p, kept
-
-
-# ---------------------------------------------------------------------------
-# Variational (Jacobian) equations
-# ---------------------------------------------------------------------------
-
-def _flow_matrix(t, x, p, field: FieldView):
-    """6x6 derivative of the characteristic RHS w.r.t. (x, p)."""
-    gamma2 = 1.0 + _norm2(p)
-    gamma = np.sqrt(gamma2)
-    phat = p / gamma[..., None]
-    dt_phi, grad = field.first_derivs(t, x)
-    dt_grad, hess = field.second_derivs(t, x)
-    s_phi = dt_phi + _dot(phat, grad)
-
-    eye = np.broadcast_to(np.eye(3), x.shape + (3,))
-    # d phat / d p = (I - phat phat^T)/gamma
-    dphat_dp = (eye - phat[..., :, None] * phat[..., None, :]) / gamma[..., None, None]
-    # d(S phi)/dp_j = grad . dphat/dp_j
-    ds_dp = np.einsum("...k,...kj->...j", grad, dphat_dp)
-    # dF_i/dp_j = -delta_ij S phi - p_i ds_dp_j + grad_i p_j / gamma^3
-    df_dp = (
-        -s_phi[..., None, None] * eye
-        - p[..., :, None] * ds_dp[..., None, :]
-        + grad[..., :, None] * p[..., None, :] / (gamma2 * gamma)[..., None, None]
-    )
-    # dF_i/dx_j = -p_i (dt_grad_j + phat . hess[:,j]) - hess_ij / gamma
-    ds_dx = dt_grad + np.einsum("...k,...kj->...j", phat, hess)
-    df_dx = (
-        -p[..., :, None] * ds_dx[..., None, :]
-        - hess / gamma[..., None, None]
-    )
-    mat = np.zeros(x.shape[:-1] + (6, 6))
-    mat[..., 0:3, 3:6] = dphat_dp
-    mat[..., 3:6, 0:3] = df_dx
-    mat[..., 3:6, 3:6] = df_dp
-    return mat
-
-
-def flow_jacobian(t: float, x, p, field: FieldView, dt: float) -> np.ndarray:
-    """Derivative of (X(0), P(0)) with respect to the data (x, p) at time t.
-
-    Integrates the variational equations dJ/ds = M(s) J backward along the
-    characteristic with the same RK4 step as the trajectory itself.
-    """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    jac = np.broadcast_to(np.eye(6), x.shape[:-1] + (6, 6)).copy()
-    s = t
-
-    def rhs(time, xx, pp, jj):
-        dx, dp = _rhs(time, xx, pp, field)
-        dj = _flow_matrix(time, xx, pp, field) @ jj
-        return dx, dp, dj
-
-    for step in _backward_steps(t, dt):
-        x, p, jac = _rk4(s, (x, p, jac), step, rhs)
-        s += step
-    return jac

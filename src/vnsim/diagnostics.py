@@ -1,7 +1,6 @@
 """Measurements of the quantities the decay theory bounds: first/second field
 derivatives (K, L), the source sup norm, momentum support and per-cell
-momentum spread, free-streaming-condition margins, characteristic dispersion,
-and log-log decay fits.
+momentum spread, free-streaming-condition margins, and log-log decay fits.
 
 Two measurement routes exist for the source sup and the momentum spread:
 the particle-ensemble route (cheap, granular at late times because a fixed
@@ -16,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import (FieldView, _norm2, backward_trace, flow_jacobian,
-                              rel_velocity)
-from .profiles import InitialData
+from .characteristics import FieldView
+from .profiles import InitialData, _squared_norm
 from .vlasov_pic import ParticleEnsemble, evaluate_f
 from .wavefield import (GRAD, HESS, NOW, TIME_D1, TIME_D2, VALUE, FieldGrid,
                         _slabs, difference, field_derivatives)
@@ -26,8 +24,7 @@ from .wavefield import (GRAD, HESS, NOW, TIME_D1, TIME_D2, VALUE, FieldGrid,
 __all__ = [
     "ConeWeight", "DecayFit", "measure_KL",
     "sup_mu", "momentum_support", "max_momentum_spread",
-    "fsc_raw_margins", "fsc_verdict", "fit_decay", "dispersion_check",
-    "free_flow_dispersion_ratio", "jacobian_bound", "JacobianBoundReport",
+    "fsc_raw_margins", "fsc_verdict", "fit_decay",
     "grid_derivative_maps", "cone_maxima", "semilag_profile",
 ]
 
@@ -196,7 +193,7 @@ def momentum_support(ens: ParticleEnsemble) -> float:
     if n_live == 0:
         return 0.0
     # sqrt is monotone, so the root of the largest square is the largest root
-    return float(np.sqrt(_norm2(p).max()))
+    return float(np.sqrt(_squared_norm(p).max()))
 
 
 def max_momentum_spread(ens: ParticleEnsemble, cell_size: float) -> float:
@@ -260,57 +257,6 @@ def fsc_verdict(ts, k_raw, l_raw, eta: float, eta_t_hat: float):
         early = raw[ts <= eta_t_hat]
         eta = float(early.max()) if early.size and early.max() > 0 else 1.0
     return eta, ts[raw > eta * (1.0 + 1e-9)]
-
-
-# ---------------------------------------------------------------------------
-# Characteristic-flow diagnostics
-# ---------------------------------------------------------------------------
-
-def free_flow_dispersion_ratio(p1, p2) -> float:
-    """|phat1 - phat2| / |p1 - p2|: the exact dispersion rate for zero field."""
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    return float(np.linalg.norm(rel_velocity(p1) - rel_velocity(p2))
-                 / np.linalg.norm(p1 - p2))
-
-
-def dispersion_check(field: FieldView, samples, dt: float) -> float:
-    """Min over samples of |X(0,t,x,p1) - X(0,t,x,p2)| / (|p1 - p2| t).
-
-    Each sample is (x, p1, p2, t) with t >= 1 (the ratio degenerates at
-    t -> 0).
-    """
-    ratios = []
-    for x, p1, p2, t in samples:
-        if t < 1.0:
-            raise ValueError("dispersion samples require t >= 1")
-        x1, _ = backward_trace(t, np.asarray(x, float), np.asarray(p1, float), field, dt)
-        x2, _ = backward_trace(t, np.asarray(x, float), np.asarray(p2, float), field, dt)
-        dp = np.linalg.norm(np.asarray(p1, float) - np.asarray(p2, float))
-        ratios.append(float(np.linalg.norm(x1 - x2) / (dp * t)))
-    return min(ratios)
-
-
-@dataclass
-class JacobianBoundReport:
-    max_abs: float          # max entry over the full 6x6 flow Jacobians
-    max_abs_x_block: float  # max entry over the derivative-in-x columns
-
-
-def jacobian_bound(field: FieldView, samples, dt: float) -> JacobianBoundReport:
-    """Entrywise bounds of the backward-flow Jacobian over samples (x, p, t).
-
-    The x-columns (derivatives of (X, P) w.r.t. x) are the ones that stay
-    O(1) on decaying-field runs; the p-columns grow linearly in t already
-    for free flow.
-    """
-    max_all = 0.0
-    max_x = 0.0
-    for x, p, t in samples:
-        jac = flow_jacobian(t, np.asarray(x, float), np.asarray(p, float), field, dt)
-        max_all = max(max_all, float(np.abs(jac).max()))
-        max_x = max(max_x, float(np.abs(jac[..., :, 0:3]).max()))
-    return JacobianBoundReport(max_abs=max_all, max_abs_x_block=max_x)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +324,7 @@ def semilag_profile(t: float, field: FieldView, data: InitialData, dt: float,
         vols.append(vol)
         steps.append((hi - lo) / n_p)
     f = evaluate_f(t, X, P, field, data, dt)
-    gamma = np.sqrt(1.0 + _norm2(P))
+    gamma = np.sqrt(1.0 + _squared_norm(P))
     mu = np.empty(n_radii)
     spread = np.empty(n_radii)
     for i in range(n_radii):

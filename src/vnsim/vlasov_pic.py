@@ -15,7 +15,7 @@ import numpy as np
 from . import characteristics as chars
 from .characteristics import FieldView, PhaseState
 from .errors import DomainTooSmallError
-from .profiles import InitialData
+from .profiles import InitialData, _squared_norm
 from .wavefield import VIEW_TABLES, FieldGrid, GridFieldHistory, make_field_grid
 
 __all__ = [
@@ -137,7 +137,7 @@ def _charge(ens: ParticleEnsemble) -> np.ndarray:
     q = np.empty(ens.n)
     for a in range(0, ens.n, PARTICLE_CHUNK):
         s = slice(a, a + PARTICLE_CHUNK)
-        np.divide(ens.w[s], np.sqrt(1.0 + chars._norm2(ens.p[s])), out=q[s])
+        np.divide(ens.w[s], np.sqrt(1.0 + _squared_norm(ens.p[s])), out=q[s])
     return q
 
 

@@ -1,5 +1,6 @@
-"""Scalar wave solver: FDTD leapfrog on an expanding cube plus pointwise
-light-cone integral oracles (sphere means and retarded potentials).
+"""Scalar wave solver: FDTD leapfrog on an expanding cube, the stencils and
+the trilinear sampler that the push and the diagnostics share, the stored
+level history, and the retarded-potential integral over the light cone.
 
 The grid is node-centered with a node at the origin; coordinates are integer
 multiples of the spacing h, so the domain can be re-embedded into a larger
@@ -25,7 +26,7 @@ from .profiles import InitialData
 __all__ = [
     "FieldGrid", "make_field_grid", "fdtd_step", "field_derivatives",
     "discrete_energy", "GridFieldHistory", "unit_sphere_quadrature",
-    "kirchhoff_homogeneous", "retarded_potential",
+    "retarded_potential",
 ]
 
 
@@ -801,22 +802,6 @@ class GridFieldHistory(FieldView):
         grad = np.stack([self._lerp(s, k0, k1, a, g) for g in GRAD], axis=-1)
         return dt_phi, grad
 
-    def second_derivs(self, t, x):
-        x = np.asarray(x, dtype=float)
-        k0, k1, a = self._bracket(t)
-        s = self._sample(x, [(k, g) for k in (k0, k1) for g in GRAD]
-                         + [(k, st) for k in self._ends(k0, k1, a)
-                            for st in HESS.values()])
-        tau = self._times[k1] - self._times[k0]
-        if tau:
-            dt_grad = np.stack([(s[k1, g] - s[k0, g]) / tau for g in GRAD], axis=-1)
-        else:
-            dt_grad = np.zeros(x.shape)
-        hess = np.empty(x.shape + (3,))
-        for (k, j), st in HESS.items():
-            hess[..., k, j] = hess[..., j, k] = self._lerp(s, k0, k1, a, st)
-        return dt_grad, hess
-
 
 # ---------------------------------------------------------------------------
 # Light-cone integrals
@@ -836,35 +821,14 @@ def unit_sphere_quadrature(n_theta: int = 24, n_phi: int = 48):
     return dirs, w
 
 
-def kirchhoff_homogeneous(t: float, x, data: InitialData,
-                          quad=(24, 48), t_small: float = 1e-9) -> float:
-    """Homogeneous wave solution from (phi0_in, phi1_in) by sphere means.
-
-    phi0(t,x) = (1/4 pi t^2) oint (phi0_in - grad phi0_in . (x-y)) dS
-              + (1/4 pi t)   oint phi1_in dS     over |x-y| = t.
-    """
-    x = np.asarray(x, dtype=float)
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t < t_small:
-        return float(data.phi0_in.value(x) + t * data.phi1_in.value(x)
-                     + 0.5 * t**2 * data.phi0_in.laplacian(x))
-    dirs, w = unit_sphere_quadrature(*quad)
-    y = x + t * dirs
-    # x - y = -t n  =>  -grad.(x-y) = +t n.grad
-    vals0 = data.phi0_in.value(y) + t * np.sum(dirs * data.phi0_in.gradient(y), axis=-1)
-    vals1 = data.phi1_in.value(y)
-    return float((np.sum(w * vals0) + t * np.sum(w * vals1)) / (4.0 * np.pi))
-
-
 def retarded_potential(t: float, x, hist, shell_width: float,
                        quad=(16, 32)) -> float:
     """-(1/4 pi) int_{|x-y|<=t} mu(t-|x-y|, y)/|x-y| dy in retarded shells.
 
     Midpoint rule in radius with shells of the given width, fixed-order
-    sphere quadrature per shell.  `hist`, a store of deposited source
-    levels or a closed-form AnalyticField, is read with phi(s, y) and must
-    cover retarded times in [0, t].
+    sphere quadrature per shell.  `hist`, a `GridFieldHistory` of deposited
+    source levels or any closed-form source with `covers(s)` and
+    `phi(s, y)`, must cover retarded times in [0, t].
     """
     x = np.asarray(x, dtype=float)
     if t <= 0:

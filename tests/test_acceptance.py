@@ -12,12 +12,13 @@ import pytest
 
 import vnsim.cli as cli
 import vnsim.diagnostics as diag
-from vnsim.characteristics import AnalyticField, ZeroField
+from vnsim.characteristics import ZeroField
 from vnsim.profiles import InitialData, make_bump
 from vnsim.vlasov_pic import evaluate_f, init_coupled_state, step
-from vnsim.wavefield import (GridFieldHistory, fdtd_step,
-                             kirchhoff_homogeneous, make_field_grid,
+from vnsim.wavefield import (GridFieldHistory, fdtd_step, make_field_grid,
                              retarded_potential)
+from tests.oracles import (AnalyticField, dispersion_check, flow_jacobian,
+                           free_flow_dispersion_ratio, kirchhoff_homogeneous)
 
 C_HAT = 2.0 / np.sqrt(5.0)  # support cone speed for R = 1
 
@@ -202,8 +203,7 @@ class TestCriterion8SpreadDecay:
 
 class TestCriterion9Characteristics:
     def test_jacobian_vs_finite_differences(self):
-        from vnsim.characteristics import (AnalyticField, backward_trace,
-                                           flow_jacobian)
+        from vnsim.characteristics import backward_trace
         w = 0.8
         amp = 0.03
 
@@ -243,8 +243,8 @@ class TestCriterion9Characteristics:
             p1 = rng.uniform(-0.6, 0.6, 3)
             p2 = rng.uniform(-0.6, 0.6, 3)
             t = float(rng.uniform(10.0, 20.0))
-            ratio = diag.dispersion_check(state.hist_full, [(x, p1, p2, t)], dt)
-            free = diag.free_flow_dispersion_ratio(p1, p2)
+            ratio = dispersion_check(state.hist_full, [(x, p1, p2, t)], dt)
+            free = free_flow_dispersion_ratio(p1, p2)
             worst = min(worst, ratio / free)
         report("9b", worst >= 0.5,
                f"dispersion ratio >= {worst:.3f} of free-flow value (need >= 0.5)")

@@ -4,11 +4,12 @@ import weakref
 import numpy as np
 import pytest
 
-from vnsim.characteristics import (AnalyticField, PhaseState, ZeroField,
-                                   _backward_steps, _flow_matrix, _rk4,
-                                   backward_trace, flow_jacobian, force, push,
+from vnsim.characteristics import (PhaseState, ZeroField, _backward_steps,
+                                   _rhs, _rk4, backward_trace, push,
                                    rel_velocity)
 from vnsim.errors import OutOfHistoryError
+from tests.oracles import (AnalyticField, _flow_matrix, assert_same_bits,
+                           flow_jacobian, second_derivs)
 
 
 def gaussian_field(amp=0.02, w=0.9):
@@ -43,8 +44,8 @@ class TestRelVelocity:
 class TestForce:
     def test_zero_field(self):
         state = PhaseState(x=np.ones(3), p=np.ones(3), t=0.5)
-        np.testing.assert_array_equal(force(state.t, state.x, state.p, ZeroField()),
-                                      np.zeros(3))
+        _, dp = _rhs(state.t, state.x, state.p, ZeroField())
+        np.testing.assert_array_equal(dp, np.zeros(3))
 
     def test_formula(self):
         fld = gaussian_field()
@@ -55,7 +56,7 @@ class TestForce:
         dt_phi, grad = fld.first_derivs(t, x)
         s_phi = dt_phi + (p / gamma) @ grad
         expected = -s_phi * p - grad / gamma
-        np.testing.assert_allclose(force(t, x, p, fld), expected)
+        np.testing.assert_allclose(_rhs(t, x, p, fld)[1], expected)
 
 
 class TestPush:
@@ -228,6 +229,12 @@ class TestFlowJacobian:
                 col = np.concatenate([xp - xm, pp - pm]) / (2 * eps)
                 np.testing.assert_allclose(jac[:, j], col, atol=2e-5)
 
+    @pytest.mark.parametrize("shape", [(3,), (4, 3)])
+    def test_second_derivs_of_zero_field_are_positive_zeros(self, shape):
+        dt_grad, hess = second_derivs(ZeroField(), 0.5, np.ones(shape))
+        assert_same_bits(dt_grad, np.zeros(shape))
+        assert_same_bits(hess, np.zeros(shape + (3,)))
+
     def test_batched(self):
         fld = gaussian_field()
         x = np.zeros((4, 3)) + 0.1
@@ -269,7 +276,7 @@ def reference_push(state, dt, field):
     x, p, t = state.x, state.p, state.t
 
     def rhs(s, xs, ps):
-        return rel_velocity(ps), force(s, xs, ps, field)
+        return rel_velocity(ps), _rhs(s, xs, ps, field)[1]
 
     k1x, k1p = rhs(t, x, p)
     k2x, k2p = rhs(t + dt / 2, x + dt / 2 * k1x, p + dt / 2 * k1p)
@@ -287,7 +294,7 @@ def reference_flow_jacobian(t, x, p, field, dt):
 
     def rhs(time, xx, pp, jj):
         dx = rel_velocity(pp)
-        dp = force(time, xx, pp, field)
+        dp = _rhs(time, xx, pp, field)[1]
         return dx, dp, _flow_matrix(time, xx, pp, field) @ jj
 
     for step in _backward_steps(t, dt):
@@ -407,16 +414,6 @@ def batches(shape, seed=0):
     return out
 
 
-def assert_same_bits(a, b):
-    """Equal values, NaN in the same places, and the same sign on every
-    number; the sign of a NaN is left to numpy's loops, and no output shows
-    it ('%.17g' prints nan)."""
-    assert a.shape == b.shape
-    np.testing.assert_array_equal(a, b)  # NaN equals NaN here
-    num = ~np.isnan(a)
-    np.testing.assert_array_equal(np.signbit(a[num]), np.signbit(b[num]))
-
-
 def reference_rel_velocity(p):
     """rel_velocity with its np.sum reduction, kept as reference."""
     p = np.asarray(p, dtype=float)
@@ -461,8 +458,10 @@ class TestColumnReductions:
                                     lambda t, x, v=dt_phi: v,
                                     lambda t, x, g=grad: g)
                 state = PhaseState(x=np.zeros(shape), p=p, t=0.5)
-                assert_same_bits(force(state.t, state.x, state.p, fld),
-                                 reference_force(state, fld))
+                # np.sum's loop and the ordered columns may give a NaN of
+                # either sign
+                assert_same_bits(_rhs(state.t, state.x, state.p, fld)[1],
+                                 reference_force(state, fld), nan_sign=False)
 
     def test_force_of_negative_zero_products(self):
         # phat . grad is a sum of three -0.0: np.sum gives +0.0, and with
@@ -472,6 +471,6 @@ class TestColumnReductions:
         fld = AnalyticField(lambda t, x: np.zeros(x.shape[:-1]),
                             lambda t, x: np.array([-0.0]), lambda t, x: grad)
         state = PhaseState(x=np.zeros((1, 3)), p=p, t=0.0)
-        got = force(state.t, state.x, state.p, fld)
+        got = _rhs(state.t, state.x, state.p, fld)[1]
         assert_same_bits(got, reference_force(state, fld))
         assert not np.signbit(got).any()

@@ -3,16 +3,16 @@ import pytest
 
 from vnsim import wavefield
 from vnsim.characteristics import ZeroField
-from vnsim.diagnostics import (ConeWeight, cone_maxima, dispersion_check,
-                               fit_decay, free_flow_dispersion_ratio,
-                               fsc_raw_margins,
-                               fsc_verdict, grid_derivative_maps, jacobian_bound,
-                               max_momentum_spread, measure_KL,
-                               momentum_support,
+from vnsim.diagnostics import (ConeWeight, cone_maxima, fit_decay,
+                               fsc_raw_margins, fsc_verdict,
+                               grid_derivative_maps, max_momentum_spread,
+                               measure_KL, momentum_support,
                                semilag_profile, sup_mu)
 from vnsim.profiles import InitialData, make_bump
 from vnsim.vlasov_pic import ParticleEnsemble
 from vnsim.wavefield import GRAD, HESS, NOW, TIME_D1, TIME_D2, VALUE, difference
+from tests.oracles import (dispersion_check, free_flow_dispersion_ratio,
+                           jacobian_bound)
 from tests.test_characteristics import special_rows
 from tests.test_wavefield import grid_from_function
 

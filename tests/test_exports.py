@@ -1,10 +1,34 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 import vnsim
 
 MODULES = ["characteristics", "diagnostics", "vlasov_pic", "wavefield"]
+
+# exported for the run code that a ROADMAP item is to build on them
+NOT_YET_CALLED = {
+    "discrete_energy",         # item 1: the energy identity's gate
+    "unit_sphere_quadrature",  # item 2: the rule of the foot-point integral
+    "retarded_potential",      # item 3: K and L at the origin, off the grid
+}
+
+
+def src_references() -> set:
+    """(module, top-level definition or None, name) for every ast.Name and
+    ast.Attribute in src/vnsim: the names that run code reads, and where."""
+    refs = set()
+    for path in Path(vnsim.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    refs.add((path.stem, owner, node.id))
+                elif isinstance(node, ast.Attribute):
+                    refs.add((path.stem, owner, node.attr))
+    return refs
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -20,3 +44,14 @@ def test_package_reexports_public_names():
         if home.removeprefix("vnsim.") in MODULES:
             assert export in importlib.import_module(home).__all__, (
                 f"vnsim.{export} is not in {home}.__all__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exports_are_read_by_run_code(name):
+    """Each exported name is read somewhere in src/ outside its own
+    definition; strings (`__all__` itself) and imports do not count."""
+    read = {ref for mod, owner, ref in src_references()
+            if not (mod == name and owner == ref)}
+    mod = importlib.import_module(f"vnsim.{name}")
+    unread = [e for e in mod.__all__ if e not in read | NOT_YET_CALLED]
+    assert not unread, f"vnsim.{name} exports what no run code reads: {unread}"

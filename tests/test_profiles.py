@@ -3,6 +3,7 @@ import pytest
 
 from vnsim.profiles import (BumpProfile, InitialData, NORM_ORDERS, _squared_norm,
                             initial_norm, make_bump, validate_membership)
+from tests.oracles import assert_same_bits
 
 
 def fd_gradient(prof, y, eps=1e-6):
@@ -103,11 +104,6 @@ def reference_radial_factors(prof, y, orders):
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, np.inf, -np.inf,
            np.nan, -np.nan, 1e300, -1e300, 1e-160, 0.3, -0.45]
-
-
-def assert_same_bits(got, ref):
-    np.testing.assert_array_equal(got, ref)  # NaN where ref is NaN
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
 
 
 class TestSquaredNormAgainstSum:

@@ -6,11 +6,12 @@ import pytest
 from vnsim import characteristics, diagnostics, vlasov_pic, wavefield
 from vnsim.characteristics import ZeroField, rel_velocity
 from vnsim.errors import ConfigError, DomainTooSmallError
-from vnsim.profiles import InitialData, make_bump
+from vnsim.profiles import InitialData, _squared_norm, make_bump
 from vnsim.vlasov_pic import (deposit_mu, evaluate_f, init_coupled_state,
                               sample_particles, step, update_weights,
                               ParticleEnsemble)
 from vnsim.wavefield import FieldGrid, GridFieldHistory, make_field_grid
+from tests.oracles import assert_same_bits
 
 
 def small_data(f_amp=0.02, phi_amp=0.01, R=1.0):
@@ -199,7 +200,7 @@ def reference_deposit_mu(ens, grid):
     n = grid.n_nodes
     if ens.n == 0:
         return np.zeros((n, n, n)), (slice(0, 0),) * 3
-    q = ens.w / np.sqrt(1.0 + characteristics._norm2(ens.p))
+    q = ens.w / np.sqrt(1.0 + _squared_norm(ens.p))
     i0, frac = [], []
     for col in ens.x.T:
         u = col / grid.h + grid.n_half
@@ -472,11 +473,6 @@ class TestCoupledLoop:
             step(state)
         assert np.all(state.grid.phi_0 == 0.0)
         assert np.all(state.grid.mu == 0.0)
-
-
-def assert_same_bits(got, ref):
-    np.testing.assert_array_equal(got, ref)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
 
 
 # chunk sizes at the edges of N particles or points

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from vnsim import wavefield
-from vnsim.characteristics import AnalyticField, ZeroField
+from vnsim.characteristics import ZeroField
 from vnsim.errors import ConfigError, DomainTooSmallError, OutOfHistoryError
 from vnsim.profiles import InitialData, make_bump
 from vnsim.wavefield import (FieldGrid, GridFieldHistory,
                              _laplacian, discrete_energy,
-                             fdtd_step, field_derivatives,
-                             kirchhoff_homogeneous, make_field_grid,
+                             fdtd_step, field_derivatives, make_field_grid,
                              retarded_potential, unit_sphere_quadrature)
+from tests.oracles import (AnalyticField, assert_same_bits,
+                           kirchhoff_homogeneous)
 
 
 def wave_data(amp=0.01, R=1.0, k0=3, k1=2):
@@ -499,9 +500,6 @@ class TestGridFieldHistory:
         _, grad = hist.first_derivs(1.0, x)
         np.testing.assert_allclose(grad, [2 * 0.4 + 1.0, 0.3 * 0.2, 0.3 * (-0.3)],
                                    atol=1e-12)
-        _, hess = hist.second_derivs(1.0, x)
-        np.testing.assert_allclose(hess, [[2, 0, 0], [0, 0, 0.3], [0, 0.3, 0]],
-                                   atol=1e-12)
 
 
 class TestDerivativeBound:
@@ -614,13 +612,6 @@ E3 = np.eye(3, dtype=int)
 REF_GRAD = [[(E3[k], 0.5), (-E3[k], -0.5)] for k in range(3)]
 
 
-def ref_hess_stencil(k, j):
-    if k == j:
-        return [(E3[k], 1.0), (np.zeros(3, int), -2.0), (-E3[k], 1.0)]
-    return [(E3[k] + E3[j], 0.25), (E3[k] - E3[j], -0.25),
-            (-E3[k] + E3[j], -0.25), (-E3[k] - E3[j], 0.25)]
-
-
 class TestLevelStoreAgainstReference:
     # levels at t = 0, 0.5 share a geometry; the grid grows before t = 1
     TIMES = (0.0, 0.5, 1.0)
@@ -656,15 +647,9 @@ class TestLevelStoreAgainstReference:
         np.testing.assert_allclose(hist.phi(t, x), phi, rtol=0, atol=atol)
         got_dt, got_grad = hist.first_derivs(t, x)
         np.testing.assert_allclose(got_dt, dt_phi, rtol=0, atol=atol / self.H**2)
-        got_dt_grad, got_hess = hist.second_derivs(t, x)
         for k in range(3):
-            grad, dt_grad = self.reference(levels, t, x, REF_GRAD[k], order=1)
+            grad, _ = self.reference(levels, t, x, REF_GRAD[k], order=1)
             np.testing.assert_allclose(got_grad[:, k], grad, rtol=0, atol=atol)
-            np.testing.assert_allclose(got_dt_grad[:, k], dt_grad, rtol=0,
-                                       atol=atol / self.H**2)
-            for j in range(3):
-                hess, _ = self.reference(levels, t, x, ref_hess_stencil(k, j), order=2)
-                np.testing.assert_allclose(got_hess[:, k, j], hess, rtol=0, atol=atol)
 
 
 class TestSamplerEdges:
@@ -718,12 +703,6 @@ def reference_sample_levels(columns, h, n_half, x):
 def every(levels, stencils):
     """The columns of every stencil on every level, level-major."""
     return list(itertools.product(levels, stencils))
-
-
-def assert_same_bits(got, ref):
-    assert got.shape == ref.shape and got.dtype == ref.dtype
-    np.testing.assert_array_equal(got, ref)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
 
 
 STENCIL_SETS = {
@@ -861,8 +840,7 @@ class TestSampleLevelsAgainstReference:
         spread = np.random.default_rng(4).uniform(-3.5, 3.5, (60, 3))
 
         def read(x):
-            return (hist.phi(t, x), *hist.first_derivs(t, x),
-                    *hist.second_derivs(t, x))
+            return hist.phi(t, x), *hist.first_derivs(t, x)
 
         for x in (clustered, spread):
             got = read(x)
@@ -982,22 +960,16 @@ class TestNarrowGather:
         dt_phi, grad = hist.first_derivs(t, points)
         assert_same_bits(dt_phi, (v1[0] - v0[0]) / tau)
         assert_same_bits(grad, np.stack(blend[1:], axis=-1))
-        _, blend, _ = full_width(hist, t, points, tuple(wavefield.HESS.values()))
-        _, hess = hist.second_derivs(t, points)
-        for (k, j), want in zip(wavefield.HESS, blend):
-            assert_same_bits(hess[..., k, j], want)
-            assert_same_bits(hess[..., j, k], want)
 
     @pytest.mark.parametrize("t, widths", [
-        (0.25, [1, 5, 12]),   # a == 0
-        (0.5, [1, 5, 12]),    # a == 1
-        (0.375, [2, 8, 18]),  # inside the bracket: both levels throughout
+        (0.25, [1, 5]),   # a == 0
+        (0.5, [1, 5]),    # a == 1
+        (0.375, [2, 8]),  # inside the bracket: both levels throughout
     ])
     def test_columns_gathered(self, monkeypatch, t, widths):
         # one call per read, as both levels share a geometry: phi reads
         # VALUE where the weight is, first_derivs VALUE on both levels and
-        # GRAD where the weight is, second_derivs GRAD on both and HESS
-        # where the weight is
+        # GRAD where the weight is
         hist = two_level_history(np.float64)
         got = []
         sample = wavefield.sample_levels
@@ -1006,7 +978,6 @@ class TestNarrowGather:
         x = points_in_cells(3, 50)
         hist.phi(t, x)
         hist.first_derivs(t, x)
-        hist.second_derivs(t, x)
         assert got == widths
 
     def test_bracket_across_growth_samples_each_level_apart(self, monkeypatch):
