@@ -351,8 +351,7 @@ def _record_row(state: CoupledState, cfg: SimConfig) -> dict:
             row["sup_mu_sl"] = row["sup_mu"]
 
     if state.coupling:
-        k, l = diag.measure_KL(state.grid, np.zeros(3))
-        row["k_origin"], row["l_origin"] = float(k), float(l)
+        row["k_origin"], row["l_origin"] = diag.measure_KL(state.grid)
         cone = diag.cone_maxima(state.grid, t, cfg.R, cfg.beta)
         if cone is not None:
             row["k_cone"], row["fsc_k_raw"], row["fsc_l_raw"] = cone

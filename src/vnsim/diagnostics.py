@@ -1,6 +1,8 @@
 """Measurements of the quantities the decay theory bounds: first/second field
-derivatives (K, L), the source sup norm, momentum support and per-cell
-momentum spread, free-streaming-condition margins, and log-log decay fits.
+derivatives (K, L) at the origin and over the cone ball, both from
+`wavefield.field_derivatives` on boxes of nodes, the source sup norm,
+momentum support and per-cell momentum spread, free-streaming-condition
+margins, and log-log decay fits.
 
 Two measurement routes exist for the source sup and the momentum spread:
 the particle-ensemble route (cheap, granular at late times because a fixed
@@ -18,11 +20,10 @@ import numpy as np
 from .characteristics import FieldView
 from .profiles import InitialData, _squared_norm
 from .vlasov_pic import ParticleEnsemble, evaluate_f
-from .wavefield import (GRAD, HESS, NOW, TIME_D1, TIME_D2, VALUE, FieldGrid,
-                        _slabs, difference, field_derivatives)
+from .wavefield import FieldGrid, _slabs, field_derivatives
 
 __all__ = [
-    "ConeWeight", "DecayFit", "measure_KL",
+    "DecayFit", "measure_KL",
     "sup_mu", "momentum_support", "max_momentum_spread",
     "fsc_raw_margins", "fsc_verdict", "fit_decay",
     "grid_derivative_maps", "cone_maxima", "semilag_profile",
@@ -30,23 +31,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Cone weights and decay fits
+# Decay fits
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConeWeight:
-    """(1 + R + t + |x|)^a * (1 + R + t - |x|)^b."""
-
-    R: float
-    a: float
-    b: float
-
-    def __call__(self, t, xnorm):
-        t = np.asarray(t, dtype=float)
-        xnorm = np.asarray(xnorm, dtype=float)
-        return ((1.0 + self.R + t + xnorm) ** self.a
-                * (1.0 + self.R + t - xnorm) ** self.b)
-
 
 @dataclass
 class DecayFit:
@@ -82,13 +68,12 @@ def fit_decay(series, window) -> DecayFit:
 # Field-derivative measurements
 # ---------------------------------------------------------------------------
 
-def measure_KL(grid: FieldGrid, probes) -> tuple:
-    """(K, L) at probe points from one gather: K = |dt phi| + |grad phi|
-    (Euclidean norm), L = |dt2 phi| + |dt grad phi| + max |hess entries|."""
-    dt_phi, grad, dt2, dt_grad, hess = field_derivatives(grid, probes)
-    return (np.abs(dt_phi) + np.linalg.norm(grad, axis=-1),
-            np.abs(dt2) + np.linalg.norm(dt_grad, axis=-1)
-            + np.abs(hess).max(axis=(-1, -2)))
+def measure_KL(grid: FieldGrid) -> tuple:
+    """(K, L) at the origin as floats: `field_derivatives` on the box of
+    its one node, n_half, which lies within the nodes 2 .. n - 3 as a
+    coupled config's cube has n_half >= 3 (`cli._validate`)."""
+    K, L = field_derivatives(grid, (grid.n_half,) * 3, (1, 1, 1))
+    return float(K[0, 0, 0]), float(L[0, 0, 0])
 
 
 def _ball_planes(grid: FieldGrid, radius: float) -> tuple:
@@ -116,33 +101,10 @@ def grid_derivative_maps(grid: FieldGrid, max_radius: float | None = None,
     first, last = max(first, lo), min(last, hi)
     if last <= first:
         return (np.zeros(0),) * 3
-    levels = (grid.phi_m, grid.phi_0, grid.phi_p)
     ax = grid.node_axis()
     parts = []
     for a, b in _slabs(first, last, (hi - lo) ** 2):
-        def on_nodes(k, space):
-            """`space` combined on the slab's nodes of the level at time offset k."""
-            def shifted(off):
-                i, j, l = off
-                return levels[k + 1][a + i:b + i, lo + j:hi + j, lo + l:hi + l]
-            return space.combine(shifted)
-
-        def d(time, space=VALUE):
-            return difference(time, space, on_nodes, grid.dt, grid.h)
-
-        # one running accumulator for |grad|^2, |dt grad|^2 and max |hess|
-        acc = np.zeros((b - a, hi - lo, hi - lo))
-        for g in GRAD:
-            acc += d(NOW, g) ** 2
-        K = np.abs(d(TIME_D1)) + np.sqrt(acc)
-        acc[...] = 0.0
-        for g in GRAD:
-            acc += d(TIME_D1, g) ** 2
-        L = np.abs(d(TIME_D2)) + np.sqrt(acc)
-        acc[...] = 0.0
-        for st in HESS.values():
-            np.maximum(acc, np.abs(d(NOW, st)), out=acc)
-        L += acc
+        K, L = field_derivatives(grid, (a, lo, lo), (b - a, hi - lo, hi - lo))
         xx, yy, zz = np.meshgrid(ax[a:b], ax[lo:hi], ax[lo:hi], indexing="ij",
                                  sparse=True)
         r = np.broadcast_to(np.sqrt(xx**2 + yy**2 + zz**2), K.shape)
@@ -239,7 +201,7 @@ def fsc_raw_margins(K, L, r, t: float, R: float, beta: float):
     w_K = (1+R+t+|x|)^-beta (1+R+t-|x|)^-beta and w_L = w_K / (1+R+t-|x|).
     K, L, r are node maps of the cone, as grid_derivative_maps returns them.
     """
-    wk = ConeWeight(R, beta, beta)(t, r)
+    wk = (1.0 + R + t + r) ** beta * (1.0 + R + t - r) ** beta
     wl = wk * (1.0 + R + t - r)
     return float((K * wk).max()), float((L * wl).max())
 

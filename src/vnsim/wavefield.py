@@ -1,6 +1,9 @@
-"""Scalar wave solver: FDTD leapfrog on an expanding cube, the stencils and
-the trilinear sampler that the push and the diagnostics share, the stored
-level history, and the retarded-potential integral over the light cone.
+"""Scalar wave solver: FDTD leapfrog on an expanding cube, the centered
+difference stencils, combined on boxes of nodes (K and L in
+`field_derivatives`, the sampler's tables, a stored level's gradient
+maxima) or sampled trilinearly between nodes (the push and the backward
+traces), the stored level history, and the retarded-potential integral over
+the light cone.
 
 The grid is node-centered with a node at the origin; coordinates are integer
 multiples of the spacing h, so the domain can be re-embedded into a larger
@@ -463,17 +466,22 @@ def _combined(columns, n: int, low):
         yield _flat_stencil(st, n).combine(lambda shift: flat[start + shift:].take(low))
 
 
+def _on_box(level: np.ndarray, st: Stencil, first, shape) -> np.ndarray:
+    """`st` combined on a node box (first node, nodes per axis) of `level`,
+    one slice of the level per term, in its dtype; shape `shape`.  The box
+    with the stencil's reach lies on the level."""
+    return st.combine(lambda off: level[tuple(
+        slice(f + o, f + o + m) for f, o, m in zip(first, off, shape))])
+
+
 def box_table(columns, first, shape) -> np.ndarray:
     """The stencil table of `columns` on a node box: (len(columns), nodes)
     float64, entry (j, r) column j's stencil at box node first + r in the
     box's C order, combined in its level's dtype and then cast.  The box
     (first node, nodes per axis) lies within the nodes 1 .. n - 2 of each
     axis."""
-    n = columns[0][0].shape[0]
-    strides = np.array([n * n, n, 1])
-    ix, iy, iz = (np.arange(m) * st for m, st in zip(shape, strides))
-    low = (ix[:, None, None] + iy[:, None] + iz).ravel() + np.subtract(first, 1) @ strides
-    return np.array(list(_combined(columns, n, low)), dtype=float)
+    return np.array([_on_box(level, st, first, shape).ravel() for level, st in columns],
+                    dtype=float)
 
 
 # a cell's 8 corners as node offsets, in x-, y-, z-major order
@@ -570,32 +578,32 @@ def sample_levels(columns, h: float, n_half: int, x, shared=None) -> np.ndarray:
     return out.reshape((width,) + x.shape[:-1])
 
 
-def field_derivatives(grid: FieldGrid, x) -> tuple:
-    """(dt_phi, grad, dt2_phi, dt_grad, hess) at points x, 2nd-order centered.
-
-    Trilinear interpolation of node stencils; probes must be at least two
-    cells inside the boundary.
-    """
-    x = np.asarray(x, dtype=float)
-    i0 = np.floor(x / grid.h + grid.n_half)
-    if np.any(i0 < 2) or np.any(i0 > grid.n_nodes - 4):
-        raise ValueError("probe point too close to (or outside) the grid boundary")
+def field_derivatives(grid: FieldGrid, first, shape) -> tuple:
+    """(K, L) on a node box (first node, nodes per axis) within the nodes
+    2 .. n - 3 of each axis, arrays of shape `shape` from 2nd-order centered
+    differences of the grid's three levels: K = |dt phi| + |grad phi|
+    (Euclidean norm), L = |dt2 phi| + |dt grad phi| + max |hess entries|."""
     levels = (grid.phi_m, grid.phi_0, grid.phi_p)
-    stencils = (VALUE, *GRAD, *HESS.values())
-    samples = sample_levels(list(itertools.product(levels, stencils)), grid.h,
-                            grid.n_half, x).reshape((3, len(stencils)) + x.shape[:-1])
-    column = {st: j for j, st in enumerate(stencils)}
 
     def d(time, space=VALUE):
-        return difference(time, space, lambda k, st: samples[k + 1, column[st]],
+        return difference(time, space,
+                          lambda k, st: _on_box(levels[k + 1], st, first, shape),
                           grid.dt, grid.h)
 
-    grad = np.stack([d(NOW, g) for g in GRAD], axis=-1)
-    dt_grad = np.stack([d(TIME_D1, g) for g in GRAD], axis=-1)
-    hess = np.empty(x.shape + (3,))
-    for (k, j), st in HESS.items():
-        hess[..., k, j] = hess[..., j, k] = d(NOW, st)
-    return d(TIME_D1), grad, d(TIME_D2), dt_grad, hess
+    # one running accumulator for |grad|^2, |dt grad|^2 and max |hess|
+    acc = np.zeros(shape)
+    for g in GRAD:
+        acc += d(NOW, g) ** 2
+    K = np.abs(d(TIME_D1)) + np.sqrt(acc)
+    acc[...] = 0.0
+    for g in GRAD:
+        acc += d(TIME_D1, g) ** 2
+    L = np.abs(d(TIME_D2)) + np.sqrt(acc)
+    acc[...] = 0.0
+    for st in HESS.values():
+        np.maximum(acc, np.abs(d(NOW, st)), out=acc)
+    L += acc
+    return K, L
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +727,10 @@ class GridFieldHistory(FieldView):
         return self._bounds[k0, k1]
 
     def _node_maxima(self, k: int) -> tuple:
-        """(max Euclidean central-difference gradient / h over the nodes
-        1..n-2 of each axis, which the valid cells' corners are, and max
-        |phi| over all nodes) of level k, slab by slab in float64; a NaN
-        node makes both NaN."""
+        """(max Euclidean `GRAD` gradient / h over the nodes 1..n-2 of each
+        axis, which the valid cells' corners are, and max |phi| over all
+        nodes) of level k, slab by slab in float64; a NaN node makes both
+        NaN."""
         if k not in self._maxima:
             phi, h, _ = self._levels[k]
             n = phi.shape[0]
@@ -733,11 +741,10 @@ class GridFieldHistory(FieldView):
                 if lo >= hi:
                     continue
                 s = phi[lo - 1:hi + 1].astype(float)
-                gx = s[2:, 1:-1, 1:-1] - s[:-2, 1:-1, 1:-1]
-                gy = s[1:-1, 2:, 1:-1] - s[1:-1, :-2, 1:-1]
-                gz = s[1:-1, 1:-1, 2:] - s[1:-1, 1:-1, :-2]
+                gx, gy, gz = (_on_box(s, g, (1, 1, 1), (hi - lo, n - 2, n - 2))
+                              for g in GRAD)
                 g2 = np.maximum(g2, (gx * gx + gy * gy + gz * gz).max())
-            self._maxima[k] = (float(0.5 * np.sqrt(g2) / h), float(top))
+            self._maxima[k] = (float(np.sqrt(g2) / h), float(top))
         return self._maxima[k]
 
     def _sample(self, x, columns) -> dict:

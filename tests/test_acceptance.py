@@ -74,9 +74,9 @@ def coupled_run():
             series["t"].append(t)
             series["sup_mu_sl"].append(float(mu.max()))
             series["spread_sl"].append(float(sp.max()))
-            k, l = diag.measure_KL(state.grid, np.zeros(3))
-            series["k_origin"].append(float(k))
-            series["l_origin"].append(float(l))
+            k, l = diag.measure_KL(state.grid)
+            series["k_origin"].append(k)
+            series["l_origin"].append(l)
             series["p_max"].append(diag.momentum_support(state.ensemble))
             series["x_max"].append(
                 float(np.linalg.norm(state.ensemble.x, axis=-1).max()))

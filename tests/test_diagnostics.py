@@ -3,7 +3,7 @@ import pytest
 
 from vnsim import wavefield
 from vnsim.characteristics import ZeroField
-from vnsim.diagnostics import (ConeWeight, cone_maxima, fit_decay,
+from vnsim.diagnostics import (cone_maxima, fit_decay,
                                fsc_raw_margins, fsc_verdict,
                                grid_derivative_maps, max_momentum_spread,
                                measure_KL, momentum_support,
@@ -11,8 +11,8 @@ from vnsim.diagnostics import (ConeWeight, cone_maxima, fit_decay,
 from vnsim.profiles import InitialData, make_bump
 from vnsim.vlasov_pic import ParticleEnsemble
 from vnsim.wavefield import GRAD, HESS, NOW, TIME_D1, TIME_D2, VALUE, difference
-from tests.oracles import (dispersion_check, free_flow_dispersion_ratio,
-                           jacobian_bound)
+from tests.oracles import (assert_same_bits, dispersion_check,
+                           free_flow_dispersion_ratio, jacobian_bound)
 from tests.test_characteristics import special_rows
 from tests.test_wavefield import grid_from_function
 
@@ -23,17 +23,6 @@ def make_ensemble(x, p, w):
     w = np.asarray(w, float).ravel()
     return ParticleEnsemble(x=x, p=p, w=w, w0=w.copy(),
                             phi0_at_x0=np.zeros(len(w)))
-
-
-class TestConeWeight:
-    def test_formula(self):
-        w = ConeWeight(R=1.0, a=-1.0, b=-1.0)
-        assert w(2.0, 1.5) == pytest.approx(1.0 / (5.5 * 2.5))
-
-    def test_positive_inside_cone(self):
-        w = ConeWeight(R=1.0, a=-0.6, b=-0.6)
-        t = np.linspace(0, 10, 50)
-        assert np.all(w(t, t + 1.0) > 0)  # |x| = R + t edge included
 
 
 class TestFitDecay:
@@ -72,52 +61,36 @@ class TestFitDecay:
 class TestMeasureKL:
     def test_zero_field(self):
         g = grid_from_function(lambda t, x: np.zeros(x.shape[:-1]))
-        probes = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, -0.5]])
-        K, L = measure_KL(g, probes)
-        np.testing.assert_array_equal(K, np.zeros(2))
-        np.testing.assert_array_equal(L, np.zeros(2))
+        assert measure_KL(g) == (0.0, 0.0)
 
     def test_unit_time_derivative(self):
         g = grid_from_function(lambda t, x: t * np.ones(x.shape[:-1]))
-        assert float(measure_KL(g, np.zeros(3))[0]) == pytest.approx(1.0)
+        assert measure_KL(g)[0] == pytest.approx(1.0)
 
     def test_time_plus_space(self):
         g = grid_from_function(lambda t, x: t + x[..., 0])
-        assert float(measure_KL(g, np.zeros(3))[0]) == pytest.approx(2.0)
+        assert measure_KL(g)[0] == pytest.approx(2.0)
 
     def test_l_time_squared(self):
         g = grid_from_function(lambda t, x: t**2 * np.ones(x.shape[:-1]))
-        assert float(measure_KL(g, np.zeros(3))[1]) == pytest.approx(2.0)
+        assert measure_KL(g)[1] == pytest.approx(2.0)
 
     def test_l_space_squared(self):
         g = grid_from_function(lambda t, x: x[..., 0]**2)
-        assert float(measure_KL(g, np.zeros(3))[1]) == pytest.approx(2.0)
+        assert measure_KL(g)[1] == pytest.approx(2.0)
 
-    def test_grid_maps_match_pointwise(self):
-        g = grid_from_function(
-            lambda t, x: 0.1 * t * x[..., 0] + 0.2 * x[..., 1]**2 + 0.3 * t**2)
-        K, L, r = grid_derivative_maps(g)
-        # probe an interior node: axis index 4 -> coordinate (4-6)*0.5 = -1.0
-        probe = np.array([-1.0, -1.0, -1.0])
-        k_probe, l_probe = map(float, measure_KL(g, probe))
-        sel = np.isclose(r, np.sqrt(3.0))
-        assert np.any(sel)
-        assert np.isclose(K[sel], k_probe).any()
-        assert np.isclose(L[sel], l_probe).any()
-
-    def test_grid_maps_equal_pointwise_at_every_node(self):
+    @pytest.mark.parametrize("n_half", [3, 6])
+    def test_equals_the_maps_origin_entry(self, n_half):
+        # n_half = 3: the smallest cube a coupled config may have (R + pad
+        # > 2 h), whose interior is the nodes 2 .. 4
         rng = np.random.default_rng(5)
-        g = grid_from_function(lambda t, x: rng.standard_normal(x.shape[:-1]))
-        K, L, _ = grid_derivative_maps(g)
-        n = g.n_nodes
-        # maps cover nodes 2 .. n-3; probes must keep a further cell inside
-        K = K.reshape((n - 4,) * 3)[:-1, :-1, :-1]
-        L = L.reshape((n - 4,) * 3)[:-1, :-1, :-1]
-        ax = g.node_axis()[2:-3]
-        nodes = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
-        K_nodes, L_nodes = measure_KL(g, nodes)
-        np.testing.assert_allclose(K, K_nodes, rtol=1e-12)
-        np.testing.assert_allclose(L, L_nodes, rtol=1e-12)
+        g = grid_from_function(lambda t, x: rng.standard_normal(x.shape[:-1]),
+                               n_half=n_half)
+        K, L, r = grid_derivative_maps(g)
+        k, l = measure_KL(g)
+        assert type(k) is float and type(l) is float
+        assert np.count_nonzero(r == 0.0) == 1
+        assert_same_bits(np.array([k, l]), np.array([K[r == 0.0][0], L[r == 0.0][0]]))
 
     def test_sup_mu(self):
         g = grid_from_function(lambda t, x: np.zeros(x.shape[:-1]))
@@ -436,6 +409,19 @@ class TestFsc:
     def bound_k(self, t, xn):
         """w_K: the K bound of the decay hypothesis per unit eta."""
         return (1 + self.R + t + xn)**-self.BETA * (1 + self.R + t - xn)**-self.BETA
+
+    def test_weight_formula(self):
+        # beta = 1 at t = 2, |x| = 1.5: w_K = 1 / (5.5 * 2.5), w_L = w_K / 2.5
+        k_raw, l_raw = fsc_raw_margins(np.ones(1), np.ones(1), np.array([1.5]),
+                                       2.0, self.R, 1.0)
+        assert k_raw == pytest.approx(5.5 * 2.5)
+        assert l_raw == pytest.approx(5.5 * 2.5 * 2.5)
+
+    def test_positive_up_to_the_cone_edge(self):
+        for t in np.linspace(0, 10, 50):  # |x| = R + t edge included
+            raw = fsc_raw_margins(np.ones(1), np.ones(1), np.array([self.R + t]),
+                                  t, self.R, self.BETA)
+            assert min(raw) > 0
 
     def test_zero_field_satisfied(self):
         zero = np.zeros(3)

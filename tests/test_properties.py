@@ -1,7 +1,9 @@
 """Property test of the CLI contract over small valid configs: every run
-ends with exit 0, 2 or 3; a rerun writes the same bytes; a resume from a
-mid-run checkpoint, which rebuilds the state a run keeps outside the
-checkpoint, writes the same bytes as the run it interrupted."""
+ends with exit 0, 2 or 3; a coupled run that ends with 0 reads K at the
+origin no larger than K over the cone ball, which holds the origin; a rerun
+writes the same bytes; a resume from a mid-run checkpoint, which rebuilds
+the state a run keeps outside the checkpoint, writes the same bytes as the
+run it interrupted."""
 
 import os
 import shutil
@@ -98,6 +100,14 @@ def test_runs_end_cleanly_and_reproduce(case):
             if code == 2:  # rejected by validate: nothing to compare
                 return
             first = outputs(work)
+            if code == 0 and "coupling = 1\n" in text:
+                header, *rows = first[0].decode().splitlines()[1:]
+                cols = header.split(",")
+                k_origin, k_cone = cols.index("k_origin"), cols.index("k_cone")
+                assert rows
+                for row in rows:
+                    vals = [float(v) for v in row.split(",")]
+                    assert vals[k_cone] >= vals[k_origin], row
             mid = work / "mid.ckpt.npz"
             assert run_keeping_first_checkpoint(work, mid) == code
             assert outputs(work) == first

@@ -373,34 +373,28 @@ class TestFdtdSlabs:
 
 
 class TestFieldDerivatives:
-    def test_exact_on_quadratics(self):
+    # nodes 2 .. 10, 3 .. 7 and 4 .. 9 of the 13-node cube: its whole
+    # interior on x, and the origin (node 6) with nodes off every axis
+    BOX = ((2, 3, 4), (9, 5, 6))
+
+    def test_exact_on_quadratics_at_every_node(self):
         def fn(t, x):
             return (0.3 * t**2 + 0.5 * t - 1.0 + x[..., 0] * 2.0
                     + 0.25 * x[..., 1]**2 + 0.1 * x[..., 0] * x[..., 2]
                     + 0.7 * t * x[..., 1])
 
         g = grid_from_function(fn)
-        probes = np.array([[0.3, -0.2, 0.1], [0.0, 0.0, 0.0], [1.1, 0.9, -1.3]])
-        dt_phi, grad, dt2, dt_grad, hess = field_derivatives(g, probes)
+        first, shape = self.BOX
+        x, y, z = np.meshgrid(*((np.arange(m) + f - g.n_half) * g.h
+                                for f, m in zip(first, shape)), indexing="ij")
         t = g.t
-        np.testing.assert_allclose(dt_phi, 0.6 * t + 0.5 + 0.7 * probes[:, 1],
-                                   rtol=1e-12)
-        np.testing.assert_allclose(dt2, [0.6] * 3, rtol=1e-12)
-        expect_grad = np.stack([
-            2.0 + 0.1 * probes[:, 2],
-            0.5 * probes[:, 1] + 0.7 * t,
-            0.1 * probes[:, 0]], axis=-1)
-        np.testing.assert_allclose(grad, expect_grad, atol=1e-12)
-        np.testing.assert_allclose(dt_grad, np.tile([0.0, 0.7, 0.0], (3, 1)),
-                                   atol=1e-12)
-        expect_hess = np.array([[0.0, 0.0, 0.1], [0.0, 0.5, 0.0], [0.1, 0.0, 0.0]])
-        for i in range(3):
-            np.testing.assert_allclose(hess[i], expect_hess, atol=1e-12)
-
-    def test_boundary_probe_rejected(self):
-        g = grid_from_function(lambda t, x: x[..., 0])
-        with pytest.raises(ValueError):
-            field_derivatives(g, np.array([g.x_max, 0.0, 0.0]))
+        dt_phi = 0.6 * t + 0.5 + 0.7 * y
+        grad = np.sqrt((2.0 + 0.1 * z)**2 + (0.5 * y + 0.7 * t)**2 + (0.1 * x)**2)
+        # |dt2 phi| + |dt grad phi| + max |hess entries| = 0.6 + 0.7 + 0.5
+        K, L = field_derivatives(g, first, shape)
+        assert K.shape == L.shape == shape
+        np.testing.assert_allclose(K, np.abs(dt_phi) + grad, rtol=1e-12)
+        np.testing.assert_allclose(L, np.full(shape, 1.8), rtol=1e-12)
 
 
 class TestSphereQuadrature:
@@ -572,6 +566,36 @@ class TestDerivativeBound:
         assert GridFieldHistory().derivative_bound(0.0, 1.0) == np.inf
         fld = AnalyticField(lambda t, x: 0 * x[..., 0])
         assert fld.derivative_bound(0.0, 1.0) == np.inf
+
+
+def reference_node_maxima(phi, h):
+    """(max |grad| over the nodes 1 .. n - 2, max |phi|) of a level from
+    hand-written central differences of the whole float64-cast level, the
+    factor 0.5 taken after the root."""
+    s = phi.astype(float)
+    gx = s[2:, 1:-1, 1:-1] - s[:-2, 1:-1, 1:-1]
+    gy = s[1:-1, 2:, 1:-1] - s[1:-1, :-2, 1:-1]
+    gz = s[1:-1, 1:-1, 2:] - s[1:-1, 1:-1, :-2]
+    g2 = (gx * gx + gy * gy + gz * gz).max()
+    return float(0.5 * np.sqrt(g2) / h), float(np.abs(phi).max())
+
+
+class TestNodeMaxima:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("scale", [1.0, 1e-30, 1e30])
+    @pytest.mark.parametrize("planes", [1, 4, None])  # x-planes per slab
+    def test_bits_equal_the_hand_written_differences(self, monkeypatch, dtype,
+                                                     scale, planes):
+        # 15 planes: 4 per slab leaves a partial last slab, and 1 makes
+        # slabs of an end plane alone, which hold no gradient node
+        n_half, h = 7, 1 / 3
+        if planes is not None:
+            monkeypatch.setattr(wavefield, "SLAB_NODES", planes * (2 * n_half + 1) ** 2)
+        hist = GridFieldHistory(dtype=dtype)
+        for k, level in enumerate(random_levels(np.float64, 3, n_half, seed=21)):
+            hist.append(0.5 * k, scale * level, h, n_half)
+        for k in range(3):
+            assert hist._node_maxima(k) == reference_node_maxima(hist._levels[k][0], h)
 
 
 def gather(arr, idx):
@@ -863,7 +887,9 @@ def points_in_edge_cells(count, seed=17, h=0.5):
     return (u - N_HALF) * h
 
 
-# widths (levels x stencils) 1, 8 and 30; the last is field_derivatives'
+# widths (levels x stencils) 1, 8 and 30: a history's phi, a bracket's
+# first_derivs, and every stencil up to the Hessian on three levels, wider
+# than any run's gather
 CORNER_WIDTHS = {
     1: (1, STENCIL_SETS["value"]),
     8: (2, STENCIL_SETS["first"]),
