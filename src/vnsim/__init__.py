@@ -14,7 +14,7 @@ from .vlasov_pic import (CoupledState, ParticleEnsemble, deposit_mu,
                          evaluate_f, init_coupled_state,
                          sample_particles, step, update_weights)
 from .diagnostics import (DecayFit, fsc_raw_margins, fsc_verdict, fit_decay,
-                          measure_KL, momentum_support, max_momentum_spread,
+                          momentum_support, max_momentum_spread,
                           semilag_profile, sup_mu)
 from .cli import SimConfig, parse_config, run_scenario, sweep, main
 

@@ -73,7 +73,6 @@ class SimConfig:
     semilag_np: int = 10
     keep_history: bool = False  # store strided field levels for back-traces
     history_stride: int = 4
-    history_float32: bool = False
     beta: float = 0.6
     eta: float = 0.0            # 0 = calibrate from early-time margins
     eta_t_hat: float = 2.0
@@ -108,16 +107,22 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _parse_float(s: str) -> float:
+    if not np.isfinite(val := float(s)):
+        raise ValueError("not a finite number")
+    return val
+
+
 def _parse_tuple(n):
     def conv(s: str):
-        vals = tuple(float(v) for v in s.split(","))
+        vals = tuple(_parse_float(v) for v in s.split(","))
         if len(vals) != n:
             raise ValueError(f"expected {n} comma-separated values, got {len(vals)}")
         return vals
     return conv
 
 
-_CONVERTERS = {"float": float, "int": int, "bool": _parse_bool, "str": str}
+_CONVERTERS = {"float": _parse_float, "int": int, "bool": _parse_bool, "str": str}
 
 
 def _converter(field):
@@ -128,8 +133,8 @@ def _converter(field):
 
 
 # retired keys are still parsed, so that old configs load and hash the
-# same, but do not reach SimConfig
-_RETIRED = {"threads": int}
+# same, but do not reach SimConfig; a stored history is always float32
+_RETIRED = {"threads": int, "history_float32": _parse_bool}
 _SCHEMA = {f.name: _converter(f) for f in fields(SimConfig)
            if f.name != "config_text"} | _RETIRED
 
@@ -165,7 +170,7 @@ _SCHEMA = {f.name: _converter(f) for f in fields(SimConfig)
 #   a growth at most 2 old and 2 grown levels; the rest is margin for a
 #   freed cube that the heap may keep.  Free, twice the source box of the
 #   particles within R + t: a deposit makes its box while mu holds the last.
-# Levels that a field history holds are charged by the history term.
+# A field history's levels are float32 copies, charged by the history term.
 _BASELINE_MB = 31.0
 _PAIR_BYTES = 9
 _FREE_PARTICLE_FLOATS = 18
@@ -203,9 +208,8 @@ def estimate_memory_mb(cfg: SimConfig) -> float:
                    2 * (2 * int(np.ceil((cfg.R + cfg.t_end) / cfg.h)) + 2) ** 3)
     if cfg.keep_history and cfg.coupling:
         level_dt = cfg.dt * cfg.history_stride
-        itemsize = 4.0 if cfg.history_float32 else 8.0
         n_levels = int(cfg.t_end / level_dt + 1e-9) + 1
-        total += sum(cube(k * level_dt) for k in range(n_levels)) * itemsize
+        total += sum(cube(k * level_dt) for k in range(n_levels)) * 4.0
     n_part = _lattice_particles(cfg.n_per_dim)
     per_particle = _COUPLED_PARTICLE_FLOATS if cfg.coupling else _FREE_PARTICLE_FLOATS
     total += (min(cfg.n_per_dim**6, PAIR_CHUNK) * _PAIR_BYTES
@@ -351,10 +355,8 @@ def _record_row(state: CoupledState, cfg: SimConfig) -> dict:
             row["sup_mu_sl"] = row["sup_mu"]
 
     if state.coupling:
-        row["k_origin"], row["l_origin"] = diag.measure_KL(state.grid)
-        cone = diag.cone_maxima(state.grid, t, cfg.R, cfg.beta)
-        if cone is not None:
-            row["k_cone"], row["fsc_k_raw"], row["fsc_l_raw"] = cone
+        row.update(zip(("k_origin", "l_origin", "k_cone", "fsc_k_raw", "fsc_l_raw"),
+                       diag.cone_maxima(state.grid, t, cfg.R, cfg.beta)))
     return row
 
 
@@ -500,8 +502,7 @@ def run_scenario(cfg: SimConfig, state: CoupledState | None = None,
             state = init_coupled_state(
                 build_initial_data(cfg), cfg.n_per_dim, cfg.h, cfg.dt,
                 pad=cfg.pad, coupling=cfg.coupling,
-                keep_history=cfg.keep_history, history_stride=cfg.history_stride,
-                history_dtype=np.float32 if cfg.history_float32 else np.float64)
+                keep_history=cfg.keep_history, history_stride=cfg.history_stride)
             rows.append(_format_row(_record_row(state, cfg)))
         first_step = int(round(state.t / cfg.dt)) + 1
         for k in range(first_step, n_steps + 1):
@@ -606,7 +607,10 @@ def main(argv=None) -> int:
         if args.command == "run":
             return run_scenario(_load_config(args.config))
         if args.command == "sweep":
-            deltas = [float(v) for v in args.delta.split(",")]
+            try:
+                deltas = [_parse_float(v) for v in args.delta.split(",")]
+            except ValueError as exc:
+                raise ConfigError(f"bad value for --delta: {exc}") from exc
             _print_sweep_table(sweep(_load_config(args.config), deltas))
             return 0
         if args.command == "resume":

@@ -1,8 +1,8 @@
 """Measurements of the quantities the decay theory bounds: first/second field
-derivatives (K, L) at the origin and over the cone ball, both from
-`wavefield.field_derivatives` on boxes of nodes, the source sup norm,
-momentum support and per-cell momentum spread, free-streaming-condition
-margins, and log-log decay fits.
+derivatives (K, L) at the origin and over the cone ball, all from one pass
+of `wavefield.field_derivatives` over the ball's slabs (`cone_maxima`), the
+source sup norm, momentum support and per-cell momentum spread,
+free-streaming-condition margins, and log-log decay fits.
 
 Two measurement routes exist for the source sup and the momentum spread:
 the particle-ensemble route (cheap, granular at late times because a fixed
@@ -23,8 +23,7 @@ from .vlasov_pic import ParticleEnsemble, evaluate_f
 from .wavefield import FieldGrid, _slabs, field_derivatives
 
 __all__ = [
-    "DecayFit", "measure_KL",
-    "sup_mu", "momentum_support", "max_momentum_spread",
+    "DecayFit", "sup_mu", "momentum_support", "max_momentum_spread",
     "fsc_raw_margins", "fsc_verdict", "fit_decay",
     "grid_derivative_maps", "cone_maxima", "semilag_profile",
 ]
@@ -68,14 +67,6 @@ def fit_decay(series, window) -> DecayFit:
 # Field-derivative measurements
 # ---------------------------------------------------------------------------
 
-def measure_KL(grid: FieldGrid) -> tuple:
-    """(K, L) at the origin as floats: `field_derivatives` on the box of
-    its one node, n_half, which lies within the nodes 2 .. n - 3 as a
-    coupled config's cube has n_half >= 3 (`cli._validate`)."""
-    K, L = field_derivatives(grid, (grid.n_half,) * 3, (1, 1, 1))
-    return float(K[0, 0, 0]), float(L[0, 0, 0])
-
-
 def _ball_planes(grid: FieldGrid, radius: float) -> tuple:
     """Index range [lo, hi) of the interior sub-cube, on each axis, that holds
     the nodes with |x| <= radius: radius / h nodes from the center plus one
@@ -92,42 +83,40 @@ def grid_derivative_maps(grid: FieldGrid, max_radius: float | None = None,
     = (a, b), only on those of the x-planes [a, b).
 
     Returns (K, L, r) flat arrays in node order; used for grid-wide sup
-    norms and FSC margins.  The stencils run only on the index sub-cube that
-    holds the ball, clamped to the interior, one slab of x-planes at a time.
+    norms and FSC margins.  The stencils run on one box: the planes' part
+    of the index sub-cube that holds the ball, clamped to the interior.
     """
     radius = np.inf if max_radius is None else max_radius  # inf keeps all
     lo, hi = _ball_planes(grid, radius)
     first, last = planes or (lo, hi)
-    first, last = max(first, lo), min(last, hi)
-    if last <= first:
-        return (np.zeros(0),) * 3
+    first, last = max(first, lo), max(first, lo, min(last, hi))
+    K, L = field_derivatives(grid, (first, lo, lo), (last - first, hi - lo, hi - lo))
     ax = grid.node_axis()
-    parts = []
-    for a, b in _slabs(first, last, (hi - lo) ** 2):
-        K, L = field_derivatives(grid, (a, lo, lo), (b - a, hi - lo, hi - lo))
-        xx, yy, zz = np.meshgrid(ax[a:b], ax[lo:hi], ax[lo:hi], indexing="ij",
-                                 sparse=True)
-        r = np.broadcast_to(np.sqrt(xx**2 + yy**2 + zz**2), K.shape)
-        sel = r <= radius
-        parts.append((K[sel], L[sel], r[sel]))
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    xx, yy, zz = np.meshgrid(ax[first:last], ax[lo:hi], ax[lo:hi], indexing="ij",
+                             sparse=True)
+    r = np.broadcast_to(np.sqrt(xx**2 + yy**2 + zz**2), K.shape)
+    sel = r <= radius
+    return K[sel], L[sel], r[sel]
 
 
 def cone_maxima(grid: FieldGrid, t: float, R: float, beta: float):
-    """(max K, *fsc_raw_margins) over the interior nodes with |x| <= R + t,
-    bit for bit as from the whole-ball maps, or None when there is no node.
-
-    The maps are made and reduced one slab of x-planes at a time, so no
-    ball-sized array exists; np.maximum keeps a NaN, as .max() does.
+    """(K and L at the origin, max K, *fsc_raw_margins) over the interior
+    nodes with |x| <= R + t, bit for bit as from the whole-ball maps.  The
+    origin, the one node with r == 0.0 (`node_axis`), must be among them:
+    n_half >= 3 (`cli._validate`) and R + t >= 0.  The maps are made and
+    reduced one slab of x-planes at a time, so no ball-sized array exists;
+    np.maximum keeps a NaN, as .max() does.
     """
     lo, hi = _ball_planes(grid, R + t)
     best = None
-    for planes in _slabs(lo, hi, (hi - lo) ** 2):
-        K, L, r = grid_derivative_maps(grid, max_radius=R + t, planes=planes)
+    for a, b in _slabs(lo, hi, (hi - lo) ** 2):
+        K, L, r = grid_derivative_maps(grid, max_radius=R + t, planes=(a, b))
+        if a <= grid.n_half < b:
+            origin = K[r == 0.0][0], L[r == 0.0][0]
         if K.size:
             got = (K.max(), *fsc_raw_margins(K, L, r, t, R, beta))
             best = got if best is None else tuple(map(np.maximum, best, got))
-    return None if best is None else tuple(float(v) for v in best)
+    return tuple(float(v) for v in origin + best)
 
 
 def sup_mu(grid: FieldGrid) -> float:

@@ -253,9 +253,8 @@ class CoupledState:
 
 def init_coupled_state(data: InitialData, n_per_dim: int, h: float, dt: float,
                        pad: float = 2.0, coupling: bool = True,
-                       keep_history: bool = True, history_stride: int = 1,
-                       history_dtype=np.float64) -> CoupledState:
-    """Sample the particles and make the t = 0 grid and deposit.
+                       keep_history: bool = True, history_stride: int = 1) -> CoupledState:
+    """Sample the particles; make the t = 0 grid, deposit and float32 history.
 
     A coupled ensemble gets what its weight law reads: w0, a copy of w, and
     phi0_in at the particles' positions, PARTICLE_CHUNK at a time.
@@ -271,7 +270,7 @@ def init_coupled_state(data: InitialData, n_per_dim: int, h: float, dt: float,
         grid = make_field_grid(data, h, dt, pad=pad,
                                source=lambda g: deposit_mu(ens, g))
         if keep_history:
-            hist_full = GridFieldHistory(dtype=history_dtype, stride=history_stride)
+            hist_full = GridFieldHistory(dtype=np.float32, stride=history_stride)
             grid.keep(hist_full)
     else:  # no field levels: the grid carries the deposit only
         grid = FieldGrid.at_start(data.support_radius_R, h, dt, pad)

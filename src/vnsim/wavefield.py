@@ -196,10 +196,10 @@ class FieldGrid:
         before anything is dropped.  Then phi_m and mu become None, as the
         step writes both before it reads them (also mu without levels, which
         would still hold the old cube's indices), and phi_0 is copied and
-        swapped in before phi_p, so each old level is freed (unless a field
-        history still holds it) before the next copy touches the zeroed,
-        not yet resident pages of its grown level.  The growth so holds at
-        most 2 old and 2 grown levels.
+        swapped in before phi_p, so each old level is freed (a run's field
+        history holds float32 copies) before the next copy touches the
+        zeroed, not yet resident pages of its grown level.  The growth so
+        holds at most 2 old and 2 grown levels.
         """
         if x_needed <= self.x_max:
             return

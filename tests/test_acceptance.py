@@ -61,8 +61,7 @@ def coupled_run():
     data = standard_data()
     h, dt, t_end = 0.5, 0.25, 40.0
     state = init_coupled_state(data, n_per_dim=10, h=h, dt=dt, pad=5.0,
-                               keep_history=True, history_stride=4,
-                               history_dtype=np.float32)
+                               keep_history=True, history_stride=4)
     series = {"t": [], "sup_mu_sl": [], "spread_sl": [], "k_origin": [],
               "l_origin": [], "p_max": [], "x_max": []}
     n_steps = int(round(t_end / dt))
@@ -74,7 +73,7 @@ def coupled_run():
             series["t"].append(t)
             series["sup_mu_sl"].append(float(mu.max()))
             series["spread_sl"].append(float(sp.max()))
-            k, l = diag.measure_KL(state.grid)
+            k, l, *_ = diag.cone_maxima(state.grid, t, data.support_radius_R, 0.6)
             series["k_origin"].append(k)
             series["l_origin"].append(l)
             series["p_max"].append(diag.momentum_support(state.ensemble))

@@ -92,15 +92,15 @@ class TestParseConfig:
         cfg = parse_config(text)
         assert 68.4 < estimate_memory_mb(cfg) < cfg.memory_budget_mb
 
-    @pytest.mark.parametrize("float32", [0, 1])
-    def test_estimate_counts_history_levels_at_their_own_size(self, float32):
+    def test_estimate_counts_history_levels_at_their_own_size(self):
         base = "h = 0.5\ndt = 0.25\npad = 3\nt_end = 12\nhistory_stride = 4\nsemilag = 0\n"
-        with_history = parse_config(base + f"keep_history = 1\nhistory_float32 = {float32}\n")
+        with_history = parse_config(base + "keep_history = 1\n")
         without = parse_config(base + "keep_history = 0\n")
-        # levels at t = 0, 1, ..., 12 on the cube of half-width R + t + pad + 1
+        # float32 levels at t = 0, 1, ..., 12 on the cube of half-width
+        # R + t + pad + 1
         nodes = sum((2 * int(np.ceil((1 + t + 3 + 1) / 0.5)) + 1) ** 3 for t in range(13))
         extra = estimate_memory_mb(with_history) - estimate_memory_mb(without)
-        assert extra == pytest.approx(nodes * (4 if float32 else 8) / 2**20)
+        assert extra == pytest.approx(nodes * 4 / 2**20)
 
 
 def text_value(field):
@@ -140,6 +140,17 @@ class TestSchema:
         # the hash this config had while threads was a SimConfig field
         cfg = parse_config("h = 0.5\ndt = 0.25\nthreads = 1\n")
         assert config_hash(cfg) == "f083aa545c8f8f3f"
+
+    @pytest.mark.parametrize("value, digest", [("1", "5ff80065044bfed3"),
+                                               ("0", "9cdf5624f5f2ae6a")])
+    def test_retired_history_float32_key_loads_and_keeps_hash(self, value, digest):
+        # the hashes these configs had while history_float32 was a field;
+        # a stored history is float32 whatever the value
+        cfg = parse_config(f"h = 0.5\ndt = 0.25\nhistory_float32 = {value}\n")
+        assert not hasattr(cfg, "history_float32")
+        assert config_hash(cfg) == digest
+        with pytest.raises(ConfigError, match="line 1"):
+            parse_config("history_float32 = maybe\n")
 
 
 class TestConfigHash:
@@ -909,6 +920,50 @@ class TestMain:
 
     def test_missing_file_exit_two(self):
         assert main(["run", "/nonexistent/x.conf"]) == 2
+
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+    @pytest.mark.parametrize("key, value", [
+        ("R", "nan"), ("t_end", "nan"), ("f_radius", "nan"), ("delta", "nan"),
+        ("t_end", "inf"), ("pad", "inf"), ("record_interval", "inf"),
+        ("h", "-inf"), ("memory_budget_mb", "nan"),
+        ("f_center", "nan,0,0,0,0,0"), ("phi0_center", "0,-inf,0")])
+    def test_non_finite_value_exits_two(self, tmp_path, capsys, command, key, value):
+        base = [line for line in BASE.splitlines()
+                if line.partition("=")[0].strip() != key]
+        out = tmp_path / "nf.csv"
+        conf = write_conf(tmp_path, "\n".join(base) + f"\n{key} = {value}\noutput = {out}\n")
+        argv = [command, conf] + (["--delta", "1"] if command == "sweep" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"bad value for {key!r}: not a finite number" in err
+        assert not list(tmp_path.glob("nf.csv*"))
+
+    def test_resume_of_a_non_finite_config_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        conf = write_conf(tmp_path, BASE + f"checkpoint_interval = 1\noutput = {out}\n")
+        assert main(["run", conf]) == 0
+        ckpt = str(out) + ".ckpt.npz"
+        with np.load(ckpt) as z:
+            arrays = dict(z)
+        text = bytes(arrays["config_text"]).decode().replace("R = 1", "R = nan")
+        arrays["config_text"] = np.frombuffer(text.encode(), dtype=np.uint8)
+        np.savez(ckpt, **arrays)
+        capsys.readouterr()
+        assert main(["resume", ckpt]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: line 1: bad value for 'R': not a finite number\n"
+
+    @pytest.mark.parametrize("deltas", ["abc", "1,abc", "nan", "1,-inf", ""])
+    def test_bad_sweep_delta_exits_two(self, tmp_path, capsys, deltas):
+        out = tmp_path / "sw.csv"
+        conf = write_conf(tmp_path, BASE + f"output = {out}\n")
+        assert main(["sweep", conf, "--delta", deltas]) == 2
+        cap = capsys.readouterr()
+        assert cap.err.startswith("config error: bad value for --delta: ")
+        assert cap.err.count("\n") == 1 and "Traceback" not in cap.err
+        # no member runs before the list is read whole
+        assert cap.out == "" and not list(tmp_path.glob("sw.csv*"))
 
     def test_validate(self, tmp_path, capsys):
         conf = write_conf(tmp_path, BASE)

@@ -6,11 +6,12 @@ from vnsim.characteristics import ZeroField
 from vnsim.diagnostics import (cone_maxima, fit_decay,
                                fsc_raw_margins, fsc_verdict,
                                grid_derivative_maps, max_momentum_spread,
-                               measure_KL, momentum_support,
+                               momentum_support,
                                semilag_profile, sup_mu)
 from vnsim.profiles import InitialData, make_bump
 from vnsim.vlasov_pic import ParticleEnsemble
-from vnsim.wavefield import GRAD, HESS, NOW, TIME_D1, TIME_D2, VALUE, difference
+from vnsim.wavefield import (GRAD, HESS, NOW, TIME_D1, TIME_D2, VALUE, difference,
+                             field_derivatives)
 from tests.oracles import (assert_same_bits, dispersion_check,
                            free_flow_dispersion_ratio, jacobian_bound)
 from tests.test_characteristics import special_rows
@@ -58,40 +59,50 @@ class TestFitDecay:
             fit_decay(list(zip(t, 1 / t)), (10, 20))
 
 
-class TestMeasureKL:
+def origin_KL(g):
+    """K and L at the origin, as a record's cone pass measures them."""
+    return cone_maxima(g, g.t, 1.0, 0.6)[:2]
+
+
+class TestOriginKL:
     def test_zero_field(self):
         g = grid_from_function(lambda t, x: np.zeros(x.shape[:-1]))
-        assert measure_KL(g) == (0.0, 0.0)
+        assert origin_KL(g) == (0.0, 0.0)
 
     def test_unit_time_derivative(self):
         g = grid_from_function(lambda t, x: t * np.ones(x.shape[:-1]))
-        assert measure_KL(g)[0] == pytest.approx(1.0)
+        assert origin_KL(g)[0] == pytest.approx(1.0)
 
     def test_time_plus_space(self):
         g = grid_from_function(lambda t, x: t + x[..., 0])
-        assert measure_KL(g)[0] == pytest.approx(2.0)
+        assert origin_KL(g)[0] == pytest.approx(2.0)
 
     def test_l_time_squared(self):
         g = grid_from_function(lambda t, x: t**2 * np.ones(x.shape[:-1]))
-        assert measure_KL(g)[1] == pytest.approx(2.0)
+        assert origin_KL(g)[1] == pytest.approx(2.0)
 
     def test_l_space_squared(self):
         g = grid_from_function(lambda t, x: x[..., 0]**2)
-        assert measure_KL(g)[1] == pytest.approx(2.0)
+        assert origin_KL(g)[1] == pytest.approx(2.0)
 
     @pytest.mark.parametrize("n_half", [3, 6])
-    def test_equals_the_maps_origin_entry(self, n_half):
+    @pytest.mark.parametrize("cone_radius", [0.0, 1.0, np.inf])
+    def test_equals_the_origin_node_box(self, monkeypatch, n_half, cone_radius):
         # n_half = 3: the smallest cube a coupled config may have (R + pad
-        # > 2 h), whose interior is the nodes 2 .. 4
+        # > 2 h), whose interior is the nodes 2 .. 4; one plane per slab,
+        # so the origin's plane is never in the first slab
+        monkeypatch.setattr(wavefield, "SLAB_NODES", 1)
         rng = np.random.default_rng(5)
         g = grid_from_function(lambda t, x: rng.standard_normal(x.shape[:-1]),
                                n_half=n_half)
-        K, L, r = grid_derivative_maps(g)
-        k, l = measure_KL(g)
-        assert type(k) is float and type(l) is float
-        assert np.count_nonzero(r == 0.0) == 1
-        assert_same_bits(np.array([k, l]), np.array([K[r == 0.0][0], L[r == 0.0][0]]))
+        R = 1.0
+        got = cone_maxima(g, cone_radius - R, R, 0.6)
+        assert all(type(v) is float for v in got)
+        K, L = field_derivatives(g, (n_half,) * 3, (1, 1, 1))
+        assert_same_bits(np.array(got[:2]), np.array([K[0, 0, 0], L[0, 0, 0]]))
 
+
+class TestSupMu:
     def test_sup_mu(self):
         g = grid_from_function(lambda t, x: np.zeros(x.shape[:-1]))
         g.mu = np.zeros_like(g.phi_0)
@@ -236,8 +247,8 @@ class TestGridMapsSlabs:
             np.testing.assert_array_equal(np.concatenate(col), b)
 
     @pytest.mark.parametrize("slab_nodes", SLAB_NODES)
-    # R + t: no interior node, one, and many
-    @pytest.mark.parametrize("cone_radius", [-1.0, 0.0, 0.3, 3.0, np.inf])
+    # R + t: one interior node, the origin's neighbours, and many
+    @pytest.mark.parametrize("cone_radius", [0.0, 0.3, 3.0, np.inf])
     @pytest.mark.parametrize("nan", [False, True])
     def test_cone_maxima_equal_whole_ball(self, monkeypatch, slab_nodes,
                                           cone_radius, nan):
@@ -253,12 +264,10 @@ class TestGridMapsSlabs:
         t = cone_radius - R
         got = cone_maxima(g, t, R, beta)
         K, L, r = grid_derivative_maps(g, max_radius=R + t)
-        if cone_radius < 0:
-            assert got is None and K.size == 0
-            return
         want = (K.max(), *fsc_raw_margins(K, L, r, t, R, beta))
         assert all(type(v) is float for v in got)
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got[2:], want)
+        np.testing.assert_array_equal(got[:2], (K[r == 0.0][0], L[r == 0.0][0]))
         assert np.isnan(got).all() == nan
 
 

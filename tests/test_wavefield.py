@@ -1249,35 +1249,24 @@ class TestLevelReuse:
         assert g.phi_p is not old
         assert_same_bits(old, saved)
 
-    def test_float64_history_levels_keep_their_bits(self, monkeypatch, tmp_path):
-        import weakref
-
-        from vnsim import cli
-        appended = []  # (history, level) as weak references, the level's copy
-        real_append = GridFieldHistory.append
-
-        def append(self, t, phi, h, n_half):
-            real_append(self, t, phi, h, n_half)
-            level = self._levels[-1][0]
-            appended.append((weakref.ref(self), weakref.ref(level), level.copy()))
-
-        states = []
-        real_init = cli.init_coupled_state
-
-        def init(*args, **kwargs):
-            states.append(real_init(*args, **kwargs))
-            return states[-1]
-
-        monkeypatch.setattr(GridFieldHistory, "append", append)
-        monkeypatch.setattr(cli, "init_coupled_state", init)
-        cfg = cli.parse_config(
-            "R = 1\nh = 0.5\ndt = 0.25\nt_end = 2\nn_per_dim = 5\npad = 5\n"
-            "keep_history = 1\nhistory_float32 = 0\nhistory_stride = 2\n"
-            f"semilag = 1\nrecord_interval = 1\noutput = {tmp_path / 'h.csv'}\n")
-        assert cli.run_scenario(cfg) == 0
-        hist = states[0].hist_full
-        kept = [(level(), copy) for owner, level, copy in appended
-                if owner() is hist]
+    def test_float64_history_levels_keep_their_bits(self):
+        # a float64 history holds the grid's own levels, not copies; a run's
+        # history is float32, so the steps of a coupled run are driven by
+        # hand: a growth, a source box and `advance`, whose `keep` appends
+        # every 2nd level.  Two steps on, each held level is phi_m, whose
+        # buffer fdtd_step must then not reuse.
+        rng = np.random.default_rng(25)
+        g = make_field_grid(wave_data(), self.H, self.DT, pad=2.0)
+        hist = GridFieldHistory(dtype=np.float64, stride=2)
+        g.keep(hist)
+        kept = [(g.phi_0, g.phi_0.copy())]
+        for _ in range(8):
+            g.ensure_extent(1.0 + g.t + g.dt + 2.0)
+            g.mu, g.mu_origin = rng.standard_normal((3, 3, 3)), (g.n_half - 1,) * 3
+            g.advance(1.0, hist)
+            if len(hist._levels) > len(kept):
+                kept.append((g.phi_0, g.phi_0.copy()))
+        assert g.n_half > 6  # the first step grew the cube
         assert len(kept) == len(hist._levels) == 5
         for (level, copy), (stored, *_) in zip(kept, hist._levels):
             assert level is stored
