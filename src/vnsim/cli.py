@@ -199,17 +199,22 @@ def _lattice_particles(n: int) -> int:
 
 def estimate_memory_mb(cfg: SimConfig) -> float:
     """Upper estimate of a run's peak resident memory in MiB; history
-    levels count at the cube size of their own time."""
-    def cube(t):
-        # nodes of the cube that the field grid holds at time t
-        return (2 * int(np.ceil((cfg.R + t + cfg.pad + GROW_CHUNK) / cfg.h)) + 1) ** 3
+    levels count at the cube size of their own time.  Node counts are
+    Python floats, exact below 2^53, so a huge finite config reads inf,
+    which the budget check rejects, where an int would not convert."""
+    def cube(half_width, extra=1.0):
+        # nodes of a cube of ceil(half_width / h) nodes each side of the
+        # centre, and `extra` more per axis
+        side = 2.0 * float(np.ceil(half_width / cfg.h)) + extra
+        return side * side * side
 
-    total = 8.0 * (_PEAK_LEVELS * cube(cfg.t_end) if cfg.coupling else
-                   2 * (2 * int(np.ceil((cfg.R + cfg.t_end) / cfg.h)) + 2) ** 3)
+    total = 8.0 * (_PEAK_LEVELS * cube(cfg.R + cfg.t_end + cfg.pad + GROW_CHUNK)
+                   if cfg.coupling else 2 * cube(cfg.R + cfg.t_end, extra=2.0))
     if cfg.keep_history and cfg.coupling:
         level_dt = cfg.dt * cfg.history_stride
         n_levels = int(cfg.t_end / level_dt + 1e-9) + 1
-        total += sum(cube(k * level_dt) for k in range(n_levels)) * 4.0
+        total += sum(cube(cfg.R + k * level_dt + cfg.pad + GROW_CHUNK)
+                     for k in range(n_levels)) * 4.0
     n_part = _lattice_particles(cfg.n_per_dim)
     per_particle = _COUPLED_PARTICLE_FLOATS if cfg.coupling else _FREE_PARTICLE_FLOATS
     total += (min(cfg.n_per_dim**6, PAIR_CHUNK) * _PAIR_BYTES
@@ -252,9 +257,10 @@ def parse_config(text: str) -> SimConfig:
 
 
 def _multiple_of(value: float, step: float) -> bool:
-    """value is k * step for an integer k >= 1, to 1e-9 relative to step."""
+    """value is k * step for an integer k >= 1, to 1e-9 relative to step;
+    not for an infinite quotient (a huge value), which has no nearest int."""
     k = value / step
-    return abs(k - round(k)) <= 1e-9 and round(k) >= 1
+    return bool(np.isfinite(k)) and abs(k - round(k)) <= 1e-9 and round(k) >= 1
 
 
 def _validate(cfg: SimConfig):
@@ -278,7 +284,7 @@ def _validate(cfg: SimConfig):
         raise ConfigError("n_per_dim must be >= 4")
     if cfg.pad < 0:
         raise ConfigError("pad must be nonnegative")
-    if cfg.coupling and int(np.ceil((cfg.R + cfg.pad) / cfg.h)) < 3:
+    if cfg.coupling and np.ceil((cfg.R + cfg.pad) / cfg.h) < 3:
         # as make_field_grid sizes the t = 0 cube; the derivative stencils
         # of the t = 0 record need 3 nodes on each side of the origin
         raise ConfigError("R + pad must exceed 2 h when coupling is on")

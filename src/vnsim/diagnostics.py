@@ -68,13 +68,23 @@ def fit_decay(series, window) -> DecayFit:
 # ---------------------------------------------------------------------------
 
 def _ball_planes(grid: FieldGrid, radius: float) -> tuple:
-    """Index range [lo, hi) of the interior sub-cube, on each axis, that holds
-    the nodes with |x| <= radius: radius / h nodes from the center plus one
-    of margin (r <= radius decides); capped at n so that inf stays an int."""
+    """Index range [lo, hi) of the interior nodes, on one axis, that holds
+    the nodes with |coordinate| <= radius: radius / h nodes from the center
+    plus one of margin (r <= radius decides); capped at n so that inf stays
+    an int, and empty for a negative radius."""
     n = grid.n_nodes
     reach = int(min(np.floor(radius / grid.h), n)) + 1
     lo = max(2, grid.n_half - reach)
     return lo, max(lo, min(n - 2, grid.n_half + reach + 1))
+
+
+def _disc_radius(grid: FieldGrid, radius: float, first: int, last: int) -> float:
+    """Radius of the ball's disc on the plane of [first, last) nearest the
+    center, which holds the widest disc of those planes; -1 if that plane
+    misses the ball.  For a plane at |x| <= radius, x^2 <= radius^2 after
+    rounding too, so the root is real."""
+    x = abs(grid.node_axis()[min(max(grid.n_half, first), last - 1)])
+    return float(np.sqrt(radius * radius - x * x)) if x <= radius else -1.0
 
 
 def grid_derivative_maps(grid: FieldGrid, max_radius: float | None = None,
@@ -84,12 +94,18 @@ def grid_derivative_maps(grid: FieldGrid, max_radius: float | None = None,
 
     Returns (K, L, r) flat arrays in node order; used for grid-wide sup
     norms and FSC margins.  The stencils run on one box: the planes' part
-    of the index sub-cube that holds the ball, clamped to the interior.
+    of the index sub-cube that holds the ball, clamped to the interior,
+    whose y and z ranges hold the ball's disc on the plane nearest the
+    center (`_disc_radius`), the widest of the planes', not its whole
+    square.  A node outside that box is farther than max_radius: its x is
+    at least that plane's, and its y or z a node beyond the disc.
     """
     radius = np.inf if max_radius is None else max_radius  # inf keeps all
     lo, hi = _ball_planes(grid, radius)
     first, last = planes or (lo, hi)
     first, last = max(first, lo), max(first, lo, min(last, hi))
+    if first < last:
+        lo, hi = _ball_planes(grid, _disc_radius(grid, radius, first, last))
     K, L = field_derivatives(grid, (first, lo, lo), (last - first, hi - lo, hi - lo))
     ax = grid.node_axis()
     xx, yy, zz = np.meshgrid(ax[first:last], ax[lo:hi], ax[lo:hi], indexing="ij",
@@ -104,8 +120,10 @@ def cone_maxima(grid: FieldGrid, t: float, R: float, beta: float):
     nodes with |x| <= R + t, bit for bit as from the whole-ball maps.  The
     origin, the one node with r == 0.0 (`node_axis`), must be among them:
     n_half >= 3 (`cli._validate`) and R + t >= 0.  The maps are made and
-    reduced one slab of x-planes at a time, so no ball-sized array exists;
-    np.maximum keeps a NaN, as .max() does.
+    reduced one slab of x-planes at a time, each on the box of its widest
+    disc (`grid_derivative_maps`), so no ball-sized array exists and the
+    stencils skip the corners of the ball's cube; np.maximum keeps a NaN,
+    as .max() does.
     """
     lo, hi = _ball_planes(grid, R + t)
     best = None
@@ -147,35 +165,96 @@ def momentum_support(ens: ParticleEnsemble) -> float:
     return float(np.sqrt(_squared_norm(p).max()))
 
 
+# the cell hash's multipliers: cells whose keys give one XOR of their
+# products count as one cell (ROADMAP item 5)
+_HASH_PRIMES = np.array([73856093, 19349663, 83492791], dtype=np.int64)
+
+
+def _compact(index: np.ndarray) -> np.ndarray:
+    """Renumber `index` in place by each value's rank among its distinct
+    values; return those values in increasing order."""
+    order = np.argsort(index)
+    ranks = index[order]
+    new = np.empty(len(ranks), dtype=bool)
+    new[0] = True
+    np.not_equal(ranks[1:], ranks[:-1], out=new[1:])
+    values = ranks[new]
+    np.cumsum(new, out=ranks)
+    ranks -= 1
+    index[order] = ranks
+    return values
+
+
+def _cells(x: np.ndarray, cell_size: float):
+    """(index, keys): index[i] in [0, m) numbers the cell floor(x[i] /
+    cell_size) of particle i; keys is (m, 3) int64, the key of each number.
+
+    The keys' box comes from each x column's smallest and largest
+    coordinate, as x -> floor(x / c) is monotone.  The index is accumulated
+    in float64 over that box, exactly while it has at most 2^53 cells; it
+    numbers every cell of the box when the box has at most a quarter as
+    many cells as particles, else only the occupied cells (`_compact`).  A
+    key off int64, a NaN, or a larger box takes the key triples and
+    `np.unique`, which hold several times the particles' bytes.
+    """
+    ends = np.floor(np.array([(col.min(), col.max()) for col in x.T]) / cell_size)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)  # a negative cell_size swaps them
+    in_range = bool(np.all((lo >= -2.0**63) & (hi < 2.0**63)))  # False for a NaN
+    dims = [int(b) - int(a) + 1 for a, b in zip(lo, hi)] if in_range else []
+    if not in_range or np.prod(dims, dtype=object) > 2**53:
+        keys, index = np.unique(np.floor(x / cell_size).astype(np.int64), axis=0,
+                                return_inverse=True)
+        return index.ravel(), keys
+    index = None
+    for col, first, n in zip(x.T, lo, dims):
+        u = col / cell_size
+        np.floor(u, out=u)
+        u -= first  # exact: both are integers within the box
+        if index is None:
+            index = u
+        else:
+            index *= n
+            index += u
+        del u  # so that at most two columns exist
+    index = index.astype(np.int64)
+    box = dims[0] * dims[1] * dims[2]
+    cells = np.arange(box) if 4 * box <= len(x) else _compact(index)
+    keys = np.stack(np.unravel_index(cells, dims), axis=1)
+    keys += lo.astype(np.int64)
+    return index, keys
+
+
 def max_momentum_spread(ens: ParticleEnsemble, cell_size: float) -> float:
     """Max over the occupied cells of a cubic lattice of the bounding-box
     volume of the momenta of the weighted particles in the cell.
 
-    The hash of the cell keys and the segment reductions run on one axis
-    column at a time: each column's key is multiplied and XORed into one
-    int64 array in place, so no key column outlives its turn.  The sort need
-    not be stable: a segment's max and min do not depend on the order of its
-    particles.
+    Each particle's cell gets one integer index (`_cells`), and every
+    momentum column's max and min per cell are taken with np.maximum.at and
+    np.minimum.at, so the cost follows the particles and the cells, with no
+    sort of the particles on the usual path.  Cells whose key hash
+    coincides are then merged, max of maxes and min of mins (ROADMAP item
+    5: the fix deletes that merge).  A one-particle cell has zero extent
+    and so zero spread.
     """
     n_live, x, p = _live(ens)
     if n_live < 2:
         return 0.0
-    flat = np.zeros(n_live, dtype=np.int64)
-    for col, prime in zip(x.T, (73856093, 19349663, 83492791)):
-        key = col / cell_size
-        np.floor(key, out=key)
-        key = key.astype(np.int64)
-        key *= prime
-        flat ^= key
-        del key
-    order = np.argsort(flat)
-    flat = flat[order]
-    starts = np.concatenate([[0], np.nonzero(np.diff(flat))[0] + 1])
-    # a one-particle segment has zero extent and so zero spread
-    ext = []
-    for col in p.T:
-        seg = col[order]
-        ext.append(np.maximum.reduceat(seg, starts) - np.minimum.reduceat(seg, starts))
+    index, keys = _cells(x, cell_size)
+    top, bottom = (np.full((3, len(keys)), v) for v in (-np.inf, np.inf))
+    for col, hi, lo in zip(p.T, top, bottom):
+        np.maximum.at(hi, index, col)
+        np.minimum.at(lo, index, col)
+    del index
+    # an empty cell keeps inf > -inf; a NaN compares False and stays
+    occupied = ~(bottom[0] > top[0])
+    keys, top, bottom = keys[occupied], top[:, occupied], bottom[:, occupied]
+    keys *= _HASH_PRIMES  # wraps as the hash does
+    _, group = np.unique(np.bitwise_xor.reduce(keys, axis=1), return_inverse=True)
+    ext, low = (np.full((3, group.max() + 1), v) for v in (-np.inf, np.inf))
+    for k in range(3):
+        np.maximum.at(ext[k], group, top[k])
+        np.minimum.at(low[k], group, bottom[k])
+    ext -= low
     e0, e1, e2 = ext
     return float(((e0 * e1) * e2).max(initial=0.0))
 

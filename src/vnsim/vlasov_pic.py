@@ -158,12 +158,15 @@ def deposit_mu(ens: ParticleEnsemble, grid: FieldGrid,
     each over the particles in their order.
 
     The particles are read PARTICLE_CHUNK at a time, one axis column at a
-    time, into the cell index (in the box's strides, from the cube's node 0;
-    each corner's offset subtracts the box's first node) and the three
-    fractions; with q wx wy of one (x, y) corner pair, formed chunk by
-    chunk, that is 5 floats per particle over the whole ensemble besides q.
-    Each corner's adds run chunk by chunk in particle order, so no node's
-    order of adds depends on the chunks.
+    time, into the three fractions and one cell index relative to the box,
+    formed in float64 (exact: integers below the box's node count) in
+    reused chunk buffers; with q wx wy of one (x, y) corner pair, formed
+    chunk by chunk, that is 5 floats per particle over the whole ensemble
+    besides q.  A corner adds at that index into the view of the flat box
+    that starts at the corner's offset, and its weight factors f and
+    1 - f go into a reused chunk buffer.  Each corner's adds run chunk by
+    chunk in particle order, so no node's order of adds depends on the
+    chunks.
     """
     if ens.n == 0:
         return grid.clear_mu()
@@ -176,34 +179,44 @@ def deposit_mu(ens: ParticleEnsemble, grid: FieldGrid,
     if lo.min() < 0 or hi.max() + 2 > grid.n_nodes:
         raise DomainTooSmallError("particle outside deposition grid")
     origin, shape = lo.astype(int), (hi - lo).astype(int) + 2
-    _, ny, nz = shape
-    first = (origin[0] * ny + origin[1]) * nz + origin[2]
     if q is None:
         q = _charge(ens)
-    chunks = [slice(a, a + PARTICLE_CHUNK) for a in range(0, ens.n, PARTICLE_CHUNK)]
-    base, frac = np.empty(ens.n, dtype=int), np.empty((3, ens.n))
+    chunks = [slice(a, min(a + PARTICLE_CHUNK, ens.n))
+              for a in range(0, ens.n, PARTICLE_CHUNK)]
+    index, frac = np.empty(ens.n, dtype=np.intp), np.empty((3, ens.n))
+    buffers = np.empty((3, chunks[0].stop))
     for s in chunks:
-        i0 = []
-        for col, fr in zip(ens.x[s].T, frac[:, s]):
-            u = col / grid.h + grid.n_half
-            f = np.floor(u)
-            i0.append(f.astype(int))
-            np.subtract(u, f, out=fr)  # the same bits as u minus the integer floor
-        base[s] = (i0[0] * ny + i0[1]) * nz + i0[2]
+        u, floor, cell = buffers[:, :s.stop - s.start]
+        cell[:] = 0.0
+        for col, fr, first, n in zip(ens.x[s].T, frac[:, s], lo, shape):
+            np.divide(col, grid.h, out=u)
+            u += grid.n_half
+            np.floor(u, out=floor)
+            np.subtract(u, floor, out=fr)  # the same bits as u minus the integer floor
+            floor -= first
+            cell *= n
+            cell += floor
+        index[s] = cell
     fx, fy, fz = frac
     mu = np.zeros(shape)
     flat = mu.ravel()
-    qxy = np.empty(ens.n)
+    qxy, w = np.empty(ens.n), buffers[0]
+
+    def factor(f, upper):
+        """The weight factor f of the upper corner, or 1 - f of the lower in
+        the chunk buffer w."""
+        return f if upper else np.subtract(1.0, f, out=w[:len(f)])
+
     for ox in (0, 1):
         for oy in (0, 1):
             for s in chunks:
-                np.multiply(q[s], fx[s] if ox else 1.0 - fx[s], out=qxy[s])
-                qxy[s] *= fy[s] if oy else 1.0 - fy[s]
+                np.multiply(q[s], factor(fx[s], ox), out=qxy[s])
+                qxy[s] *= factor(fy[s], oy)
             for oz in (0, 1):
-                corner = (ox * ny + oy) * nz + oz - first
+                corner = flat[(ox * shape[1] + oy) * shape[2] + oz:]
                 for s in chunks:
-                    wz = fz[s] if oz else 1.0 - fz[s]
-                    np.add.at(flat, base[s] + corner, qxy[s] * wz)
+                    wz = factor(fz[s], oz)
+                    np.add.at(corner, index[s], np.multiply(qxy[s], wz, out=w[:len(wz)]))
     mu /= grid.h**3
     grid.mu, grid.mu_origin = mu, tuple(origin.tolist())
     return mu

@@ -939,6 +939,26 @@ class TestMain:
         assert f"bad value for {key!r}: not a finite number" in err
         assert not list(tmp_path.glob("nf.csv*"))
 
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+    @pytest.mark.parametrize("key, value, message", [
+        # the quotient t_end / dt is inf, which has no nearest int
+        ("t_end", "1e308", "t_end must be a multiple of dt"),
+        ("record_interval", "1e308", "record_interval must be a positive multiple"),
+        # the cube's node count is past the largest float
+        ("R", "1e300", "estimated memory inf MiB exceeds budget"),
+        ("pad", "1e300", "estimated memory inf MiB exceeds budget")])
+    def test_huge_finite_value_exits_two(self, tmp_path, capsys, command, key,
+                                         value, message):
+        base = [line for line in BASE.splitlines()
+                if line.partition("=")[0].strip() != key]
+        out = tmp_path / "huge.csv"
+        conf = write_conf(tmp_path, "\n".join(base) + f"\n{key} = {value}\noutput = {out}\n")
+        argv = [command, conf] + (["--delta", "1"] if command == "sweep" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"config error: {message}")
+        assert not list(tmp_path.glob("huge.csv*"))
+
     def test_resume_of_a_non_finite_config_exits_two(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         conf = write_conf(tmp_path, BASE + f"checkpoint_interval = 1\noutput = {out}\n")

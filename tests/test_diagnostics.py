@@ -231,7 +231,8 @@ class TestGridMapsSlabs:
         assert (got[0].size == 0) == (max_radius is not None and max_radius < 0)
 
     @pytest.mark.parametrize("slab_nodes", SLAB_NODES)
-    @pytest.mark.parametrize("max_radius", [-1.0, 0.3, 3.0, None])
+    # 1.5 = 5 h: the disc on the plane at 3 h has radius 4 h, a node
+    @pytest.mark.parametrize("max_radius", [-1.0, 0.3, 1.5, 3.0, None])
     @pytest.mark.parametrize("width", [1, 4])
     def test_planes_concatenate_to_whole_ball(self, monkeypatch, slab_nodes,
                                               max_radius, width):
@@ -247,8 +248,9 @@ class TestGridMapsSlabs:
             np.testing.assert_array_equal(np.concatenate(col), b)
 
     @pytest.mark.parametrize("slab_nodes", SLAB_NODES)
-    # R + t: one interior node, the origin's neighbours, and many
-    @pytest.mark.parametrize("cone_radius", [0.0, 0.3, 3.0, np.inf])
+    # R + t: one interior node, the origin's neighbours, 5 h, whose disc
+    # on the plane at 3 h reaches exactly the node at 4 h, and many
+    @pytest.mark.parametrize("cone_radius", [0.0, 0.3, 1.5, 3.0, np.inf])
     @pytest.mark.parametrize("nan", [False, True])
     def test_cone_maxima_equal_whole_ball(self, monkeypatch, slab_nodes,
                                           cone_radius, nan):

@@ -3,7 +3,10 @@ ends with exit 0, 2 or 3; a coupled run that ends with 0 reads K at the
 origin no larger than K over the cone ball, which holds the origin; a rerun
 writes the same bytes; a resume from a mid-run checkpoint, which rebuilds
 the state a run keeps outside the checkpoint, writes the same bytes as the
-run it interrupted."""
+run it interrupted.  Below it, properties of single layers against their
+references: shared gather tables keep the per-call bits, the ensemble
+spread's cell pass gives the hash segments' spread, and the chunked box
+deposit gives the whole-cube deposit's bits."""
 
 import os
 import shutil
@@ -17,7 +20,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import vnsim.cli as cli  # noqa: E402
-from vnsim import wavefield  # noqa: E402
+from vnsim import vlasov_pic, wavefield  # noqa: E402
+from vnsim.diagnostics import max_momentum_spread  # noqa: E402
+from vnsim.vlasov_pic import ParticleEnsemble, deposit_mu  # noqa: E402
+from vnsim.wavefield import FieldGrid  # noqa: E402
+from tests.oracles import assert_same_bits  # noqa: E402
+from tests.test_diagnostics import make_ensemble, reference_max_spread  # noqa: E402
+from tests.test_vlasov_pic import embedded, reference_deposit_mu  # noqa: E402
 
 
 @st.composite
@@ -171,3 +180,81 @@ def test_shared_tables_keep_the_per_call_bits(case):
     assert got.shape == ref.shape and got.dtype == ref.dtype
     np.testing.assert_array_equal(got, ref)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
+@st.composite
+def spread_ensembles(draw):
+    """(ensemble, cell size): particles in one cell, one to a cell, in the
+    two cells of one hash that the strict xfail names, in a sparse cloud
+    whose cell box holds more cells than particles, or far from the origin
+    (|x| / cell size up to about 1e15, either sign); some weights zero."""
+    c = draw(st.sampled_from([0.25, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 120))
+    layout = draw(st.sampled_from(["one cell", "one each", "one hash", "sparse", "far"]))
+    if layout == "one cell":
+        keys = rng.integers(-4, 4, 3) + np.zeros((n, 3))
+    elif layout == "one each":
+        keys = np.arange(n)[:, None] * np.array([1, -2, 3]) + rng.integers(-4, 4, 3)
+    elif layout == "one hash":
+        keys = np.array([[-3, -1, 3], [-3, 1, -3]])[rng.integers(0, 2, n)]
+    elif layout == "sparse":
+        keys = rng.integers(-60, 60, (n, 3))
+    else:
+        centre = rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(0, 15, 3)
+        keys = np.floor(centre + rng.normal(size=(n, 3)) * draw(
+            st.sampled_from([1.0, 100.0, 1e14])))
+    x = (keys + rng.uniform(0.0, 1.0, (n, 3))) * c
+    p = np.round(rng.normal(scale=0.5, size=(n, 3)), draw(st.integers(1, 8)))
+    w = rng.uniform(0.5, 2.0, n)
+    w[rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    return make_ensemble(x, p, w), c
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spread_ensembles())
+def test_spread_equals_segment_loop(case):
+    """The cell pass gives the hash segments' max spread, whichever way
+    `_cells` numbers the cells."""
+    ens, cell_size = case
+    assert max_momentum_spread(ens, cell_size) == reference_max_spread(ens, cell_size)
+
+
+@st.composite
+def deposit_cases(draw):
+    """(ensemble, grid, chunk): particles anywhere in the grid's cells, some
+    on cell faces and some in its last cell, signed and zero weights, and
+    PARTICLE_CHUNK of 1, 7, N - 1, N or N + 1."""
+    h = draw(st.sampled_from([0.25, 0.5]))
+    grid = FieldGrid.at_start(1.0, h, h / 2, draw(st.sampled_from([0.5, 1.0])))
+    n_cells = grid.n_nodes - 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 80))
+    u = rng.uniform(0.0, n_cells, (n, 3))
+    face = rng.uniform(size=(n, 3)) < draw(st.sampled_from([0.0, 0.3]))
+    u[face] = np.floor(u[face])
+    last = rng.uniform(size=(n, 3)) < draw(st.sampled_from([0.0, 0.2]))
+    u[last] = n_cells - 1 + np.floor(rng.uniform(0.0, 2.0, last.sum())) * 0.5
+    w = rng.uniform(-1.0, 2.0, n)
+    w[rng.uniform(size=n) < 0.2] = 0.0
+    ens = ParticleEnsemble(x=(u - grid.n_half) * h,
+                           p=rng.uniform(-0.5, 0.5, (n, 3)), w=w)
+    chunk = draw(st.sampled_from([1, 7, n - 1, n, n + 1]))
+    return ens, grid, max(chunk, 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(deposit_cases(), st.booleans())
+def test_deposit_equals_whole_cube_reference(case, given_q):
+    """The chunked box deposit, with its charges given or computed, has
+    the bits of the whole-cube reference, sign bits included."""
+    ens, grid, chunk = case
+    ref, ref_box = reference_deposit_mu(ens, grid)
+    saved = vlasov_pic.PARTICLE_CHUNK
+    vlasov_pic.PARTICLE_CHUNK = chunk
+    try:
+        deposit_mu(ens, grid, q=vlasov_pic._charge(ens) if given_q else None)
+    finally:
+        vlasov_pic.PARTICLE_CHUNK = saved
+    assert grid.source_box() == ref_box
+    assert_same_bits(embedded(grid), ref)

@@ -735,12 +735,28 @@ class TestParticleChunks:
         assert peak <= 5.5 * 8 * ens.n
 
     def test_spread_holds_four_integers_per_particle(self):
-        # the hash is built in one int64 array, a column at a time; then
-        # the sort's order, the sorted hash and its differences
+        # 8^3 cells for 23k particles: the cell pass holds the float index,
+        # a column at a time, and its int64 copy, then the per-cell maxima
+        # and minima; no sort order and no sorted copy (a sort of the hash
+        # held 4)
         ens = sample_particles(small_data(), 8)
         tracemalloc.start()
         try:
             diagnostics.max_momentum_spread(ens, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * ens.n
+
+    def test_sparse_spread_holds_four_and_a_half_integers_per_particle(self):
+        # 200^3 cells for 23k particles: the index is compacted in place to
+        # the occupied cells (the sort's order, the sorted index and a mask
+        # besides it), and then holds their maxima and minima; np.unique
+        # with its inverse held 7
+        ens = sample_particles(small_data(), 8)
+        tracemalloc.start()
+        try:
+            diagnostics.max_momentum_spread(ens, 0.01)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
